@@ -311,10 +311,6 @@ def normed_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / den)
 
 
-def flatten_params(params: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([p.reshape(-1) for p in params]) if params else np.zeros(0)
-
-
 def global_norm(arrays: list[np.ndarray]) -> float:
     total = 0.0
     for a in arrays:

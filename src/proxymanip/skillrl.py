@@ -89,8 +89,9 @@ def shaped_reward(z_t: np.ndarray, goal: GoalSpec, cfg: RewardConfig) -> float:
 
 
 def make_goal(task: TaskSpec, camera_id: str, encoder: Encoder) -> GoalSpec:
-    """Agent-masked render of the task's target state; beta is filled in at
-    each episode reset."""
+    """Agent-masked render of the task's target state and its embedding.
+    ``beta`` stays 0.0 here: the start-goal baseline belongs to each env slot
+    and is set at every episode reset."""
     spec = camera_spec(camera_id)
     frame = render.render(goal_state(task), task.object, spec, "none",
                           marker_pos=goal_marker(task))
@@ -298,37 +299,60 @@ def _render_masked(slot: _EnvSlot, spec: ImageSpec, marker) -> FrameImage:
                          marker_pos=marker)
 
 
-def _reset_slot(slot: _EnvSlot, encoder: Encoder, goal: GoalSpec,
-                spec: ImageSpec, marker) -> None:
-    seed = derive_seed(slot.master_seed, slot.env_index, slot.episode_index)
-    slot.state = env2d.reset(slot.config, slot.task, seed)
-    z0 = embed(encoder, _render_masked(slot, spec, marker))
-    slot.beta = similarity(z0, goal.goal_embedding)
-    slot.episode_return = 0.0
-    slot.episode_len = 0
+def _masked_similarities(slots: list[_EnvSlot], encoder: Encoder,
+                         goal: GoalSpec, spec: ImageSpec, marker,
+                         memo: dict) -> list[float]:
+    """Goal similarity of each slot's agent-masked frame.
+
+    With the agent masked out, the frame depends only on the object pose
+    (task, camera and marker are fixed for the caller), so ``memo`` maps
+    ``object_q.tobytes()`` to the similarity. Poses not yet in it are
+    rendered once each and embedded in one batch.
+    """
+    keys = [slot.state.object_q.tobytes() for slot in slots]
+    frames: dict[bytes, FrameImage] = {}
+    for key, slot in zip(keys, slots):
+        if key not in memo and key not in frames:
+            frames[key] = _render_masked(slot, spec, marker)
+    if frames:
+        z = embed_batch(encoder, list(frames.values()))
+        for key, z_k in zip(frames, z):
+            memo[key] = similarity(z_k, goal.goal_embedding)
+    return [memo[key] for key in keys]
+
+
+def _reset_slots(slots: list[_EnvSlot], encoder: Encoder, goal: GoalSpec,
+                 spec: ImageSpec, marker, memo: dict) -> None:
+    for slot in slots:
+        seed = derive_seed(slot.master_seed, slot.env_index, slot.episode_index)
+        slot.state = env2d.reset(slot.config, slot.task, seed)
+        slot.episode_return = 0.0
+        slot.episode_len = 0
+    betas = _masked_similarities(slots, encoder, goal, spec, marker, memo)
+    for slot, beta in zip(slots, betas):
+        slot.beta = beta
 
 
 def make_env_slots(task: TaskSpec, options: SkillOptions, encoder: Encoder,
                    goal: GoalSpec, n_envs: int, seed: int) -> list[_EnvSlot]:
-    spec = camera_spec(options.camera)
-    marker = goal_marker(task)
     cfg = options.world_config(task)
-    slots = []
-    for e in range(n_envs):
-        slot = _EnvSlot(task, cfg, None, 0.0, 0, e, seed)  # type: ignore[arg-type]
-        _reset_slot(slot, encoder, goal, spec, marker)
-        slots.append(slot)
+    slots = [_EnvSlot(task, cfg, None, 0.0, 0, e, seed)  # type: ignore[arg-type]
+             for e in range(n_envs)]
+    _reset_slots(slots, encoder, goal, camera_spec(options.camera),
+                 goal_marker(task), {})
     return slots
 
 
 def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
                      encoder: Encoder, goal: GoalSpec, ppo: PpoConfig,
                      options: SkillOptions, rng: np.random.Generator) -> dict:
-    """Gather horizon x n_envs transitions, computing the visual reward from a
-    fresh agent-masked render at every step."""
+    """Gather horizon x n_envs transitions. The visual reward of each step is
+    the goal similarity of the agent-masked frame, rendered and embedded once
+    per distinct object pose within this call."""
     n_envs = len(slots)
     spec = camera_spec(options.camera)
     marker = goal_marker(slots[0].task)
+    memo: dict[bytes, float] = {}
     obs_buf = np.zeros((ppo.horizon, n_envs, OBS_DIM))
     act_buf = np.zeros((ppo.horizon, n_envs, ACTION_DIM))
     mask_buf = np.zeros((ppo.horizon, n_envs, ACTION_DIM), dtype=bool)
@@ -348,15 +372,14 @@ def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
         mask_buf[t] = mask
         logp_buf[t] = logp
 
-        frames = []
         for e, slot in enumerate(slots):
             slot.state, _ = env2d.step(slot.state, to_proxy_action(actions[e]),
                                        slot.config, slot.task)
             slot.episode_len += 1
-            frames.append(_render_masked(slot, spec, marker))
-        z = embed_batch(encoder, frames)
+        sims = _masked_similarities(slots, encoder, goal, spec, marker, memo)
+        finished = []
         for e, slot in enumerate(slots):
-            s_t = similarity(z[e], goal.goal_embedding)
+            s_t = sims[e]
             if options.reward_mode == "raw":
                 reward = s_t
             else:
@@ -372,7 +395,8 @@ def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
                 finished_returns.append(slot.episode_return)
                 finished_successes.append(success)
                 slot.episode_index += 1
-                _reset_slot(slot, encoder, goal, spec, marker)
+                finished.append(slot)
+        _reset_slots(finished, encoder, goal, spec, marker, memo)
 
     last_obs = np.stack([env2d.observe(s.state, s.task.object) for s in slots])
     val_buf[ppo.horizon] = values(policy, last_obs)
@@ -722,10 +746,3 @@ def awr_fit(demos: list[Clip], encoder: Encoder, goal: GoalSpec,
             new_params = adam_step(adam, policy.actor.parameters(), grads)
             policy.actor.set_parameters(new_params)
     return policy
-
-
-def awr_loss(policy: PolicyCheckpoint, obs, acts, weights) -> float:
-    mask = head_mask(policy, obs)
-    means, _, _ = action_means(policy, obs)
-    err = np.where(mask, means - acts, 0.0)
-    return float((weights[:, None] * err * err).sum() / weights.sum())

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxymanip import numcore as nc
-from proxymanip import reprlearn, skillrl
+from proxymanip import env2d, render, reprlearn, skillrl
 from proxymanip.env2d import get_task
 from proxymanip.skillrl import (
     GoalSpec, PolicyCheckpoint, PpoConfig, RewardConfig, SkillOptions,
@@ -271,6 +271,132 @@ class TestRollouts:
         a, b = run(), run()
         assert np.array_equal(a["actions"], b["actions"])
         assert np.array_equal(a["returns"], b["returns"])
+
+
+def reference_rollouts(policy, task, encoder, goal, ppo, options, seed, rng):
+    """The rollout loop without the pose memo, as make_env_slots followed by
+    one collect_rollouts call: every step renders all n frames and embeds
+    them in one batch, and every reset frame is embedded on its own."""
+    spec = skillrl.camera_spec(options.camera)
+    marker = skillrl.goal_marker(task)
+    cfg = options.world_config(task)
+    n = ppo.rollout_envs
+
+    def masked_frame(state):
+        return render.render(state, task.object, spec, "none", marker_pos=marker)
+
+    def reset(e, episode):
+        state = env2d.reset(cfg, task, nc.derive_seed(seed, e, episode))
+        z0 = reprlearn.embed(encoder, masked_frame(state))
+        return state, reprlearn.similarity(z0, goal.goal_embedding)
+
+    states, betas = map(list, zip(*[reset(e, 0) for e in range(n)]))
+    episodes, lengths, ep_returns = [0] * n, [0] * n, [0.0] * n
+    obs_rows, act_rows, mask_rows, logp_rows = [], [], [], []
+    rewards = np.zeros((ppo.horizon, n))
+    dones = np.zeros((ppo.horizon, n))
+    vals = np.zeros((ppo.horizon + 1, n))
+    finished_returns, finished_successes = [], []
+    for t in range(ppo.horizon):
+        obs = np.stack([env2d.observe(s, task.object) for s in states])
+        actions, logp, mask = skillrl.sample_actions(policy, obs, rng)
+        vals[t] = skillrl.values(policy, obs)
+        obs_rows.append(obs)
+        act_rows.append(actions)
+        mask_rows.append(mask)
+        logp_rows.append(logp)
+        for e in range(n):
+            states[e], _ = env2d.step(states[e],
+                                      skillrl.to_proxy_action(actions[e]),
+                                      cfg, task)
+            lengths[e] += 1
+        z = reprlearn.embed_batch(encoder, [masked_frame(s) for s in states])
+        for e in range(n):
+            s_t = reprlearn.similarity(z[e], goal.goal_embedding)
+            reward = shaped_reward_value(s_t, betas[e], options.reward)
+            success = env2d.is_success(states[e], task)
+            if success:
+                reward += options.terminal_bonus
+            rewards[t, e] = reward
+            ep_returns[e] += reward
+            if success or lengths[e] >= cfg.episode_horizon:
+                dones[t, e] = 1.0
+                finished_returns.append(ep_returns[e])
+                finished_successes.append(success)
+                episodes[e] += 1
+                states[e], betas[e] = reset(e, episodes[e])
+                lengths[e], ep_returns[e] = 0, 0.0
+    vals[ppo.horizon] = skillrl.values(
+        policy, np.stack([env2d.observe(s, task.object) for s in states]))
+    adv, ret = gae_advantages(rewards, vals, dones, ppo.gamma, ppo.gae_lambda)
+    return {
+        "obs": np.concatenate(obs_rows), "actions": np.concatenate(act_rows),
+        "masks": np.concatenate(mask_rows), "log_probs": np.concatenate(logp_rows),
+        "advantages": adv.reshape(-1), "returns": ret.reshape(-1),
+        "episode_returns": finished_returns,
+        "episode_successes": finished_successes,
+    }
+
+
+class TestPoseMemo:
+    # a short episode horizon makes every slot reset within one call
+    OPTIONS = SkillOptions(episode_horizon=20)
+    PPO = PpoConfig(rollout_envs=16, horizon=48)
+
+    def setup(self, task, encoder, seed):
+        goal = make_goal(task, self.OPTIONS.camera, encoder)
+        slots = make_env_slots(task, self.OPTIONS, encoder, goal,
+                               self.PPO.rollout_envs, seed)
+        rng = np.random.Generator(np.random.PCG64(seed + 1))
+        return (init_policy(seed), slots, encoder, goal, self.PPO,
+                self.OPTIONS, rng)
+
+    @pytest.mark.parametrize("name", ["lift-box", "move-box", "open-drawer"])
+    def test_matches_rendering_every_frame(self, encoder, name):
+        task = get_task(name)
+        seed = 5
+        batch = collect_rollouts(*self.setup(task, encoder, seed))
+        rng = np.random.Generator(np.random.PCG64(seed + 1))
+        ref = reference_rollouts(init_policy(seed), task, encoder,
+                                 make_goal(task, self.OPTIONS.camera, encoder),
+                                 self.PPO, self.OPTIONS, seed, rng)
+        for key in ("obs", "actions", "masks", "log_probs"):
+            assert np.array_equal(batch[key], ref[key]), key
+        assert batch["episode_successes"] == ref["episode_successes"]
+        assert len(batch["episode_returns"]) >= self.PPO.rollout_envs
+        # the embedding batch sizes differ, so rewards may differ in the
+        # last bits
+        for key in ("advantages", "returns", "episode_returns"):
+            np.testing.assert_allclose(batch[key], ref[key], rtol=0,
+                                       atol=1e-12, err_msg=key)
+
+    def test_renders_each_distinct_pose_once(self, encoder, monkeypatch):
+        args = self.setup(get_task("lift-box"), encoder, seed=2)
+        rendered, poses = [], set()
+        real_render, real_step, real_reset = render.render, env2d.step, env2d.reset
+
+        def counting_render(state, *a, **kw):
+            rendered.append(state.object_q.tobytes())
+            return real_render(state, *a, **kw)
+
+        def recording_step(*a, **kw):
+            state, events = real_step(*a, **kw)
+            poses.add(state.object_q.tobytes())
+            return state, events
+
+        def recording_reset(*a, **kw):
+            state = real_reset(*a, **kw)
+            poses.add(state.object_q.tobytes())
+            return state
+
+        monkeypatch.setattr(render, "render", counting_render)
+        monkeypatch.setattr(env2d, "step", recording_step)
+        monkeypatch.setattr(env2d, "reset", recording_reset)
+        collect_rollouts(*args)
+        # one render for each distinct pose a step or reset reached
+        assert len(rendered) == len(set(rendered))
+        assert set(rendered) == poses
+        assert len(rendered) < self.PPO.rollout_envs * self.PPO.horizon / 2
 
 
 class TestEpisodes:
