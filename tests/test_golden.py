@@ -1,0 +1,390 @@
+"""Golden pins: fixed-seed artefacts of the pipeline, recorded so that a
+refactor which claims "same behaviour" can be checked against them.
+
+Two kinds of pin:
+
+* **Exact** (sha256 of the bytes): the dataset directory, ``env2d.step``
+  episodes, retargeted expert trajectories with their replay results, and
+  checkpoint and state-blob files written from fixed weights. None of these
+  passes a float through a BLAS matrix product, so their bits depend only on
+  the code.
+* **Tolerance** (stored values, ``rtol=BLAS_RTOL``): the encoder loss curve
+  and rollout batches, which run through ``numpy`` matrix products. OpenBLAS
+  picks its kernel by CPU and by the number of rows, and a 1-row product can
+  round differently from a larger one, so the stored values are compared
+  with a relative tolerance. Each such pin fixes its batch sizes and seeds,
+  so on one machine it is reproduced bit for bit; the tolerance only absorbs
+  a different BLAS kernel's last-bit rounding.
+
+A failing pin prints the observed value as a Python assignment. When a change
+moves a pin on purpose, paste that line over the stored constant and say in
+the change description which pin moved and by how much.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pprint
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from proxymanip import demogen, env2d, numcore, reprlearn, retarget, skillrl
+from proxymanip.env2d import ProxyAction, builtin_catalogue, get_task
+
+BLAS_RTOL = 1e-9
+BLAS_ATOL = 1e-12
+
+EPISODE_STEPS = 300
+DATASET_TASKS = ("open-door", "move-box")
+
+
+def _sha(*chunks: bytes) -> str:
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(len(c).to_bytes(8, "little"))
+        h.update(c)
+    return h.hexdigest()
+
+
+def _repin(name: str, observed) -> str:
+    return (f"{name} moved; if on purpose, paste over the stored value:\n"
+            f"{name} = {pprint.pformat(observed, width=88, compact=True, sort_dicts=False)}")
+
+
+def _assert_exact(name: str, observed, expected) -> None:
+    assert observed == expected, _repin(name, observed)
+
+
+def _assert_close(name: str, observed: dict, expected: dict) -> None:
+    ok = expected is not None and observed.keys() == expected.keys() and all(
+        np.shape(observed[k]) == np.shape(expected[k])
+        and np.allclose(observed[k], expected[k], rtol=BLAS_RTOL, atol=BLAS_ATOL)
+        for k in expected)
+    assert ok, _repin(name, observed)
+
+
+def _floats(a) -> list[float]:
+    return [float(v) for v in np.asarray(a).reshape(-1)]
+
+
+# ---------------------------------------------------------------------------
+# Exact pins
+# ---------------------------------------------------------------------------
+
+DATASET_DIGEST = 'c5de69b211246ddada7c8b18478a087a0dd039159b860a8b7bb3647944c1c69b'
+
+ENV_EPISODE_DIGESTS = {'close-door/two_phase': '53fd7e92ab147003dce18ffe5b106ccbfd485381111651a8a5e4f26a6e42ae41',
+ 'close-door/flat': '83356ceb6914a78df2d530e9db032e984e5d65b148a97d0cb29f9ca478d7dcfd',
+ 'close-drawer/two_phase': '484ca9673138338313066ac17c3f4081014ab074092405d78f46a800b4f693f7',
+ 'close-drawer/flat': '84e097bc2baa5fe0febf71a113023bdf9126f0ae5c945e778bd543442ee2c409',
+ 'lift-box/two_phase': '7756c14a194ee7ce5b81646e94b2ba830f37ae7decbdb95dbdeaf336f38ff8cc',
+ 'lift-box/flat': '2953976086376c25dcce80185ca490f60765ad577a08e2c29864d7e60ef45823',
+ 'move-box/two_phase': 'ccfcfb52b73ad5e7e8f7bcb8be5a8c00426fda95e996f07b1c0dc8f24c3965f2',
+ 'move-box/flat': '0a1de3ab3120e8acedddf1e6a32b08005ac5d977b20ea3d960e0e904874d279b',
+ 'open-door/two_phase': 'e11cf56c7c623a9b53d8af53b6a319e33f0363757940e1c0e93a253ba1061190',
+ 'open-door/flat': '392de6f7be0f77e3a0c95499c6ddefbfb956a2f5e0b3b47bddd170e174e3ce42',
+ 'open-drawer/two_phase': 'fd66b9c5e8b5859df16664b14884a9184ead39fd1295e608865ff85f7dc244b6',
+ 'open-drawer/flat': '6e9806ac383e35072572fc89e907287a3acc1d95b7da1506b05c94a168310be9',
+ 'move-box/tie': 'f578b62272e5b88b5a9542339a884b3921be23a698a120814631b1fb444ba864'}
+
+RETARGET_DIGESTS = {'close-door': ('fba57c9fbb8189e26ef7d8fd61d52a72a009bf9cbb82de2824c044f20be50ac4',
+                True),
+ 'close-drawer': ('02b4503f63a910939e605ad2a9b84bc84da8106c09b389d8460d1cb928f4dfdd',
+                  True),
+ 'lift-box': ('8cf574c6c5428998706e081694ab2722021edcc62774c018632436bbdabeade7', True),
+ 'move-box': ('a90e2fa7beff9db40d4358aa210b40f6d05383e273deb0d9554ac0bf8ab39d8e', True),
+ 'open-door': ('acabdfa7654c8a8ccc7bea6cd45ce5d49536bdfcb15aaa158307bfbb34f0a363',
+               True),
+ 'open-drawer': ('2b781a0b73b46fad16b959f5917ca49530dfeb76d09091db297866bac37e164b',
+                 True)}
+
+CHECKPOINT_DIGESTS = {'policy/actor.ckpt': 'a45d51fc7683d491fc9be787968a56eaf0731faf99c070b45c8f14ad8d7d0cdd',
+ 'policy/critic.ckpt': 'a31f3a25f8f0c3abc458ff76ee96fc63365db699dd9c4a2ef0906eb7768cd3d1',
+ 'policy/policy.json': 'bb95179f290e1ea505e1a324666c68d2b3597babc628d06e2fb2b6bab2913619',
+ 'encoder.ckpt': '04ccb7f2ae0229fa9f2ef65e8b434c60c6ca247a008f0ff9555029875a0abd93',
+ 'state.bin': '1ca7a596c11996cbb54f8877cc5a0160f65f2af44e0448e4819b4f157cc290f4'}
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    cat = builtin_catalogue()
+    out = tmp_path_factory.mktemp("golden") / "dataset"
+    dataset = demogen.generate_dataset([cat[n] for n in DATASET_TASKS],
+                                       clips_per_task=2, noise_scale=0.05,
+                                       style="none", seed=5, out_dir=out)
+    return out, dataset
+
+
+def test_dataset_directory_digest(dataset_dir):
+    root, _ = dataset_dir
+    chunks = []
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        chunks += [path.relative_to(root).as_posix().encode(), path.read_bytes()]
+    _assert_exact("DATASET_DIGEST", _sha(*chunks), DATASET_DIGEST)
+
+
+def _state_bytes(s: env2d.WorldState) -> bytes:
+    return (repr((s.time_step, int(s.phase), s.attachment)).encode()
+            + s.proxy_pos.tobytes() + s.proxy_vel.tobytes()
+            + s.object_q.tobytes() + s.object_qdot.tobytes())
+
+
+def _episode_digest(task, config, seed: int, actions) -> str:
+    state = env2d.reset(config, task, seed)
+    chunks = [_state_bytes(state)]
+    for _ in range(EPISODE_STEPS):
+        state, events = env2d.step(state, actions(state), config, task)
+        chunks += [_state_bytes(state), repr(events).encode()]
+    return _sha(*chunks)
+
+
+def _noisy_expert(task, seed: int):
+    """The scripted expert with seeded noise on both heads, so episodes
+    see contacts, limit hits and (two-phase) transitions."""
+    expert = demogen.scripted_expert(task)
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def act(state):
+        a = expert(state)
+        p = np.asarray(a.desired_pos) + rng.normal(0.0, 0.05, 2)
+        f = np.asarray(a.force) + rng.normal(0.0, 4.0, 2)
+        return ProxyAction(tuple(p), tuple(f))
+    return act
+
+
+def _tie_episode() -> str:
+    """Move-box with the proxy descending on the box's vertical centre line,
+    so it enters the interactable ball exactly equidistant from both grasp
+    points; grasp 0 must attach."""
+    task = replace(get_task("move-box"), proxy_start=(0.0, 0.3))
+    config = task.world_config(interact_radius=0.15)
+
+    def act(state):
+        if state.phase == env2d.Phase.EXPLORATION:
+            return ProxyAction((0.0, 0.0), (0.0, 0.0))
+        return ProxyAction((0.0, 0.0), (6.0, 3.0))
+    return _episode_digest(task, config, 0, act)
+
+
+def test_env_episode_digests():
+    observed = {}
+    for ti, (name, task) in enumerate(sorted(builtin_catalogue().items())):
+        for two_phase in (True, False):
+            config = task.world_config(start_jitter=0.1, two_phase=two_phase)
+            seed = 40 + ti
+            key = f"{name}/{'two_phase' if two_phase else 'flat'}"
+            observed[key] = _episode_digest(task, config, seed,
+                                            _noisy_expert(task, seed))
+    observed["move-box/tie"] = _tie_episode()
+    _assert_exact("ENV_EPISODE_DIGESTS", observed, ENV_EPISODE_DIGESTS)
+
+
+def _record_expert(task, seed: int) -> dict:
+    config = task.world_config(start_jitter=0.1)
+    rec = demogen.run_expert_episode(task, config, seed, noise_scale=0.05)
+    frames = [{"t": s.time_step,
+               "proxy_pos": [float(v) for v in s.proxy_pos],
+               "phase": int(s.phase),
+               "attachment": s.attachment,
+               "object_q": [float(v) for v in s.object_q]} for s in rec.states]
+    return {"task": task.name, "success": rec.success, "frames": frames,
+            "events": []}
+
+
+def test_retargeted_expert_digests():
+    arm = retarget.default_arm()
+    observed = {}
+    for ti, (name, task) in enumerate(sorted(builtin_catalogue().items())):
+        out = retarget.retarget_trajectory(_record_expert(task, 60 + ti), arm,
+                                           task.object)
+        replayed = retarget.replay_retargeted(out, task, arm)
+        digest = _sha(
+            np.stack(out.joint_angles).tobytes(),
+            repr([(p.tobytes(), o) for p, o in out.ee_poses]).encode(),
+            json.dumps([out.phase_markers, out.frames, out.events],
+                       sort_keys=True).encode())
+        observed[name] = (digest, replayed)
+    _assert_exact("RETARGET_DIGESTS", observed, RETARGET_DIGESTS)
+
+
+def test_checkpoint_file_digests(tmp_path):
+    policy = skillrl.init_policy(3)
+    policy.log_std = np.array([-0.25, -0.5, 0.75, 0.125])
+    skillrl.save_policy(tmp_path / "policy", policy, seed=3, step_count=11)
+    reprlearn.save_encoder(tmp_path / "encoder.ckpt", reprlearn.init_encoder(4),
+                           seed=4, step_count=9)
+    rng = np.random.Generator(np.random.PCG64(8))
+    numcore.save_state_blob(tmp_path / "state.bin", {"step": 2, "adam_step": 2},
+                            [("p0", rng.normal(size=(3, 5))),
+                             ("m0", rng.normal(size=7)), ("s", np.array(2.5))])
+    files = ["policy/actor.ckpt", "policy/critic.ckpt", "policy/policy.json",
+             "encoder.ckpt", "state.bin"]
+    observed = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in files}
+    _assert_exact("CHECKPOINT_DIGESTS", observed, CHECKPOINT_DIGESTS)
+
+
+# ---------------------------------------------------------------------------
+# Tolerance pins (BLAS)
+# ---------------------------------------------------------------------------
+
+ENCODER_LOSS_CURVE = {'total': [3.206110426075048, 3.059450921493677, 2.7444569356810464, 2.5760697580115828,
+           2.39634337174347, 2.2798971830860966, 2.2179828570174216, 2.071107415516234,
+           2.0520107518826345, 1.992355907238467, 1.921817661789646, 1.8220609127293588,
+           1.8437176782812588, 1.754524958844194, 1.7438038079112788,
+           1.6656202713954038, 1.6436933782370393, 1.591358591635501,
+           1.5851971906712545, 1.5815315392725466],
+ 'tcn': [1.0841647132344305, 1.0750464810370635, 1.0620445620672143, 1.0769711120128962,
+         1.0654625444793446, 1.0823619940637976, 1.0887548142166494, 1.0743507227037823,
+         1.0807497204737764, 1.0919357185037004, 1.0879885724609648, 1.0908254780712163,
+         1.0974300827974897, 1.086951539829549, 1.1056551502356253, 1.0809001727931247,
+         1.090387563809993, 1.0899460008409492, 1.0970063732772442,
+         1.1001436159162283],
+ 'reg': [2.1219457128406174, 1.9844044404566132, 1.6824123736138321, 1.4990986459986868,
+         1.3308808272641255, 1.1975351890222987, 1.1292280428007722, 0.9967566928124515,
+         0.9712610314088583, 0.9004201887347666, 0.8338290893286814, 0.7312354346581424,
+         0.7462875954837691, 0.667573419014645, 0.6381486576756534, 0.5847200986022791,
+         0.5533058144270463, 0.5014125907945518, 0.48819081739401043,
+         0.48138792335631825]}
+
+ROLLOUT_BATCH = {'obs': [-5.61839480365125, 0.8883683417155603, 58.030892949340334, -7.982950393190528,
+         3.1263482819627084, -0.42844955901800374, 0.0, 27.06621216609993,
+         -4.7623441736089775, 0.0, 27.0, 27.0, -8.22837999170083, -1.4596650539384286,
+         35.969166686203145, -4.539404906942588, 0.7464150099151333,
+         -0.004263090078536477, 0.0, 8.594718893457234, -0.40009758013973407, 0.0, 17.0,
+         17.0, -9.85765894373246, 1.2428619601066278, 24.918569017325993,
+         2.1177059512097114, 0.48525044499498243, -0.15182867903021438, 0.0,
+         7.456682940618561, -2.1126375047747326, 0.0, 8.0, 8.0, -3.2580207024140293,
+         -1.4544879492158185, 56.7826930459182, -10.080144042128046, 3.8950322551680245,
+         -1.171216723057352, 0.0, 34.48482890860006, -9.548030627161806, 0.0, 30.0,
+         30.0],
+ 'actions': [1.4209165288161965, 0.2068551252558532, 359.7292944789779,
+             -73.65017837120794, -2.5696566979405673, -2.3594486144720848,
+             134.67830702883728, -17.527057607242156, -5.367518209046265,
+             1.5204040615601393, 123.93274608349621, -31.079419056008092,
+             -0.6041295443910847, -2.5211702444085633, 391.34261472320026,
+             -116.51104642424013],
+ 'masks': [21.0, 21.0, 27.0, 27.0, 31.0, 31.0, 17.0, 17.0, 40.0, 40.0, 8.0, 8.0, 18.0,
+           18.0, 30.0, 30.0],
+ 'log_probs': [-162.90921890698502, -125.1027823427862, -87.72801335702077,
+               -172.57878364063075],
+ 'advantages': [-10.645630123455211, -22.661637157277674, -16.998100724371756,
+                -12.173142539180725],
+ 'returns': [-7.419365936969208, -21.75122544891557, -18.27951620918856,
+             -7.522800301479595],
+ 'episode_returns': [-1.062511447535364, -1.616449241066848, 0.0, 0.04796645230130159,
+                     0.14520903284180164, -0.6609781334716898, -1.5442495655304636,
+                     -1.6957728323569379],
+ 'episode_successes': [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}
+
+PPO_UPDATE = {'stats': [0.029320658251035064, 0.06770833333333333, 2.8895023558689084,
+           0.2147639009261478, 3.0, 0.0, 0.01922214943601241, 0.4488735500976489],
+ 'log_std': [-0.7006422106791546, -0.7007384688019948, 1.0, 0.9995259964119364],
+ 'actor': [2.1408467975082166, 0.004197293251331719, 3.433038674840229,
+           0.002330462819509326, -0.6308115661786342, -0.0008907491901463207],
+ 'critic': [-0.23567820631954173, -0.0010547634646961472, 3.478513002776165,
+            -0.008405059810503377, 2.384992728742951, -0.0008424942483101515],
+ 'after_obs': [-5.839235136505698, 1.7287663182774495, 36.101759511917166,
+               -4.364650591471204, 3.09177157019966, -0.9272391227191968, 0.0,
+               24.63431220839174, -6.8563853513779565, 0.0, 19.0, 19.0,
+               -7.114150848968575, -1.0511115648015728, 33.94860824441003,
+               -4.233194930194128, 1.2074155656489707, -0.6205769963055573, 0.0,
+               14.372588696856798, -5.339218699674403, 0.0, 21.0, 21.0,
+               -6.8775323014315655, -0.6559869045048013, 48.692950081358255,
+               -5.332937861721742, 1.2164583917970202, -0.40378000294817323, 0.0,
+               17.38797254321051, -4.851801812616525, 0.0, 26.0, 26.0,
+               -4.686124372856485, -1.8823877382116738, 47.523845811563085,
+               -2.4763518144094627, 1.8236672987157556, -0.6321517677804898, 0.0,
+               20.541600373221907, -6.175288828297856, 0.0, 27.0, 27.0],
+ 'after_actions': [-4.777745079069376, 2.38048210606927, 247.98404386834343,
+                   -77.2682892693287, -3.091968798481737, -0.7674931116089324,
+                   212.1372885870731, -46.36960200194895, 0.5166153937448725,
+                   -1.0464819004558001, 287.5695646380128, -67.27083608924197,
+                   -0.1981190818649997, -1.9083269746654596, 290.94227550315543,
+                   -97.57316504681305],
+ 'after_masks': [29.0, 29.0, 19.0, 19.0, 27.0, 27.0, 21.0, 21.0, 22.0, 22.0, 26.0, 26.0,
+                 21.0, 21.0, 27.0, 27.0],
+ 'after_log_probs': [-136.5019072154626, -137.53051249101372, -146.90336863994403,
+                     -163.04477152392874],
+ 'after_advantages': [-15.621800963029845, -24.853427097741573, -40.02669110700412,
+                      -21.70684147457897],
+ 'after_returns': [-17.19400309717197, -25.30418163998642, -40.93018356514718,
+                   -21.563198942595836],
+ 'after_episode_returns': [-1.8612179708044567, -3.9968028886505635e-15,
+                           -1.7170259030765584, -0.26390759767687566,
+                           -0.7962297535724316, -1.1871260780530648,
+                           -1.3584491256743667, -1.4624157088978331],
+ 'after_episode_successes': [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}
+
+
+def test_encoder_loss_curve(dataset_dir):
+    _, dataset = dataset_dir
+    config = reprlearn.ReprTrainConfig(total_steps=20, batch_size=16, lr=3e-4,
+                                       seed=7)
+    _, log = reprlearn.train_encoder(dataset, config)
+    observed = {k: [float(row[k]) for row in log] for k in ("total", "tcn", "reg")}
+    _assert_close("ENCODER_LOSS_CURVE", observed, ENCODER_LOSS_CURVE)
+
+
+def _rollout_setup():
+    task = get_task("move-box")
+    encoder = reprlearn.init_encoder(5)
+    options = skillrl.SkillOptions(episode_horizon=20)
+    ppo = skillrl.PpoConfig(rollout_envs=4, horizon=48, epochs=1,
+                            minibatch_size=64, seed=6)
+    goal = skillrl.make_goal(task, options.camera, encoder)
+    slots = skillrl.make_env_slots(task, options, encoder, goal,
+                                   ppo.rollout_envs, ppo.seed)
+    rng = np.random.Generator(np.random.PCG64(9))
+    return task, encoder, options, ppo, goal, slots, rng
+
+
+def _batch_summary(batch: dict, n_envs: int) -> dict:
+    """Per-env sums (rows are step-major) plus the finished episodes."""
+    def per_env(key):
+        a = batch[key].reshape(-1, n_envs, *batch[key].shape[1:])
+        return _floats(a.sum(axis=0))
+    return {
+        "obs": per_env("obs"),
+        "actions": per_env("actions"),
+        "masks": per_env("masks"),
+        "log_probs": per_env("log_probs"),
+        "advantages": per_env("advantages"),
+        "returns": per_env("returns"),
+        "episode_returns": _floats(batch["episode_returns"]),
+        "episode_successes": _floats(batch["episode_successes"]),
+    }
+
+
+def test_rollout_batch_from_initial_policy():
+    _, encoder, options, ppo, goal, slots, rng = _rollout_setup()
+    policy = skillrl.init_policy(ppo.seed)
+    batch = skillrl.collect_rollouts(policy, slots, encoder, goal, ppo, options,
+                                     rng)
+    _assert_close("ROLLOUT_BATCH", _batch_summary(batch, ppo.rollout_envs),
+                  ROLLOUT_BATCH)
+
+
+def test_ppo_update_then_rollout():
+    """One PPO update moves ``log_std`` off its initial values; the next
+    rollout's log-probs then depend on how the Gaussian log-prob is formed."""
+    _, encoder, options, ppo, goal, slots, rng = _rollout_setup()
+    policy = skillrl.init_policy(ppo.seed)
+    adam = numcore.adam_init(policy.parameters(), lr=ppo.lr)
+    batch = skillrl.collect_rollouts(policy, slots, encoder, goal, ppo, options,
+                                     rng)
+    stats = skillrl.ppo_update(policy, batch, ppo, adam, rng)
+    after = skillrl.collect_rollouts(policy, slots, encoder, goal, ppo, options,
+                                     rng)
+    observed = {
+        "stats": [float(stats[k]) for k in sorted(stats)],
+        "log_std": _floats(policy.log_std),
+        "actor": [float(p.sum()) for p in policy.actor.parameters()],
+        "critic": [float(p.sum()) for p in policy.critic.parameters()],
+        **{f"after_{k}": v for k, v in
+           _batch_summary(after, ppo.rollout_envs).items()},
+    }
+    _assert_close("PPO_UPDATE", observed, PPO_UPDATE)
