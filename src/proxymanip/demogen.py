@@ -53,16 +53,6 @@ def goal_state(task: TaskSpec) -> WorldState:
 # Scripted experts
 # ---------------------------------------------------------------------------
 
-def _nearest_grasp_index(task: TaskSpec, proxy_pos: np.ndarray) -> int:
-    best, best_d = 0, None
-    for i in range(len(task.object.grasp_points)):
-        gp, _ = env2d.grasp_point_world(task.object, np.array(task.start_q), i)
-        d = float(np.hypot(*(proxy_pos - gp)))
-        if best_d is None or d < best_d:
-            best, best_d = i, d
-    return best
-
-
 def scripted_expert(task: TaskSpec):
     """Closed-loop expert policy for one task.
 
@@ -77,7 +67,8 @@ def scripted_expert(task: TaskSpec):
     def policy(state: WorldState) -> ProxyAction:
         if state.phase == Phase.EXPLORATION:
             if "idx" not in grasp_choice:
-                grasp_choice["idx"] = _nearest_grasp_index(task, state.proxy_pos)
+                grasp_choice["idx"], _ = env2d.nearest_grasp(
+                    obj, state.object_q, state.proxy_pos)
             gp, _ = env2d.grasp_point_world(obj, state.object_q, grasp_choice["idx"])
             return ProxyAction(tuple(gp), (0.0, 0.0))
         if obj.kind == PRISMATIC:

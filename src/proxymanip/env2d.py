@@ -243,23 +243,31 @@ def _check_q(obj: ObjectModel, q: np.ndarray) -> None:
         raise ConfigurationError("joint configuration must be a single value")
 
 
+def nearest_grasp(obj: ObjectModel, q: np.ndarray,
+                  point: np.ndarray) -> tuple[int, float]:
+    """Index of the grasp point nearest to a world ``point`` at object
+    configuration ``q``, and its distance; ties go to the lowest index."""
+    best, best_d = 0, math.inf
+    for i in range(len(obj.grasp_points)):
+        gp, _ = grasp_point_world(obj, q, i)
+        d = float(np.hypot(*(point - gp)))
+        if d < best_d:
+            best, best_d = i, d
+    return best, best_d
+
+
 def check_phase_transition(state: WorldState, obj: ObjectModel,
                            config: WorldConfig) -> WorldState:
     """Exploration ends when the proxy enters the interactable ball of any
-    grasp point; the nearest one attaches, ties broken by lowest index."""
+    grasp point; the nearest one attaches (see :func:`nearest_grasp`)."""
     if state.phase != Phase.EXPLORATION or not config.two_phase:
         return state
-    best_idx, best_dist = None, None
-    for i in range(len(obj.grasp_points)):
-        gp_pos, _ = grasp_point_world(obj, state.object_q, i)
-        d = float(np.hypot(*(state.proxy_pos - gp_pos)))
-        if d <= config.interact_radius and (best_dist is None or d < best_dist):
-            best_idx, best_dist = i, d
-    if best_idx is None:
+    index, dist = nearest_grasp(obj, state.object_q, state.proxy_pos)
+    if dist > config.interact_radius:
         return state
     out = state.copy()
     out.phase = Phase.INTERACTION
-    out.attachment = best_idx
+    out.attachment = index
     return out
 
 
@@ -272,9 +280,10 @@ def _clamp_action(action: ProxyAction, config: WorldConfig) -> tuple[np.ndarray,
 
 
 def _object_free_dynamics(state: WorldState, obj: ObjectModel, config: WorldConfig,
-                          gen_force: float | np.ndarray, torque: float,
+                          gen_force: float | np.ndarray,
                           events: list) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the object's DOFs one step under a generalized force."""
+    """Integrate the object's DOFs one step under a generalized force, then
+    clamp each bounded coordinate to its limits."""
     dt = config.dt
     damping = config.object_damping + obj.friction
     q = state.object_q
@@ -286,43 +295,33 @@ def _object_free_dynamics(state: WorldState, obj: ObjectModel, config: WorldConf
                    - damping * qd[:2]) / m
         # grasps are rigid and desk objects sit on a surface, so rotation only
         # ever decays; the viscous scale matches the linear one
-        ang_acc = torque / obj.rot_inertia - (damping / m) * qd[2]
+        ang_acc = -(damping / m) * qd[2]
         qd_new = qd + dt * np.array([lin_acc[0], lin_acc[1], ang_acc])
-        q_new = q + dt * qd_new
         (xlo, xhi), (ylo, yhi) = obj.limits
-        for axis_i, (lo, hi) in ((0, (xlo, xhi)), (1, (ylo, yhi))):
-            if q_new[axis_i] < lo:
-                q_new[axis_i] = lo
-                if qd_new[axis_i] < 0:
-                    qd_new[axis_i] = 0.0
-                events.append(("limit_hit", axis_i, "lo"))
-            elif q_new[axis_i] > hi:
-                q_new[axis_i] = hi
-                if qd_new[axis_i] > 0:
-                    qd_new[axis_i] = 0.0
-                events.append(("limit_hit", axis_i, "hi"))
-        return q_new, qd_new
-    # articulated: scalar joint
-    u = float(gen_force)
-    acc = (u - damping * qd[0]) / obj.inertia
-    qd_new = qd + dt * np.array([acc])
+        bounds = ((0, xlo, xhi), (1, ylo, yhi))
+    else:
+        # articulated: scalar joint
+        acc = (float(gen_force) - damping * qd[0]) / obj.inertia
+        qd_new = qd + dt * np.array([acc])
+        lo, hi = obj.limits
+        bounds = ((0, lo, hi),)
     q_new = q + dt * qd_new
-    lo, hi = obj.limits
-    if q_new[0] < lo:
-        q_new[0] = lo
-        if qd_new[0] < 0:
-            qd_new[0] = 0.0
-        events.append(("limit_hit", 0, "lo"))
-    elif q_new[0] > hi:
-        q_new[0] = hi
-        if qd_new[0] > 0:
-            qd_new[0] = 0.0
-        events.append(("limit_hit", 0, "hi"))
+    for axis, lo, hi in bounds:
+        if q_new[axis] < lo:
+            q_new[axis] = lo
+            if qd_new[axis] < 0:
+                qd_new[axis] = 0.0
+            events.append(("limit_hit", axis, "lo"))
+        elif q_new[axis] > hi:
+            q_new[axis] = hi
+            if qd_new[axis] > 0:
+                qd_new[axis] = 0.0
+            events.append(("limit_hit", axis, "hi"))
     return q_new, qd_new
 
 
-def _generalized_force(obj: ObjectModel, q: np.ndarray, at_point: np.ndarray,
-                       force: np.ndarray) -> tuple[float | np.ndarray, float]:
+def _generalized_force(obj: ObjectModel, at_point: np.ndarray,
+                       force: np.ndarray) -> float | np.ndarray:
     """Map a world-frame force applied at a world point onto the object DOFs.
 
     Free bodies take the force directly (no induced spin, see
@@ -330,11 +329,11 @@ def _generalized_force(obj: ObjectModel, q: np.ndarray, at_point: np.ndarray,
     joints take the scalar cross product with the pivot arm.
     """
     if obj.kind == PRISMATIC:
-        return float(np.dot(np.asarray(obj.axis), force)), 0.0
+        return float(np.dot(np.asarray(obj.axis), force))
     if obj.kind == REVOLUTE:
         r = at_point - np.asarray(obj.origin)
-        return float(r[0] * force[1] - r[1] * force[0]), 0.0
-    return force, 0.0
+        return float(r[0] * force[1] - r[1] * force[0])
+    return force
 
 
 def step(state: WorldState, action: ProxyAction, config: WorldConfig,
@@ -353,9 +352,9 @@ def step(state: WorldState, action: ProxyAction, config: WorldConfig,
 
     if state.phase == Phase.INTERACTION:
         gp_old, _ = grasp_point_world(obj, state.object_q, state.attachment)
-        gen_force, torque = _generalized_force(obj, state.object_q, gp_old, a_f)
+        gen_force = _generalized_force(obj, gp_old, a_f)
         nxt.object_q, nxt.object_qdot = _object_free_dynamics(
-            state, obj, config, gen_force, torque, events)
+            state, obj, config, gen_force, events)
         gp_new, _ = grasp_point_world(obj, nxt.object_q, state.attachment)
         nxt.proxy_pos = gp_new
         nxt.proxy_vel = (gp_new - state.proxy_pos) / dt
@@ -380,12 +379,11 @@ def step(state: WorldState, action: ProxyAction, config: WorldConfig,
         nxt.proxy_vel = vel
 
         gen_force: float | np.ndarray = np.zeros(2) if obj.kind == FREE_BODY else 0.0
-        torque = 0.0
         if not config.two_phase and in_contact:
             # flat-action ablation: intended force transmits while touching
-            gen_force, torque = _generalized_force(obj, state.object_q, closest, a_f)
+            gen_force = _generalized_force(obj, closest, a_f)
         nxt.object_q, nxt.object_qdot = _object_free_dynamics(
-            state, obj, config, gen_force, torque, events)
+            state, obj, config, gen_force, events)
 
     nxt.time_step = state.time_step + 1
     if nxt.phase == Phase.EXPLORATION and config.two_phase:

@@ -453,21 +453,11 @@ def replay_retargeted(retargeted: RetargetedTrajectory, task: TaskSpec,
         ee_pos, ee_ori = forward_kinematics(arm, np.asarray(row["joints"]))
         if row["phase"] == 1:
             if attachment is None:
-                attachment = _nearest_grasp(obj, q, ee_pos)
+                attachment, _ = env2d.nearest_grasp(obj, q, ee_pos)
             q = _object_q_from_ee(obj, ee_pos, ee_ori, attachment, q)
     final = WorldState(0, np.zeros(2), np.zeros(2), q,
                        np.zeros_like(q), Phase.INTERACTION, attachment)
     return env2d.is_success(final, task)
-
-
-def _nearest_grasp(obj: ObjectModel, q: np.ndarray, point: np.ndarray) -> int:
-    best, best_d = 0, None
-    for i in range(len(obj.grasp_points)):
-        gp, _ = grasp_point_world(obj, q, i)
-        d = float(np.hypot(*(point - gp)))
-        if best_d is None or d < best_d:
-            best, best_d = i, d
-    return best
 
 
 # ---------------------------------------------------------------------------

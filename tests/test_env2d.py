@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from proxymanip import env2d
+from proxymanip import demogen, env2d, retarget
 from proxymanip.env2d import (
     Phase, ProxyAction, WorldConfig, builtin_catalogue, check_phase_transition,
-    get_task, grasp_point_world, is_success, kinetic_energy, observe, reset, step,
+    get_task, grasp_point_world, is_success, kinetic_energy, nearest_grasp,
+    observe, reset, step,
 )
 
 
@@ -148,6 +150,56 @@ class TestPhaseTransition:
         out = check_phase_transition(s, task.object, cfg)
         assert out.phase == Phase.INTERACTION
         assert out.attachment == 0
+
+
+class TestNearestGrasp:
+    """Move-box's grasp points sit at (-0.08, 0) and (0.08, 0) in the box
+    frame, so every point on the box's vertical centre line is a tie."""
+
+    @staticmethod
+    def _distances(obj, q, point):
+        return [float(np.hypot(*(point - grasp_point_world(obj, q, i)[0])))
+                for i in range(len(obj.grasp_points))]
+
+    def test_tie_goes_to_lowest_index(self):
+        task = get_task("move-box")
+        q = np.array(task.start_q, dtype=float)
+        point = np.array([0.0, 0.05])
+        d = self._distances(task.object, q, point)
+        assert d[0] == d[1]
+        assert nearest_grasp(task.object, q, point) == (0, d[0])
+
+    def test_returns_nearest_and_its_distance(self):
+        task = get_task("move-box")
+        q = np.array([0.1, -0.2, 0.5])
+        point = np.array([0.3, -0.1])
+        d = self._distances(task.object, q, point)
+        assert nearest_grasp(task.object, q, point) == (int(np.argmin(d)), min(d))
+
+    def test_expert_transition_and_replay_agree_on_a_tie(self, monkeypatch):
+        task = get_task("move-box")
+        cfg = task.world_config()
+        state = reset(cfg, task, seed=0)
+        state.proxy_pos = np.array([0.0, 0.05])
+        gp0, _ = grasp_point_world(task.object, state.object_q, 0)
+        assert demogen.scripted_expert(task)(state).desired_pos == tuple(gp0)
+        assert check_phase_transition(state, task.object, cfg).attachment == 0
+
+        # replay attaches at the first interaction row: put the box so that
+        # the arm's end effector lies on its centre line
+        arm = retarget.default_arm()
+        joints = np.array([-1.2, 1.0, 0.2])
+        ee, _ = retarget.forward_kinematics(arm, joints)
+        tied = replace(task, start_q=(float(ee[0]), float(ee[1]) - 0.05, 0.0))
+        d = self._distances(task.object, np.array(tied.start_q), ee)
+        assert d[0] == d[1]
+        finals = []
+        monkeypatch.setattr(env2d, "is_success",
+                            lambda s, t: finals.append(s) or True)
+        row = {"phase": 1, "joints": joints.tolist()}
+        out = retarget.RetargetedTrajectory(tied.name, [joints], [], [], [row])
+        assert retarget.replay_retargeted(out, tied, arm)
+        assert finals[0].attachment == 0
 
 
 class TestObserve:
