@@ -168,16 +168,6 @@ def forward_batch(net: MlpNetwork, x: np.ndarray) -> tuple[np.ndarray, list]:
     return h, cache
 
 
-def forward(net: MlpNetwork, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Single-vector forward; thin wrapper over the batched path so both give
-    bitwise-identical numbers."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ConfigurationError("forward expects a 1-D input vector")
-    y, cache = forward_batch(net, x[None, :])
-    return y[0], cache
-
-
 def backward_batch(
     net: MlpNetwork, cache: list, output_grad: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -189,8 +179,6 @@ def backward_batch(
     if len(cache) != len(net.weights):
         raise ConfigurationError("cache does not match network depth")
     g = np.asarray(output_grad, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
     if g.shape != (cache[-1][1].shape[0], net.out_dim):
         raise ConfigurationError("output_grad shape does not match cached forward")
     w_grads: list[np.ndarray] = [None] * len(net.weights)  # type: ignore[list-item]
@@ -206,14 +194,6 @@ def backward_batch(
         params_grads.append(wg)
         params_grads.append(bg)
     return params_grads, g
-
-
-def backward(
-    net: MlpNetwork, cache: list, output_grad: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Single-vector companion of :func:`backward_batch`."""
-    grads, gin = backward_batch(net, cache, np.asarray(output_grad)[None, :])
-    return grads, gin[0]
 
 
 # ---------------------------------------------------------------------------

@@ -46,16 +46,9 @@ def init_encoder(seed: int) -> Encoder:
     return Encoder(init_mlp(ENCODER_LAYER_SIZES, ENCODER_ACTIVATIONS, seed))
 
 
-def preprocess(pixels: np.ndarray) -> np.ndarray:
-    """2x2 average pool and scale to [0, 1]; returns a flat float64 vector."""
-    h, w = pixels.shape
-    if h % 2 or w % 2:
-        raise ConfigurationError("frame sides must be even for 2x2 pooling")
-    pooled = pixels.reshape(h // 2, 2, w // 2, 2).astype(np.float64).mean(axis=(1, 3))
-    return (pooled / 255.0).reshape(-1)
-
-
 def preprocess_batch(frames) -> np.ndarray:
+    """2x2 average pool of each frame, scaled to [0, 1]; one flat float64 row
+    per frame."""
     stack = np.stack([f.pixels if isinstance(f, FrameImage) else f
                       for f in frames])
     n, h, w = stack.shape
@@ -66,15 +59,9 @@ def preprocess_batch(frames) -> np.ndarray:
 
 
 def embed(encoder: Encoder, frame) -> np.ndarray:
-    """Embedding of one frame (FrameImage or raw pixel array)."""
-    pixels = frame.pixels if isinstance(frame, FrameImage) else frame
-    x = preprocess(pixels)
-    if x.shape[0] != encoder.net.in_dim:
-        raise ConfigurationError(
-            f"preprocessed frame has {x.shape[0]} values, "
-            f"encoder expects {encoder.net.in_dim}")
-    z, _ = forward_batch(encoder.net, x[None, :])
-    return z[0]
+    """Embedding of one frame (FrameImage or raw pixel array): the n = 1 case
+    of :func:`embed_batch`."""
+    return embed_batch(encoder, [frame])[0]
 
 
 def embed_batch(encoder: Encoder, frames) -> np.ndarray:
@@ -195,25 +182,14 @@ def batch_loss_and_grads(encoder: Encoder, batch_inputs: np.ndarray,
     return total, tcn_mean, reg_mean, param_grads
 
 
-def stack_batch_inputs(dataset: DemoDataset, samples: list[TcnSample],
-                       pre: list[np.ndarray] | None = None) -> np.ndarray:
-    """Gather the (4B, in_dim) preprocessed input matrix for a sampled batch.
-
-    ``pre`` optionally holds per-clip preprocessed frame matrices to avoid
-    re-pooling frames on every step.
-    """
+def stack_batch_inputs(pre: list[np.ndarray],
+                       samples: list[TcnSample]) -> np.ndarray:
+    """Gather the (4B, in_dim) input matrix for a sampled batch from the
+    per-clip pooled frame matrices ``pre`` (see :func:`preprocess_batch`)."""
     rows = []
     for s in samples:
-        clip = dataset.clips[s.clip_index]
-        neg = dataset.clips[s.neg_clip_index]
-        if pre is not None:
-            rows.extend((pre[s.clip_index][s.i], pre[s.clip_index][s.j],
-                         pre[s.clip_index][s.k], pre[s.neg_clip_index][s.l]))
-        else:
-            rows.extend((preprocess(clip.frames[s.i].pixels),
-                         preprocess(clip.frames[s.j].pixels),
-                         preprocess(clip.frames[s.k].pixels),
-                         preprocess(neg.frames[s.l].pixels)))
+        rows.extend((pre[s.clip_index][s.i], pre[s.clip_index][s.j],
+                     pre[s.clip_index][s.k], pre[s.neg_clip_index][s.l]))
     return np.stack(rows)
 
 
@@ -277,7 +253,7 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
     for step in range(start_step, config.total_steps):
         samples = sample_tcn_batch(dataset, config.batch_size,
                                    derive_seed(config.seed, 101, step))
-        batch = stack_batch_inputs(dataset, samples, pre)
+        batch = stack_batch_inputs(pre, samples)
         losses, _ = train_step(encoder, batch, config, adam)
         log.append({"step": step, **losses})
         done = step + 1

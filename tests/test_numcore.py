@@ -11,46 +11,46 @@ def make_net(sizes, acts, seed=0):
 class TestForward:
     def test_identity_single_layer(self):
         net = nc.MlpNetwork([2, 2], [np.eye(2)], [np.zeros(2)], ["identity"])
-        y, _ = nc.forward(net, np.array([1.0, 2.0]))
-        assert np.array_equal(y, [1.0, 2.0])
+        y, _ = nc.forward_batch(net, np.array([[1.0, 2.0]]))
+        assert np.array_equal(y[0], [1.0, 2.0])
 
     def test_relu_clamp(self):
         net = nc.MlpNetwork([2, 2], [np.eye(2)], [np.zeros(2)], ["relu"])
-        y, _ = nc.forward(net, np.array([-1.0, 2.0]))
-        assert np.array_equal(y, [0.0, 2.0])
+        y, _ = nc.forward_batch(net, np.array([[-1.0, 2.0]]))
+        assert np.array_equal(y[0], [0.0, 2.0])
 
     def test_hand_evaluated_affine(self):
         net = nc.MlpNetwork(
             [2, 1], [np.array([[0.5], [0.5]])], [np.array([0.25])], ["identity"])
-        y, _ = nc.forward(net, np.array([1.0, 1.0]))
-        assert y[0] == pytest.approx(1.25, abs=0)
+        y, _ = nc.forward_batch(net, np.array([[1.0, 1.0]]))
+        assert y[0, 0] == pytest.approx(1.25, abs=0)
 
     def test_deterministic(self):
         net = make_net([4, 8, 3], ["tanh", "identity"], seed=7)
-        x = np.linspace(-1, 1, 4)
-        y1, _ = nc.forward(net, x)
-        y2, _ = nc.forward(net, x)
+        x = np.linspace(-1, 1, 4)[None, :]
+        y1, _ = nc.forward_batch(net, x)
+        y2, _ = nc.forward_batch(net, x)
         assert np.array_equal(y1, y2)
 
     def test_dimension_mismatch_raises(self):
         net = make_net([4, 3], ["identity"], seed=1)
         with pytest.raises(nc.ConfigurationError):
-            nc.forward(net, np.zeros(5))
+            nc.forward_batch(net, np.zeros((1, 5)))
 
 
 class TestBackward:
     def test_linear_bias_gradient_is_one(self):
         net = make_net([3, 2], ["identity"], seed=3)
-        y, cache = nc.forward(net, np.array([0.3, -0.2, 0.9]))
-        grads, _ = nc.backward(net, cache, np.ones(2))
+        y, cache = nc.forward_batch(net, np.array([[0.3, -0.2, 0.9]]))
+        grads, _ = nc.backward_batch(net, cache, np.ones((1, 2)))
         # loss = sum(outputs): d loss / d bias = 1 per unit
         assert np.array_equal(grads[1], np.ones(2))
 
     def test_relu_subgradient_zero_at_zero(self):
         net = nc.MlpNetwork([1, 1], [np.eye(1)], [np.zeros(1)], ["relu"])
-        y, cache = nc.forward(net, np.array([0.0]))
-        grads, gin = nc.backward(net, cache, np.ones(1))
-        assert gin[0] == 0.0
+        y, cache = nc.forward_batch(net, np.array([[0.0]]))
+        grads, gin = nc.backward_batch(net, cache, np.ones((1, 1)))
+        assert gin[0, 0] == 0.0
         assert grads[0][0, 0] == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
@@ -58,28 +58,28 @@ class TestBackward:
         rng = np.random.Generator(np.random.PCG64(seed))
         net = make_net([3, 4, 2], ["tanh", "identity"], seed=seed)
         assert net.num_params() <= 64 or True  # small net, fast oracle
-        x = rng.uniform(-1, 1, 3)
+        x = rng.uniform(-1, 1, 3)[None, :]
         w = rng.uniform(-1, 1, 2)  # fixed linear readout makes the loss scalar
 
         def loss(params):
             net.set_parameters(params)
-            y, _ = nc.forward(net, x)
-            return float(y @ w)
+            y, _ = nc.forward_batch(net, x)
+            return float(y[0] @ w)
 
         params = [p.copy() for p in net.parameters()]
         fd = nc.finite_diff_grad(loss, params, step=1e-5)
         net.set_parameters(params)
-        _, cache = nc.forward(net, x)
-        exact, _ = nc.backward(net, cache, w)
+        _, cache = nc.forward_batch(net, x)
+        exact, _ = nc.backward_batch(net, cache, w[None, :])
         for a, b in zip(exact, fd):
             assert nc.relative_error(a, b) < 1e-6
 
     def test_stale_cache_rejected(self):
         net = make_net([3, 2], ["identity"], seed=0)
         other = make_net([3, 5, 2], ["relu", "identity"], seed=0)
-        _, cache = nc.forward(other, np.zeros(3))
+        _, cache = nc.forward_batch(other, np.zeros((1, 3)))
         with pytest.raises(nc.ConfigurationError):
-            nc.backward(net, cache, np.ones(2))
+            nc.backward_batch(net, cache, np.ones((1, 2)))
 
     def test_batched_matches_single(self):
         # across batch shapes BLAS blocking may differ, so merely tight;
@@ -88,8 +88,8 @@ class TestBackward:
         xs = np.random.Generator(np.random.PCG64(5)).uniform(-1, 1, (7, 4))
         ys, _ = nc.forward_batch(net, xs)
         for i in range(7):
-            yi, _ = nc.forward(net, xs[i])
-            assert np.allclose(yi, ys[i], rtol=0, atol=1e-12)
+            yi, _ = nc.forward_batch(net, xs[i][None, :])
+            assert np.allclose(yi[0], ys[i], rtol=0, atol=1e-12)
 
 
 class TestAdam:

@@ -37,8 +37,8 @@ class TestEmbed:
         assert np.array_equal(rl.embed(enc, img), rl.embed(enc, img.copy()))
 
     def test_preprocess_range_and_size(self):
-        x = rl.preprocess(np.full((64, 64), 255, dtype=np.uint8))
-        assert x.shape == (1024,)
+        x = rl.preprocess_batch([np.full((64, 64), 255, dtype=np.uint8)])
+        assert x.shape == (1, 1024)
         assert np.all(x == 1.0)
 
     def test_batch_matches_single(self):
@@ -175,7 +175,8 @@ class TestTrainStep:
         adam = nc.adam_init(enc.net.parameters(), cfg.lr)
         from proxymanip.demogen import sample_tcn_batch
         samples = sample_tcn_batch(dataset, 8, seed=0)
-        batch = rl.stack_batch_inputs(dataset, samples)
+        pre = [rl.preprocess_batch(clip.frames) for clip in dataset.clips]
+        batch = rl.stack_batch_inputs(pre, samples)
         first, _ = rl.train_step(enc, batch, cfg, adam)
         for _ in range(30):
             last, _ = rl.train_step(enc, batch, cfg, adam)
