@@ -177,13 +177,15 @@ def sample_actions(policy: PolicyCheckpoint, obs: np.ndarray,
     mask = head_mask(policy, obs)
     noise = rng.standard_normal(means.shape)
     actions = np.where(mask, means + std * noise, 0.0)
-    logp = gaussian_log_prob(actions, means, std, mask)
+    logp = gaussian_log_prob(actions, means, policy.log_std, mask)
     return actions, logp, mask
 
 
-def gaussian_log_prob(actions, means, std, mask) -> np.ndarray:
-    diff = (actions - means) / std
-    per_dim = -0.5 * diff * diff - np.log(std) - _HALF_LOG_2PI
+def gaussian_log_prob(actions, means, log_std, mask) -> np.ndarray:
+    """Log-density of ``actions`` under the diagonal Gaussian heads, summed
+    over the dimensions ``mask`` activates."""
+    diff = (actions - means) / np.exp(log_std)
+    per_dim = -0.5 * diff * diff - log_std - _HALF_LOG_2PI
     return np.where(mask, per_dim, 0.0).sum(axis=1)
 
 
@@ -265,7 +267,6 @@ class PpoConfig:
 class SkillOptions:
     """Run-level switches around the core PPO loop."""
     camera: str = "front"
-    reward_mode: str = "shaped"          # or "raw": use the similarity directly
     terminal_bonus: float = 10.0
     two_phase: bool = True               # False: flat-action ablation
     start_jitter: float = 0.05
@@ -379,11 +380,7 @@ def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
         sims = _masked_similarities(slots, encoder, goal, spec, marker, memo)
         finished = []
         for e, slot in enumerate(slots):
-            s_t = sims[e]
-            if options.reward_mode == "raw":
-                reward = s_t
-            else:
-                reward = shaped_reward_value(s_t, slot.beta, options.reward)
+            reward = shaped_reward_value(sims[e], slot.beta, options.reward)
             success = env2d.is_success(slot.state, slot.task)
             timeout = slot.episode_len >= slot.config.episode_horizon
             if success:
@@ -422,14 +419,11 @@ def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
 def _minibatch_loss_and_grads(policy: PolicyCheckpoint, obs, actions, masks,
                               logp_old, adv, ret, clip_ratio: float):
     n = obs.shape[0]
-    out, cache = forward_batch(policy.actor, obs)
-    squashed = np.tanh(out)
-    means = squashed * policy.action_scales
+    means, squashed, cache = action_means(policy, obs)
     logstd = policy.log_std
     std = np.exp(logstd)
     diff = (actions - means) / std
-    per_dim = -0.5 * diff * diff - logstd - _HALF_LOG_2PI
-    logp = np.where(masks, per_dim, 0.0).sum(axis=1)
+    logp = gaussian_log_prob(actions, means, logstd, masks)
     ratio = np.exp(logp - logp_old)
 
     unclipped = ratio * adv
@@ -736,9 +730,7 @@ def awr_fit(demos: list[Clip], encoder: Encoder, goal: GoalSpec,
             idx = order[start:start + minibatch_size]
             o, a, w = obs[idx], acts[idx], weights[idx]
             mask = head_mask(policy, o)
-            out, cache = forward_batch(policy.actor, o)
-            squashed = np.tanh(out)
-            means = squashed * policy.action_scales
+            means, squashed, cache = action_means(policy, o)
             err = np.where(mask, means - a, 0.0)
             out_grad = (2.0 * w[:, None] * err / wsum
                         * (1.0 - squashed * squashed) * policy.action_scales)

@@ -184,8 +184,8 @@ class TestPpoUpdate:
         ppo_update(policy, batch, ppo, adam,
                    np.random.Generator(np.random.PCG64(6)))
         means, _, _ = skillrl.action_means(policy, obs)
-        new_logp = skillrl.gaussian_log_prob(
-            actions, means, skillrl.policy_std(policy), masks)
+        new_logp = skillrl.gaussian_log_prob(actions, means, policy.log_std,
+                                             masks)
         assert new_logp[0] > logp[0]
 
     def test_normalized_advantage_statistics(self):
