@@ -2,13 +2,16 @@
 
 Small feed-forward networks with hand-written exact gradients, a bias-corrected
 adaptive-moment optimizer, a central finite-difference oracle for gradient
-checks, and the shared on-disk checkpoint format. Everything is float64 so the
-finite-difference tests stay tight.
+checks, and the one binary file envelope behind checkpoints and training state
+blobs, with a reader that rejects truncated, padded or foreign files (see
+"Binary files" below). Everything is float64 so the finite-difference tests
+stay tight.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -307,60 +310,109 @@ def clip_by_global_norm(arrays: list[np.ndarray], max_norm: float) -> list[np.nd
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format (shared repo-wide)
+# Binary files (shared repo-wide)
 # ---------------------------------------------------------------------------
 #
-# One file: a 4-byte little-endian unsigned header length, a JSON header
-# {format_version, layer_sizes, activations, rng_seed, step_count}, then all
-# parameters in declaration order as a little-endian float32 blob. Named
-# trailing arrays (e.g. a policy's log-std vector) are appended after the
-# network parameters and described by an optional "trailing" header entry.
+# Every binary file is one envelope: a 4-byte little-endian unsigned header
+# length, a canonical JSON header carrying "format_version", then a payload of
+# little-endian floats whose size the header determines. Two layouts use it:
+#
+# * checkpoints: header {format_version, layer_sizes, activations, rng_seed,
+#   step_count}, float32 payload of all parameters in declaration order. Named
+#   trailing arrays (e.g. a policy's log-std vector) follow the network
+#   parameters and are listed in an optional "trailing" header entry.
+# * state blobs: a full-precision sidecar for exact training resume, not part
+#   of the checkpoint contract. Header {format_version, meta, arrays}, float64
+#   payload of the named arrays in order.
+#
+# The one reader raises ConfigurationError, naming the file, on a short length
+# prefix, a short or non-JSON header, a foreign format_version, a missing
+# header key, and a payload that is short, has extra bytes or is not a whole
+# number of elements. So a checkpoint read as a state blob, or the reverse, is
+# rejected too.
 
 def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _write_envelope(path, header: dict, dtype: str, arrays) -> None:
+    head = _canonical_json({"format_version": CHECKPOINT_FORMAT_VERSION, **header})
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<I", len(head)))
+        fh.write(head)
+        for a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
+
+
+def _read_envelope(path, keys: tuple[str, ...], dtype: str,
+                   payload_size) -> tuple[dict, np.ndarray]:
+    """Header and payload of an envelope file; ``payload_size(header)`` is
+    the number of payload elements the header describes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < 4:
+        raise ConfigurationError(
+            f"{path}: truncated length prefix ({len(raw)} of 4 bytes)")
+    (hlen,) = struct.unpack_from("<I", raw)
+    if len(raw) < 4 + hlen:
+        raise ConfigurationError(
+            f"{path}: truncated header ({len(raw) - 4} of {hlen} bytes)")
+    try:
+        header = json.loads(raw[4:4 + hlen].decode("utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError, JSONDecodeError
+        raise ConfigurationError(f"{path}: header is not JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ConfigurationError(f"{path}: header is not a JSON object")
+    if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        raise ConfigurationError(
+            f"{path}: unsupported format_version {header.get('format_version')!r}")
+    missing = [k for k in keys if k not in header]
+    if missing:
+        raise ConfigurationError(f"{path}: header lacks {missing}")
+    try:
+        count = payload_size(header)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: malformed header ({exc})") from exc
+    payload = raw[4 + hlen:]
+    itemsize = np.dtype(dtype).itemsize
+    if len(payload) != count * itemsize:
+        raise ConfigurationError(
+            f"{path}: payload has {len(payload)} bytes, the header describes "
+            f"{count} values of {itemsize} bytes")
+    return header, np.frombuffer(payload, dtype=dtype)
+
+
+def _checkpoint_size(header: dict) -> int:
+    sizes = header["layer_sizes"]
+    params = sum(n_in * n_out + n_out for n_in, n_out in zip(sizes, sizes[1:]))
+    return params + sum(size for _, size in header.get("trailing", []))
+
+
 def save_checkpoint(path, net: MlpNetwork, rng_seed: int, step_count: int,
                     trailing: list[tuple[str, np.ndarray]] | None = None) -> None:
     header = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
         "layer_sizes": list(net.layer_sizes),
         "activations": list(net.activations),
         "rng_seed": int(rng_seed),
         "step_count": int(step_count),
     }
-    blobs = [p.astype("<f4").tobytes() for p in net.parameters()]
+    arrays = net.parameters()
     if trailing:
         header["trailing"] = [[name, int(arr.size)] for name, arr in trailing]
-        blobs.extend(arr.astype("<f4").tobytes() for _, arr in trailing)
-    head = _canonical_json(header)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
-        for b in blobs:
-            fh.write(b)
+        arrays = arrays + [arr for _, arr in trailing]
+    _write_envelope(path, header, "<f4", arrays)
 
 
 def load_checkpoint(path) -> tuple[MlpNetwork, dict, dict[str, np.ndarray]]:
     """Read a checkpoint back; parameters are upcast to float64."""
-    with open(path, "rb") as fh:
-        raw_len = fh.read(4)
-        if len(raw_len) != 4:
-            raise ConfigurationError(f"{path}: truncated checkpoint header")
-        (hlen,) = struct.unpack("<I", raw_len)
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ConfigurationError(
-                f"{path}: unsupported checkpoint format_version "
-                f"{header.get('format_version')!r}")
-        blob = fh.read()
+    header, values = _read_envelope(
+        path, ("layer_sizes", "activations", "rng_seed", "step_count"), "<f4",
+        _checkpoint_size)
+    values = values.astype(np.float64)
     layer_sizes = list(header["layer_sizes"])
-    activations = list(header["activations"])
-    values = np.frombuffer(blob, dtype="<f4").astype(np.float64)
     weights, biases = [], []
     pos = 0
-    for l in range(len(layer_sizes) - 1):
-        n_in, n_out = layer_sizes[l], layer_sizes[l + 1]
+    for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):
         weights.append(values[pos:pos + n_in * n_out].reshape(n_in, n_out).copy())
         pos += n_in * n_out
         biases.append(values[pos:pos + n_out].copy())
@@ -369,40 +421,24 @@ def load_checkpoint(path) -> tuple[MlpNetwork, dict, dict[str, np.ndarray]]:
     for name, size in header.get("trailing", []):
         trailing[name] = values[pos:pos + size].copy()
         pos += size
-    if pos != values.size:
-        raise ConfigurationError(f"{path}: checkpoint blob size mismatch")
-    net = MlpNetwork(layer_sizes, weights, biases, activations)
+    net = MlpNetwork(layer_sizes, weights, biases, list(header["activations"]))
     return net, header, trailing
 
 
-# Full-precision sidecar for exact training resume. Same envelope as the
-# interchange format but float64 and free-form named arrays; not part of the
-# repo-wide checkpoint contract.
-
 def save_state_blob(path, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
-    header = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "meta": meta,
-        "arrays": [[name, list(a.shape)] for name, a in arrays],
-    }
-    head = _canonical_json(header)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    header = {"meta": meta,
+              "arrays": [[name, list(a.shape)] for name, a in arrays]}
+    _write_envelope(path, header, "<f8", [a for _, a in arrays])
 
 
 def load_state_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        blob = fh.read()
-    values = np.frombuffer(blob, dtype="<f8")
+    header, values = _read_envelope(
+        path, ("meta", "arrays"), "<f8",
+        lambda h: sum(math.prod(shape) for _, shape in h["arrays"]))
     arrays: dict[str, np.ndarray] = {}
     pos = 0
     for name, shape in header["arrays"]:
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         arrays[name] = values[pos:pos + size].reshape(shape).copy()
         pos += size
     return header["meta"], arrays

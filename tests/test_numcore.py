@@ -1,3 +1,7 @@
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -203,6 +207,75 @@ class TestCheckpoint:
         assert meta == {"step": 4}
         assert np.array_equal(loaded["a"], arrays[0][1])
         assert np.array_equal(loaded["b"], arrays[1][1])
+
+
+def _write_checkpoint(path):
+    nc.save_checkpoint(path, make_net([3, 2], ["identity"], seed=1), 1, 0,
+                       trailing=[("log_std", np.array([-0.5, 0.5]))])
+
+
+def _write_state_blob(path):
+    nc.save_state_blob(path, {"step": 1},
+                       [("a", np.ones((2, 3))), ("b", np.array([1.5]))])
+
+
+# format -> (writer, loader, a header key it requires, the other writer)
+ENVELOPE_FORMATS = {
+    "checkpoint": (_write_checkpoint, nc.load_checkpoint, "layer_sizes",
+                   _write_state_blob),
+    "state_blob": (_write_state_blob, nc.load_state_blob, "arrays",
+                   _write_checkpoint),
+}
+
+
+def _split(raw):
+    (hlen,) = struct.unpack_from("<I", raw)
+    return json.loads(raw[4:4 + hlen]), raw[4 + hlen:]
+
+
+def _pack(header_bytes, payload):
+    return struct.pack("<I", len(header_bytes)) + header_bytes + payload
+
+
+def _with_header(raw, edit):
+    header, payload = _split(raw)
+    edit(header)
+    return _pack(json.dumps(header).encode(), payload)
+
+
+# case -> (valid file bytes, key the format requires) -> bad file bytes
+BAD_ENVELOPES = {
+    "short_length_prefix": lambda raw, key: raw[:3],
+    "short_header": lambda raw, key: raw[:4 + 10],
+    "non_json_header": lambda raw, key: _pack(b"{not json", _split(raw)[1]),
+    "foreign_version": lambda raw, key: _with_header(
+        raw, lambda h: h.update(format_version=99)),
+    "missing_key": lambda raw, key: _with_header(raw, lambda h: h.pop(key)),
+    "short_payload": lambda raw, key: raw[:-8],
+    "extra_bytes": lambda raw, key: raw + bytes(range(8)),
+    "ragged_payload": lambda raw, key: raw[:-1],
+}
+
+
+class TestEnvelopeLoaders:
+    @pytest.mark.parametrize("case", sorted(BAD_ENVELOPES))
+    @pytest.mark.parametrize("fmt", sorted(ENVELOPE_FORMATS))
+    def test_bad_file_names_the_path(self, tmp_path, fmt, case):
+        write, load, key, _ = ENVELOPE_FORMATS[fmt]
+        path = tmp_path / "file.bin"
+        write(path)
+        load(path)  # the unedited file loads
+        path.write_bytes(BAD_ENVELOPES[case](path.read_bytes(), key))
+        with pytest.raises(nc.ConfigurationError, match=re.escape(str(path))):
+            load(path)
+
+    @pytest.mark.parametrize("fmt", sorted(ENVELOPE_FORMATS))
+    def test_other_format_names_the_path(self, tmp_path, fmt):
+        _, load, _, write_other = ENVELOPE_FORMATS[fmt]
+        path = tmp_path / "file.bin"
+        write_other(path)
+        with pytest.raises(nc.ConfigurationError, match=re.escape(str(path))):
+            load(path)
 
 
 def test_derive_seed_stable_and_distinct():
