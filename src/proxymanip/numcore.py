@@ -331,12 +331,9 @@ def clip_by_global_norm(arrays: list[np.ndarray], max_norm: float) -> list[np.nd
 # number of elements. So a checkpoint read as a state blob, or the reverse, is
 # rejected too.
 
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def _write_envelope(path, header: dict, dtype: str, arrays) -> None:
-    head = _canonical_json({"format_version": CHECKPOINT_FORMAT_VERSION, **header})
+    head = json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION, **header},
+                      sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
