@@ -142,14 +142,15 @@ def _apply_activation(name: str, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _activation_grad(name: str, u: np.ndarray) -> np.ndarray:
+def _activation_grad(name: str, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The upstream gradient ``g`` times the activation's derivative at ``u``."""
     if name == "relu":
         # subgradient 0 at exactly 0
-        return (u > 0.0).astype(np.float64)
+        return g * (u > 0.0)
     if name == "tanh":
         t = np.tanh(u)
-        return 1.0 - t * t
-    return np.ones_like(u)
+        return g * (1.0 - t * t)
+    return g
 
 
 def forward_batch(net: MlpNetwork, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -171,32 +172,24 @@ def forward_batch(net: MlpNetwork, x: np.ndarray) -> tuple[np.ndarray, list]:
     return h, cache
 
 
-def backward_batch(
-    net: MlpNetwork, cache: list, output_grad: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Exact reverse-mode gradients for a cached batched forward.
-
-    Returns (param_grads, input_grad) where param_grads matches
-    ``net.parameters()`` order and input_grad has the batch shape.
-    """
+def backward_batch(net: MlpNetwork, cache: list,
+                   output_grad: np.ndarray) -> list[np.ndarray]:
+    """Exact reverse-mode parameter gradients for a cached batched forward,
+    in ``net.parameters()`` order. The gradient with respect to the input is
+    not formed."""
     if len(cache) != len(net.weights):
         raise ConfigurationError("cache does not match network depth")
     g = np.asarray(output_grad, dtype=np.float64)
     if g.shape != (cache[-1][1].shape[0], net.out_dim):
         raise ConfigurationError("output_grad shape does not match cached forward")
-    w_grads: list[np.ndarray] = [None] * len(net.weights)  # type: ignore[list-item]
-    b_grads: list[np.ndarray] = [None] * len(net.weights)  # type: ignore[list-item]
+    grads: list[np.ndarray] = []
     for l in range(len(net.weights) - 1, -1, -1):
         h_in, u = cache[l]
-        du = g * _activation_grad(net.activations[l], u)
-        w_grads[l] = h_in.T @ du
-        b_grads[l] = du.sum(axis=0)
-        g = du @ net.weights[l].T
-    params_grads: list[np.ndarray] = []
-    for wg, bg in zip(w_grads, b_grads):
-        params_grads.append(wg)
-        params_grads.append(bg)
-    return params_grads, g
+        du = _activation_grad(net.activations[l], u, g)
+        grads = [h_in.T @ du, du.sum(axis=0)] + grads
+        if l:
+            g = du @ net.weights[l].T
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +207,8 @@ class AdamState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
+    # per parameter, two parameter-shaped scratch slots for adam_step
+    work: list[np.ndarray] = field(default_factory=list)
 
 
 def adam_init(params: list[np.ndarray], lr: float, beta1: float = 0.9,
@@ -226,9 +221,13 @@ def adam_init(params: list[np.ndarray], lr: float, beta1: float = 0.9,
 
 
 def adam_step(state: AdamState, params: list[np.ndarray],
-              grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One optimizer step; returns new parameter arrays, mutates the moments.
+              grads: list[np.ndarray]) -> None:
+    """One optimizer step; updates the parameters and the moments in place.
 
+    The arithmetic is that of ``m = b1 * m + (1 - b1) * g``,
+    ``v = b2 * v + (1 - b2) * (g * g)`` and
+    ``p - lr * (m / c1) / (sqrt(v / c2) + eps)``, operation for operation, so
+    the result is bitwise the same; the intermediates go to ``state.work``.
     Non-finite gradients abort the update before any state is touched.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
@@ -241,18 +240,28 @@ def adam_step(state: AdamState, params: list[np.ndarray],
             raise NumericsError(
                 f"non-finite gradient at parameter {i} "
                 f"(shape {g.shape}, {bad} bad entries); update aborted")
+    if [w.shape[1:] for w in state.work] != [p.shape for p in params]:
+        state.work = [np.empty((2,) + p.shape) for p in params]
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out
+    for p, g, m, v, (num, den) in zip(params, grads, state.m, state.v,
+                                      state.work):
+        np.multiply(m, state.beta1, out=m)
+        np.multiply(g, 1.0 - state.beta1, out=num)
+        np.add(m, num, out=m)
+        np.multiply(g, g, out=num)
+        np.multiply(num, 1.0 - state.beta2, out=num)
+        np.multiply(v, state.beta2, out=v)
+        np.add(v, num, out=v)
+        np.divide(m, c1, out=num)
+        np.multiply(num, state.lr, out=num)
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        np.add(den, state.eps, out=den)
+        np.divide(num, den, out=num)
+        np.subtract(p, num, out=p)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +427,10 @@ def load_checkpoint(path) -> tuple[MlpNetwork, dict, dict[str, np.ndarray]]:
     for name, size in header.get("trailing", []):
         trailing[name] = values[pos:pos + size].copy()
         pos += size
-    net = MlpNetwork(layer_sizes, weights, biases, list(header["activations"]))
+    try:
+        net = MlpNetwork(layer_sizes, weights, biases, list(header["activations"]))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     return net, header, trailing
 
 

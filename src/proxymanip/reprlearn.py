@@ -52,10 +52,17 @@ def preprocess_batch(frames) -> np.ndarray:
     stack = np.stack([f.pixels if isinstance(f, FrameImage) else f
                       for f in frames])
     n, h, w = stack.shape
+    if stack.dtype != np.uint8:
+        raise ConfigurationError(f"frames must be uint8, not {stack.dtype}")
     if h % 2 or w % 2:
         raise ConfigurationError("frame sides must be even for 2x2 pooling")
-    pooled = stack.reshape(n, h // 2, 2, w // 2, 2).astype(np.float64).mean(axis=(2, 4))
-    return pooled.reshape(n, -1) / 255.0
+    # the uint16 sum of four uint8 values is exact, so dividing by 4.0 gives
+    # bitwise the float64 mean of the four
+    total = stack[:, 0::2, 0::2].astype(np.uint16)
+    total += stack[:, 0::2, 1::2]
+    total += stack[:, 1::2, 0::2]
+    total += stack[:, 1::2, 1::2]
+    return (total / 4.0).reshape(n, -1) / 255.0
 
 
 def embed(encoder: Encoder, frame) -> np.ndarray:
@@ -75,56 +82,6 @@ def similarity(z_a: np.ndarray, z_b: np.ndarray) -> float:
     if z_a.shape != z_b.shape:
         raise ConfigurationError("similarity needs equal-length embeddings")
     return -float(np.linalg.norm(z_a - z_b))
-
-
-def tcn_loss(z_i, z_j, z_k, z_l) -> float:
-    """Softmax cross-entropy over similarities: the (i, j) pair must win
-    against (i, k) and the cross-clip (i, l). Log-sum-exp stabilized."""
-    s = np.array([similarity(z_i, z_j), similarity(z_i, z_k),
-                  similarity(z_i, z_l)])
-    m = float(s.max())
-    return float(m + np.log(np.exp(s - m).sum()) - s[0])
-
-
-def reg_loss(z) -> float:
-    z = np.asarray(z, dtype=float)
-    return float(np.abs(z).sum() + np.linalg.norm(z))
-
-
-def _pair_unit(z_a, z_b):
-    d = z_a - z_b
-    n = float(np.linalg.norm(d))
-    if n < _NORM_EPS:
-        return np.zeros_like(d), 0.0
-    return d / n, n
-
-
-def tcn_loss_with_grads(z_i, z_j, z_k, z_l):
-    """Loss plus exact gradients with respect to all four embeddings."""
-    u_ij, _ = _pair_unit(z_i, z_j)
-    u_ik, _ = _pair_unit(z_i, z_k)
-    u_il, _ = _pair_unit(z_i, z_l)
-    s = np.array([similarity(z_i, z_j), similarity(z_i, z_k),
-                  similarity(z_i, z_l)])
-    m = float(s.max())
-    e = np.exp(s - m)
-    p = e / e.sum()
-    loss = float(m + np.log(e.sum()) - s[0])
-    ds = p.copy()
-    ds[0] -= 1.0
-    # d similarity / d z_anchor is -u, d / d z_other is +u
-    g_i = -(ds[0] * u_ij + ds[1] * u_ik + ds[2] * u_il)
-    g_j = ds[0] * u_ij
-    g_k = ds[1] * u_ik
-    g_l = ds[2] * u_il
-    return loss, (g_i, g_j, g_k, g_l)
-
-
-def reg_loss_with_grad(z):
-    n = float(np.linalg.norm(z))
-    loss = float(np.abs(z).sum() + n)
-    g = np.sign(z) + (z / n if n >= _NORM_EPS else np.zeros_like(z))
-    return loss, g
 
 
 @dataclass
@@ -150,35 +107,43 @@ def batch_loss_and_grads(encoder: Encoder, batch_inputs: np.ndarray,
     """Combined objective over a stacked (4B, in_dim) batch.
 
     Rows are grouped per sample as (anchor, positive, later, negative). The
-    contrastive term averages over samples; the compactness term averages
-    over every embedded frame.
+    contrastive term is a softmax cross-entropy over the anchor's similarities
+    to the other three, where the positive must win; it averages over samples.
+    The compactness term, L1 plus L2 norm of each embedding, averages over
+    every embedded frame. A distance or norm below ``_NORM_EPS`` contributes
+    no gradient through its unit vector.
     """
     n_rows = batch_inputs.shape[0]
     if n_rows % 4:
         raise ConfigurationError("batch rows must come in groups of four")
     b = n_rows // 4
     z, cache = forward_batch(encoder.net, batch_inputs)
-    out_grad = np.zeros_like(z)
-    tcn_total = 0.0
-    reg_total = 0.0
-    for s in range(b):
-        rows = slice(4 * s, 4 * s + 4)
-        zi, zj, zk, zl = z[rows]
-        loss, (gi, gj, gk, gl) = tcn_loss_with_grads(zi, zj, zk, zl)
-        tcn_total += loss
-        scale = config.lambda1 / b
-        out_grad[4 * s + 0] += scale * gi
-        out_grad[4 * s + 1] += scale * gj
-        out_grad[4 * s + 2] += scale * gk
-        out_grad[4 * s + 3] += scale * gl
-    for r in range(n_rows):
-        loss, g = reg_loss_with_grad(z[r])
-        reg_total += loss
-        out_grad[r] += config.lambda2 / n_rows * g
-    tcn_mean = tcn_total / b
-    reg_mean = reg_total / n_rows
+    z4 = z.reshape(b, 4, -1)
+    # contrastive term: s = -|anchor - other| for the three others
+    diff = z4[:, :1] - z4[:, 1:]
+    dist = np.sqrt(np.einsum("bkd,bkd->bk", diff, diff))
+    s = -dist
+    s_max = s.max(axis=1, keepdims=True)
+    e = np.exp(s - s_max)
+    e_sum = e.sum(axis=1, keepdims=True)
+    tcn = (s_max + np.log(e_sum) - s[:, :1])[:, 0]
+    ds = e / e_sum
+    ds[:, 0] -= 1.0
+    unit = diff / np.where(dist < _NORM_EPS, np.inf, dist)[:, :, None]
+    # d s / d anchor is -unit, d s / d other is +unit
+    g_other = ds[:, :, None] * unit
+    tcn_grad = np.concatenate([-g_other.sum(axis=1, keepdims=True), g_other],
+                              axis=1).reshape(n_rows, -1)
+    # compactness term
+    norm = np.sqrt(np.einsum("rd,rd->r", z, z))
+    reg = np.abs(z).sum(axis=1) + norm
+    reg_grad = np.sign(z) + z / np.where(norm < _NORM_EPS, np.inf, norm)[:, None]
+    out_grad = (config.lambda1 / b * tcn_grad
+                + config.lambda2 / n_rows * reg_grad)
+    tcn_mean = float(tcn.sum()) / b
+    reg_mean = float(reg.sum()) / n_rows
     total = config.lambda1 * tcn_mean + config.lambda2 * reg_mean
-    param_grads, _ = backward_batch(encoder.net, cache, out_grad)
+    param_grads = backward_batch(encoder.net, cache, out_grad)
     return total, tcn_mean, reg_mean, param_grads
 
 
@@ -204,8 +169,7 @@ def train_step(encoder: Encoder, batch_inputs: np.ndarray,
             f"non-finite training loss {total!r} on batch of "
             f"{batch_inputs.shape[0] // 4} samples "
             f"(input range [{batch_inputs.min()}, {batch_inputs.max()}])")
-    new_params = adam_step(adam, encoder.net.parameters(), grads)
-    encoder.net.set_parameters(new_params)
+    adam_step(adam, encoder.net.parameters(), grads)
     return {"total": total, "tcn": tcn_mean, "reg": reg_mean}, encoder
 
 

@@ -448,7 +448,7 @@ def _minibatch_loss_and_grads(policy: PolicyCheckpoint, obs, actions, masks,
     dlogp_dmean = np.where(masks, diff / std, 0.0)
     dmean_dout = (1.0 - squashed * squashed) * policy.action_scales
     actor_out_grad = dsurr_dlogp[:, None] * dlogp_dmean * dmean_dout
-    actor_grads, _ = backward_batch(policy.actor, cache, actor_out_grad)
+    actor_grads = backward_batch(policy.actor, cache, actor_out_grad)
 
     # log-std gradients; the [-5, 1] bound is enforced by projection later
     dlogp_dlogstd = np.where(masks, diff * diff - 1.0, 0.0)
@@ -457,7 +457,7 @@ def _minibatch_loss_and_grads(policy: PolicyCheckpoint, obs, actions, masks,
 
     # critic gradients
     critic_out_grad = (VALUE_LOSS_COEF * 2.0 * v_err / n)[:, None]
-    critic_grads, _ = backward_batch(policy.critic, v_cache, critic_out_grad)
+    critic_grads = backward_batch(policy.critic, v_cache, critic_out_grad)
 
     grads = actor_grads + critic_grads + [g_logstd]
     stats = {
@@ -502,9 +502,8 @@ def ppo_update(policy: PolicyCheckpoint, batch: dict, ppo: PpoConfig,
                 skipped += 1
                 continue
             grads = clip_by_global_norm(grads, GRAD_CLIP_NORM)
-            new_params = adam_step(adam, policy.parameters(), grads)
-            policy.set_parameters(new_params)
-            policy.log_std = np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX)
+            adam_step(adam, policy.parameters(), grads)
+            np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX, out=policy.log_std)
             for k, v in stats.items():
                 agg[k] = agg.get(k, 0.0) + v
             count += 1
@@ -734,7 +733,6 @@ def awr_fit(demos: list[Clip], encoder: Encoder, goal: GoalSpec,
             err = np.where(mask, means - a, 0.0)
             out_grad = (2.0 * w[:, None] * err / wsum
                         * (1.0 - squashed * squashed) * policy.action_scales)
-            grads, _ = backward_batch(policy.actor, cache, out_grad)
-            new_params = adam_step(adam, policy.actor.parameters(), grads)
-            policy.actor.set_parameters(new_params)
+            grads = backward_batch(policy.actor, cache, out_grad)
+            adam_step(adam, policy.actor.parameters(), grads)
     return policy

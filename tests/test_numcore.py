@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from proxymanip import numcore as nc
+from proxymanip import reprlearn as rl
 
 
 def make_net(sizes, acts, seed=0):
@@ -46,15 +47,15 @@ class TestBackward:
     def test_linear_bias_gradient_is_one(self):
         net = make_net([3, 2], ["identity"], seed=3)
         y, cache = nc.forward_batch(net, np.array([[0.3, -0.2, 0.9]]))
-        grads, _ = nc.backward_batch(net, cache, np.ones((1, 2)))
+        grads = nc.backward_batch(net, cache, np.ones((1, 2)))
         # loss = sum(outputs): d loss / d bias = 1 per unit
         assert np.array_equal(grads[1], np.ones(2))
 
     def test_relu_subgradient_zero_at_zero(self):
         net = nc.MlpNetwork([1, 1], [np.eye(1)], [np.zeros(1)], ["relu"])
         y, cache = nc.forward_batch(net, np.array([[0.0]]))
-        grads, gin = nc.backward_batch(net, cache, np.ones((1, 1)))
-        assert gin[0, 0] == 0.0
+        grads = nc.backward_batch(net, cache, np.ones((1, 1)))
+        assert grads[1][0] == 0.0
         assert grads[0][0, 0] == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
@@ -74,7 +75,7 @@ class TestBackward:
         fd = nc.finite_diff_grad(loss, params, step=1e-5)
         net.set_parameters(params)
         _, cache = nc.forward_batch(net, x)
-        exact, _ = nc.backward_batch(net, cache, w[None, :])
+        exact = nc.backward_batch(net, cache, w[None, :])
         for a, b in zip(exact, fd):
             assert nc.relative_error(a, b) < 1e-6
 
@@ -99,9 +100,10 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_from_fresh_state_keeps_params(self):
         params = [np.array([1.0, -2.0])]
+        before = [p.copy() for p in params]
         st = nc.adam_init(params, lr=0.1)
-        new = nc.adam_step(st, params, [np.zeros(2)])
-        assert np.array_equal(new[0], params[0])
+        nc.adam_step(st, params, [np.zeros(2)])
+        assert np.array_equal(params[0], before[0])
 
     def test_zero_gradient_decays_moments(self):
         params = [np.array([1.0, -2.0])]
@@ -119,9 +121,9 @@ class TestAdam:
         lr = 1e-2
         params = [np.array([2.0])]
         st = nc.adam_init(params, lr=lr)
-        new = nc.adam_step(st, params, [np.array([g])])
+        nc.adam_step(st, params, [np.array([g])])
         expected = 2.0 - lr * g / (abs(g) + st.eps)
-        assert new[0][0] == pytest.approx(expected, abs=1e-15)
+        assert params[0][0] == pytest.approx(expected, abs=1e-15)
         assert st.step == 1
 
     def test_descends_convex_quadratic(self):
@@ -134,15 +136,16 @@ class TestAdam:
         v0 = f(p)
         for _ in range(2):
             g = [np.array([2.0 * p[0][0]])]
-            p = nc.adam_step(st, p, g)
+            nc.adam_step(st, p, g)
         assert f(p) < v0
 
     def test_lr_zero_is_identity(self):
         params = [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0])]
+        before = [p.copy() for p in params]
         st = nc.adam_init(params, lr=0.0)
         grads = [np.ones((2, 2)), np.ones(1)]
-        new = nc.adam_step(st, params, grads)
-        for a, b in zip(new, params):
+        nc.adam_step(st, params, grads)
+        for a, b in zip(params, before):
             assert np.array_equal(a, b)
 
     def test_nonfinite_gradient_aborts(self):
@@ -151,6 +154,36 @@ class TestAdam:
         with pytest.raises(nc.NumericsError):
             nc.adam_step(st, params, [np.array([np.nan])])
         assert st.step == 0
+        assert np.array_equal(params[0], [1.0])
+
+    def test_in_place_is_bitwise_the_out_of_place_formula(self):
+        # six encoder steps: parameters and moments equal the formula's bytes
+        enc = rl.init_encoder(seed=3)
+        cfg = rl.ReprTrainConfig(batch_size=8, lr=1e-3)
+        batch = np.random.Generator(np.random.PCG64(4)).uniform(0, 1, (32, 1024))
+        st = nc.adam_init(enc.net.parameters(), lr=cfg.lr)
+        ref_p = [p.copy() for p in enc.net.parameters()]
+        ref_m = [m.copy() for m in st.m]
+        ref_v = [v.copy() for v in st.v]
+        for t in range(1, 7):
+            grads = rl.batch_loss_and_grads(enc, batch, cfg)[3]
+            ref_p, ref_m, ref_v = adam_out_of_place(st, t, ref_p, ref_m, ref_v,
+                                                    grads)
+            nc.adam_step(st, enc.net.parameters(), grads)
+            for ours, ref in zip(enc.net.parameters() + st.m + st.v,
+                                 ref_p + ref_m + ref_v):
+                assert ours.tobytes() == ref.tobytes()
+
+
+def adam_out_of_place(st, t, params, m, v, grads):
+    """The Adam update as fresh arrays: the formula adam_step follows."""
+    c1 = 1.0 - st.beta1 ** t
+    c2 = 1.0 - st.beta2 ** t
+    m = [st.beta1 * mi + (1.0 - st.beta1) * g for mi, g in zip(m, grads)]
+    v = [st.beta2 * vi + (1.0 - st.beta2) * (g * g) for vi, g in zip(v, grads)]
+    params = [p - st.lr * (mi / c1) / (np.sqrt(vi / c2) + st.eps)
+              for p, mi, vi in zip(params, m, v)]
+    return params, m, v
 
 
 class TestFiniteDiff:
@@ -268,6 +301,15 @@ class TestEnvelopeLoaders:
         path.write_bytes(BAD_ENVELOPES[case](path.read_bytes(), key))
         with pytest.raises(nc.ConfigurationError, match=re.escape(str(path))):
             load(path)
+
+    @pytest.mark.parametrize("activations", [["sigmoid"], ["identity"] * 2])
+    def test_invalid_network_names_the_path(self, tmp_path, activations):
+        path = tmp_path / "file.bin"
+        _write_checkpoint(path)
+        path.write_bytes(_with_header(
+            path.read_bytes(), lambda h: h.update(activations=activations)))
+        with pytest.raises(nc.ConfigurationError, match=re.escape(str(path))):
+            nc.load_checkpoint(path)
 
     @pytest.mark.parametrize("fmt", sorted(ENVELOPE_FORMATS))
     def test_other_format_names_the_path(self, tmp_path, fmt):

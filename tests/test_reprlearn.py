@@ -22,6 +22,91 @@ def one_dim(*values):
     return [np.array([float(v)]) for v in values]
 
 
+# Per-sample loss oracles: the loop form of the objective that
+# rl.batch_loss_and_grads computes over whole batches.
+
+def tcn_loss(z_i, z_j, z_k, z_l) -> float:
+    """Softmax cross-entropy over similarities: the (i, j) pair must win
+    against (i, k) and the cross-clip (i, l). Log-sum-exp stabilized."""
+    s = np.array([rl.similarity(z_i, z_j), rl.similarity(z_i, z_k),
+                  rl.similarity(z_i, z_l)])
+    m = float(s.max())
+    return float(m + np.log(np.exp(s - m).sum()) - s[0])
+
+
+def reg_loss(z) -> float:
+    z = np.asarray(z, dtype=float)
+    return float(np.abs(z).sum() + np.linalg.norm(z))
+
+
+def _pair_unit(z_a, z_b):
+    d = z_a - z_b
+    n = float(np.linalg.norm(d))
+    if n < rl._NORM_EPS:
+        return np.zeros_like(d), 0.0
+    return d / n, n
+
+
+def tcn_loss_with_grads(z_i, z_j, z_k, z_l):
+    """Loss plus exact gradients with respect to all four embeddings."""
+    u_ij, _ = _pair_unit(z_i, z_j)
+    u_ik, _ = _pair_unit(z_i, z_k)
+    u_il, _ = _pair_unit(z_i, z_l)
+    s = np.array([rl.similarity(z_i, z_j), rl.similarity(z_i, z_k),
+                  rl.similarity(z_i, z_l)])
+    m = float(s.max())
+    e = np.exp(s - m)
+    p = e / e.sum()
+    loss = float(m + np.log(e.sum()) - s[0])
+    ds = p.copy()
+    ds[0] -= 1.0
+    # d similarity / d z_anchor is -u, d / d z_other is +u
+    g_i = -(ds[0] * u_ij + ds[1] * u_ik + ds[2] * u_il)
+    g_j = ds[0] * u_ij
+    g_k = ds[1] * u_ik
+    g_l = ds[2] * u_il
+    return loss, (g_i, g_j, g_k, g_l)
+
+
+def reg_loss_with_grad(z):
+    n = float(np.linalg.norm(z))
+    loss = float(np.abs(z).sum() + n)
+    g = np.sign(z) + (z / n if n >= rl._NORM_EPS else np.zeros_like(z))
+    return loss, g
+
+
+def loop_batch_loss_and_grads(encoder, batch_inputs, config):
+    """rl.batch_loss_and_grads as a loop over samples and rows."""
+    n_rows = batch_inputs.shape[0]
+    b = n_rows // 4
+    z, cache = nc.forward_batch(encoder.net, batch_inputs)
+    out_grad = np.zeros_like(z)
+    tcn_total = 0.0
+    reg_total = 0.0
+    for s in range(b):
+        loss, grads = tcn_loss_with_grads(*z[4 * s:4 * s + 4])
+        tcn_total += loss
+        for r, g in enumerate(grads):
+            out_grad[4 * s + r] += config.lambda1 / b * g
+    for r in range(n_rows):
+        loss, g = reg_loss_with_grad(z[r])
+        reg_total += loss
+        out_grad[r] += config.lambda2 / n_rows * g
+    tcn_mean = tcn_total / b
+    reg_mean = reg_total / n_rows
+    total = config.lambda1 * tcn_mean + config.lambda2 * reg_mean
+    return (total, tcn_mean, reg_mean,
+            nc.backward_batch(encoder.net, cache, out_grad))
+
+
+def pooled_oracle(frame):
+    """2x2 mean of each pixel block, scaled to [0, 1], in Python floats."""
+    h, w = frame.shape
+    return [(int(frame[r, c]) + int(frame[r, c + 1]) + int(frame[r + 1, c])
+             + int(frame[r + 1, c + 1])) / 4.0 / 255.0
+            for r in range(0, h, 2) for c in range(0, w, 2)]
+
+
 class TestEmbed:
     def test_zero_image_zero_net(self):
         enc = rl.init_encoder(seed=0)
@@ -40,6 +125,23 @@ class TestEmbed:
         x = rl.preprocess_batch([np.full((64, 64), 255, dtype=np.uint8)])
         assert x.shape == (1, 1024)
         assert np.all(x == 1.0)
+
+    @pytest.mark.parametrize("kind", ["random", "zeros", "full"])
+    def test_pooling_matches_python_oracle(self, kind):
+        rng = np.random.Generator(np.random.PCG64(6))
+        frames = {
+            "random": rng.integers(0, 256, (3, 64, 64), dtype=np.uint8),
+            "zeros": np.zeros((2, 64, 64), dtype=np.uint8),
+            "full": np.full((2, 64, 64), 255, dtype=np.uint8),
+        }[kind]
+        x = rl.preprocess_batch(list(frames))
+        expected = np.array([pooled_oracle(f) for f in frames])
+        assert x.dtype == np.float64
+        assert x.tobytes() == expected.tobytes()
+
+    def test_pooling_rejects_non_uint8(self):
+        with pytest.raises(nc.ConfigurationError, match="uint8"):
+            rl.preprocess_batch([np.zeros((64, 64))])
 
     def test_batch_matches_single(self):
         enc = rl.init_encoder(seed=3)
@@ -76,43 +178,43 @@ class TestTcnLoss:
         zi = np.array([0.0, 0.0, 0.0])
         others = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
                   np.array([0.0, 0.0, 1.0])]
-        loss = rl.tcn_loss(zi, *others)
+        loss = tcn_loss(zi, *others)
         assert loss == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_hand_evaluated_mixed_sims(self):
         zi, zj, zk, zl = one_dim(0.0, 0.0, 1.0, 2.0)
         expected = math.log(1.0 + math.exp(-1.0) + math.exp(-2.0))
-        assert rl.tcn_loss(zi, zj, zk, zl) == pytest.approx(expected, abs=1e-12)
+        assert tcn_loss(zi, zj, zk, zl) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.40760, abs=1e-5)  # quoted to 5 decimals
 
     def test_dominant_positive_drives_loss_to_zero(self):
         zi, zj, zk, zl = one_dim(0.0, 0.0, 60.0, 60.0)
-        assert rl.tcn_loss(zi, zj, zk, zl) < 1e-12
+        assert tcn_loss(zi, zj, zk, zl) < 1e-12
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_nonnegative(self, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         z = rng.normal(0, 5, (4, 6))
-        assert rl.tcn_loss(*z) >= 0.0
+        assert tcn_loss(*z) >= 0.0
 
     def test_decreases_as_positive_similarity_grows(self):
         zk = np.array([2.0])
         zl = np.array([3.0])
-        losses = [rl.tcn_loss(np.array([0.0]), np.array([d]), zk, zl)
+        losses = [tcn_loss(np.array([0.0]), np.array([d]), zk, zl)
                   for d in (1.5, 1.0, 0.5, 0.1)]
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
 class TestRegLoss:
     def test_zero_vector(self):
-        assert rl.reg_loss(np.zeros(4)) == 0.0
+        assert reg_loss(np.zeros(4)) == 0.0
 
     def test_three_four(self):
-        assert rl.reg_loss(np.array([3.0, -4.0])) == 12.0
+        assert reg_loss(np.array([3.0, -4.0])) == 12.0
 
     def test_one_one(self):
-        assert rl.reg_loss(np.array([1.0, -1.0])) == pytest.approx(
+        assert reg_loss(np.array([1.0, -1.0])) == pytest.approx(
             2.0 + math.sqrt(2.0), abs=1e-12)
 
 
@@ -121,13 +223,13 @@ class TestGradients:
     def test_tcn_grads_match_fd(self, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         z = [rng.normal(0, 1, 5) for _ in range(4)]
-        _, grads = rl.tcn_loss_with_grads(*z)
+        _, grads = tcn_loss_with_grads(*z)
 
         for which in range(4):
             def f(params, which=which):
                 zz = list(z)
                 zz[which] = params[0]
-                return rl.tcn_loss(*zz)
+                return tcn_loss(*zz)
 
             fd = nc.finite_diff_grad(f, [z[which].copy()])[0]
             assert nc.relative_error(grads[which], fd) < 1e-5
@@ -152,6 +254,44 @@ class TestGradients:
         _, _, _, exact = rl.batch_loss_and_grads(enc, batch, cfg)
         for a, b in zip(exact, fd):
             assert nc.relative_error(a, b) < 1e-4
+
+
+class TestBatchLossMatchesLoop:
+    def _check(self, batch, seed=7):
+        enc = rl.init_encoder(seed)
+        cfg = rl.ReprTrainConfig(lambda1=1.0, lambda2=0.5)
+        ours = rl.batch_loss_and_grads(enc, batch, cfg)
+        loop = loop_batch_loss_and_grads(enc, batch, cfg)
+        for a, b in zip(ours[:3], loop[:3]):
+            assert a == pytest.approx(b, rel=0, abs=1e-12)
+        for a, b in zip(ours[3], loop[3]):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_anchor_equals_positive(self):
+        rng = np.random.Generator(np.random.PCG64(8))
+        batch = rng.uniform(0, 1, (16, 1024))
+        batch[1::4] = batch[0::4]
+        enc = rl.init_encoder(7)
+        z, _ = nc.forward_batch(enc.net, batch)
+        assert np.array_equal(z[1::4], z[0::4])  # zero distance is reached
+        self._check(batch)
+
+    def test_zero_embedding_row(self):
+        # zero input through zero biases embeds to exactly zero
+        rng = np.random.Generator(np.random.PCG64(9))
+        batch = rng.uniform(0, 1, (16, 1024))
+        batch[[2, 7]] = 0.0
+        enc = rl.init_encoder(7)
+        z, _ = nc.forward_batch(enc.net, batch)
+        assert not np.any(z[[2, 7]])
+        self._check(batch)
+
+    def test_demo_clips(self):
+        from proxymanip.demogen import sample_tcn_batch
+        dataset = small_dataset()
+        pre = [rl.preprocess_batch(clip.frames) for clip in dataset.clips]
+        batch = rl.stack_batch_inputs(pre, sample_tcn_batch(dataset, 16, seed=3))
+        self._check(batch)
 
 
 class TestTrainStep:
