@@ -100,6 +100,11 @@ class ReprTrainConfig:
             raise ConfigurationError("loss weights must be non-negative")
         if self.lr <= 0:
             raise ConfigurationError("learning rate must be positive")
+        for name, least in (("batch_size", 1), ("total_steps", 0),
+                            ("checkpoint_every", 1)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(
+                    f"{name} must be at least {least}, not {getattr(self, name)}")
 
 
 def batch_loss_and_grads(encoder: Encoder, batch_inputs: np.ndarray,
@@ -173,16 +178,40 @@ def train_step(encoder: Encoder, batch_inputs: np.ndarray,
     return {"total": total, "tcn": tcn_mean, "reg": reg_mean}, encoder
 
 
-def _save_train_sidecar(path, encoder: Encoder, adam: AdamState, step: int) -> None:
+def _save_train_sidecar(path, encoder: Encoder, adam: AdamState,
+                        cols: np.ndarray, step: int) -> None:
+    """Full-width resume state. ``adam`` covers the compact encoder of
+    :func:`train_encoder`, whose layer 0 holds the rows ``cols``; the moments
+    of every other row are zero."""
+    n_in = encoder.net.in_dim
     arrays = [(f"p{i}", p) for i, p in enumerate(encoder.net.parameters())]
-    arrays += [(f"m{i}", m) for i, m in enumerate(adam.m)]
-    arrays += [(f"v{i}", v) for i, v in enumerate(adam.v)]
+    for name, moments in (("m", adam.m), ("v", adam.v)):
+        full = np.zeros((n_in,) + moments[0].shape[1:])
+        full[cols] = moments[0]
+        arrays += [(f"{name}{i}", a) for i, a in enumerate([full] + moments[1:])]
     numcore.save_state_blob(path, {"step": step, "adam_step": adam.step}, arrays)
 
 
 def load_train_sidecar(path, encoder: Encoder, adam: AdamState) -> int:
+    """Load a sidecar into ``encoder`` and ``adam``; returns the step to
+    resume from. A missing or misshapen array, or a meta lacking ``step`` or
+    ``adam_step``, raises ConfigurationError naming the file."""
     meta, arrays = numcore.load_state_blob(path)
-    n = len(encoder.net.parameters())
+    missing = [k for k in ("step", "adam_step")
+               if not isinstance(meta, dict) or k not in meta]
+    if missing:
+        raise ConfigurationError(f"{path}: meta lacks {missing}")
+    shapes = [p.shape for p in encoder.net.parameters()]
+    for prefix in "pmv":
+        for i, shape in enumerate(shapes):
+            name = f"{prefix}{i}"
+            if name not in arrays:
+                raise ConfigurationError(f"{path}: no array {name!r}")
+            if arrays[name].shape != shape:
+                raise ConfigurationError(
+                    f"{path}: array {name!r} has shape {arrays[name].shape}, "
+                    f"the encoder needs {shape}")
+    n = len(shapes)
     encoder.net.set_parameters([arrays[f"p{i}"] for i in range(n)])
     adam.m = [arrays[f"m{i}"] for i in range(n)]
     adam.v = [arrays[f"v{i}"] for i in range(n)]
@@ -197,6 +226,16 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
 
     Batches are seeded per step from the config seed, so a run (or a resumed
     run restarted from a sidecar) reproduces the same loss curve.
+
+    Only the active input columns are trained: those non-zero in at least
+    one pooled frame of the dataset and, on resume, also every ``W0`` row
+    whose Adam moments are non-zero. Any other row gets an exactly zero
+    gradient at every step, and with zero moments Adam leaves it bitwise
+    unchanged. So the steps run on a compact encoder whose layer 0 holds
+    only the active rows of ``W0``; its other layers and biases are the full
+    encoder's own arrays. The result differs from full-width training only
+    in BLAS summation order. The rows are scattered back into the full
+    encoder before every checkpoint and sidecar write and at the end.
     """
     if dataset.N == 0:
         raise ConfigurationError("cannot train on an empty dataset")
@@ -205,11 +244,29 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
             f"dataset style is {dataset.style!r}; agent-visible training "
             "requires the agent_aware flag")
     encoder = init_encoder(config.seed)
-    adam = adam_init(encoder.net.parameters(), lr=config.lr)
+    net = encoder.net
+    pre = [preprocess_batch(clip.frames) for clip in dataset.clips]
+    active = np.zeros(net.in_dim, dtype=bool)
+    for x in pre:
+        active |= x.any(axis=0)
     start_step = 0
     if resume_from is not None:
-        start_step = load_train_sidecar(resume_from, encoder, adam)
-    pre = [preprocess_batch(clip.frames) for clip in dataset.clips]
+        loaded = AdamState(lr=config.lr)
+        start_step = load_train_sidecar(resume_from, encoder, loaded)
+        active |= loaded.m[0].any(axis=1) | loaded.v[0].any(axis=1)
+    cols = np.flatnonzero(active)
+    for i, x in enumerate(pre):
+        pre[i] = x[:, cols]
+    compact = Encoder(MlpNetwork([cols.size] + net.layer_sizes[1:],
+                                 [net.weights[0][cols]] + net.weights[1:],
+                                 list(net.biases), list(net.activations)))
+    if resume_from is None:
+        adam = adam_init(compact.net.parameters(), lr=config.lr)
+    else:
+        adam = AdamState(lr=config.lr, step=loaded.step,
+                         m=[loaded.m[0][cols]] + loaded.m[1:],
+                         v=[loaded.v[0][cols]] + loaded.v[1:])
+        del loaded  # frees the full-width layer-0 moments before training
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -218,14 +275,17 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
         samples = sample_tcn_batch(dataset, config.batch_size,
                                    derive_seed(config.seed, 101, step))
         batch = stack_batch_inputs(pre, samples)
-        losses, _ = train_step(encoder, batch, config, adam)
+        losses, _ = train_step(compact, batch, config, adam)
         log.append({"step": step, **losses})
         done = step + 1
         if out is not None and (done % config.checkpoint_every == 0
                                 or done == config.total_steps):
-            numcore.save_checkpoint(out / "encoder.ckpt", encoder.net,
+            net.weights[0][cols] = compact.net.weights[0]
+            numcore.save_checkpoint(out / "encoder.ckpt", net,
                                     rng_seed=config.seed, step_count=done)
-            _save_train_sidecar(out / "train_state.bin", encoder, adam, done)
+            _save_train_sidecar(out / "train_state.bin", encoder, adam, cols,
+                                done)
+    net.weights[0][cols] = compact.net.weights[0]
     if out is not None:
         write_training_log(out / "train_log.csv", log)
     return encoder, log

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from proxymanip import numcore as nc
 from proxymanip import reprlearn as rl
-from proxymanip.demogen import generate_dataset
+from proxymanip.demogen import generate_dataset, sample_tcn_batch
 from proxymanip.env2d import builtin_catalogue
 
 
@@ -16,6 +18,67 @@ def small_dataset(style="none", seed=21, clips=2):
     tasks = [cat["open-drawer"], cat["move-box"]]
     return generate_dataset(tasks, clips_per_task=clips, noise_scale=0.05,
                             style=style, seed=seed)
+
+
+SIX_TASKS = ("open-drawer", "close-drawer", "open-door", "close-door",
+             "move-box", "lift-box")
+
+
+def task_dataset(names, seed=101, clips=2):
+    """Masked expert clips of the named tasks, as the benchmark draws them."""
+    cat = builtin_catalogue()
+    return generate_dataset([cat[n] for n in names], clips_per_task=clips,
+                            noise_scale=0.05, style="none", seed=seed)
+
+
+@pytest.fixture(scope="module")
+def six_task_dataset():
+    return task_dataset(SIX_TASKS)
+
+
+def active_columns(dataset):
+    return np.flatnonzero(np.any(
+        [rl.preprocess_batch(c.frames).any(axis=0) for c in dataset.clips],
+        axis=0))
+
+
+def full_width_train_encoder(dataset, config, out_dir=None, resume_from=None):
+    """rl.train_encoder as a loop over all input columns: every step updates
+    the full (1024, 256) W0 and its moments. Writes the resume sidecar with
+    the same names and layout."""
+    encoder = rl.init_encoder(config.seed)
+    adam = nc.adam_init(encoder.net.parameters(), lr=config.lr)
+    start_step = 0
+    if resume_from is not None:
+        start_step = rl.load_train_sidecar(resume_from, encoder, adam)
+    pre = [rl.preprocess_batch(clip.frames) for clip in dataset.clips]
+    log = []
+    for step in range(start_step, config.total_steps):
+        samples = sample_tcn_batch(dataset, config.batch_size,
+                                   nc.derive_seed(config.seed, 101, step))
+        batch = rl.stack_batch_inputs(pre, samples)
+        losses, _ = rl.train_step(encoder, batch, config, adam)
+        log.append({"step": step, **losses})
+        done = step + 1
+        if out_dir is not None and (done % config.checkpoint_every == 0
+                                    or done == config.total_steps):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            arrays = [(f"p{i}", p) for i, p in enumerate(encoder.net.parameters())]
+            arrays += [(f"m{i}", m) for i, m in enumerate(adam.m)]
+            arrays += [(f"v{i}", v) for i, v in enumerate(adam.v)]
+            nc.save_state_blob(out_dir / "train_state.bin",
+                               {"step": done, "adam_step": adam.step}, arrays)
+    return encoder, log
+
+
+def assert_matches_full_width(log, encoder, oracle_log, oracle):
+    assert [r["step"] for r in log] == [r["step"] for r in oracle_log]
+    for row, want in zip(log, oracle_log):
+        for key in ("total", "tcn", "reg"):
+            assert row[key] == pytest.approx(want[key], rel=1e-12, abs=0)
+    assert encoder.net.layer_sizes == rl.ENCODER_LAYER_SIZES
+    for p, q in zip(encoder.net.parameters(), oracle.net.parameters()):
+        assert np.allclose(p, q, rtol=0, atol=1e-12)
 
 
 def one_dim(*values):
@@ -321,6 +384,142 @@ class TestTrainStep:
         for _ in range(30):
             last, _ = rl.train_step(enc, batch, cfg, adam)
         assert last["total"] < first["total"]
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("total_steps", -1), ("checkpoint_every", 0)])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(nc.ConfigurationError, match=field):
+            rl.ReprTrainConfig(**{field: value})
+
+    def test_accepts_least_values(self):
+        rl.ReprTrainConfig(batch_size=1, total_steps=0, checkpoint_every=1)
+
+
+class TestTrainSidecar:
+    @pytest.fixture
+    def sidecar(self, tmp_path):
+        cfg = rl.ReprTrainConfig(total_steps=2, batch_size=4)
+        rl.train_encoder(small_dataset(), cfg, out_dir=tmp_path / "run")
+        return nc.load_state_blob(tmp_path / "run" / "train_state.bin")
+
+    def _load(self, path):
+        enc = rl.init_encoder(0)
+        return rl.load_train_sidecar(path, enc, nc.adam_init(
+            enc.net.parameters(), lr=1e-4))
+
+    def test_round_trip(self, sidecar, tmp_path):
+        meta, arrays = sidecar
+        path = tmp_path / "state.bin"
+        nc.save_state_blob(path, meta, list(arrays.items()))
+        assert self._load(path) == 2
+
+    @pytest.mark.parametrize("drop", ["p1", "m0", "v5"])
+    def test_missing_array(self, sidecar, tmp_path, drop):
+        meta, arrays = sidecar
+        path = tmp_path / "state.bin"
+        nc.save_state_blob(path, meta,
+                           [(k, a) for k, a in arrays.items() if k != drop])
+        with pytest.raises(nc.ConfigurationError,
+                           match=re.escape(str(path)) + f".*{drop}"):
+            self._load(path)
+
+    @pytest.mark.parametrize("name", ["p0", "m0", "v2"])
+    def test_wrong_shape(self, sidecar, tmp_path, name):
+        meta, arrays = sidecar
+        arrays[name] = arrays[name][:-1]
+        path = tmp_path / "state.bin"
+        nc.save_state_blob(path, meta, list(arrays.items()))
+        with pytest.raises(nc.ConfigurationError,
+                           match=re.escape(str(path)) + f".*{name}.*shape"):
+            self._load(path)
+
+    @pytest.mark.parametrize("key", ["step", "adam_step"])
+    def test_meta_lacks_key(self, sidecar, tmp_path, key):
+        meta, arrays = sidecar
+        del meta[key]
+        path = tmp_path / "state.bin"
+        nc.save_state_blob(path, meta, list(arrays.items()))
+        with pytest.raises(nc.ConfigurationError, match=re.escape(str(path))):
+            self._load(path)
+
+    def test_foreign_blob(self, tmp_path):
+        path = tmp_path / "state.bin"
+        nc.save_state_blob(path, {"step": 1, "adam_step": 1},
+                           [("p0", np.zeros((1024, 256)))])
+        with pytest.raises(nc.ConfigurationError,
+                           match=re.escape(str(path)) + ".*p1"):
+            self._load(path)
+
+
+class TestActiveColumns:
+    """train_encoder trains only the dataset's active input columns; the
+    loop over all columns is the oracle."""
+
+    def test_matches_full_width(self, six_task_dataset):
+        cols = active_columns(six_task_dataset)
+        assert 0 < cols.size < 1024 // 2
+        cfg = rl.ReprTrainConfig(batch_size=64, total_steps=100, seed=3)
+        enc, log = rl.train_encoder(six_task_dataset, cfg)
+        oracle, oracle_log = full_width_train_encoder(six_task_dataset, cfg)
+        assert_matches_full_width(log, enc, oracle_log, oracle)
+        init_w0 = rl.init_encoder(cfg.seed).net.weights[0]
+        inactive = np.setdiff1d(np.arange(1024), cols)
+        assert enc.net.weights[0][inactive].tobytes() == \
+            init_w0[inactive].tobytes()
+        assert not np.allclose(enc.net.weights[0][cols], init_w0[cols])
+
+    def test_resume_on_other_dataset(self, six_task_dataset, tmp_path):
+        # A's moments reach rows that are inactive in B; they keep moving
+        dataset_b = task_dataset(("open-drawer", "close-drawer"), seed=7)
+        only_a = np.setdiff1d(active_columns(six_task_dataset),
+                              active_columns(dataset_b))
+        assert only_a.size > 0
+        first = rl.ReprTrainConfig(batch_size=16, total_steps=20,
+                                   checkpoint_every=10, seed=4)
+        then = rl.ReprTrainConfig(batch_size=16, total_steps=40,
+                                  checkpoint_every=10, seed=4)
+        rl.train_encoder(six_task_dataset, first, out_dir=tmp_path / "a")
+        full_width_train_encoder(six_task_dataset, first,
+                                 out_dir=tmp_path / "oracle_a")
+        _, written = nc.load_state_blob(tmp_path / "a" / "train_state.bin")
+        _, expected = nc.load_state_blob(tmp_path / "oracle_a" / "train_state.bin")
+        assert np.any(expected["m0"][only_a])
+        assert written.keys() == expected.keys()
+        for name in expected:
+            assert np.allclose(written[name], expected[name], rtol=0,
+                               atol=1e-12), name
+        enc, log = rl.train_encoder(
+            dataset_b, then, out_dir=tmp_path / "b",
+            resume_from=tmp_path / "a" / "train_state.bin")
+        oracle, oracle_log = full_width_train_encoder(
+            dataset_b, then, resume_from=tmp_path / "oracle_a" / "train_state.bin")
+        assert [r["step"] for r in log] == list(range(20, 40))
+        assert_matches_full_width(log, enc, oracle_log, oracle)
+        ckpt = rl.load_encoder(tmp_path / "b" / "encoder.ckpt")
+        for p, q in zip(ckpt.net.parameters(), enc.net.parameters()):
+            assert np.array_equal(p, q.astype(np.float32).astype(np.float64))
+
+    def test_all_zero_frames(self, tmp_path):
+        ds = small_dataset()
+        ds.clips = [replace(c, frames=[replace(f, pixels=np.zeros_like(f.pixels))
+                                       for f in c.frames]) for c in ds.clips]
+        assert active_columns(ds).size == 0
+        cfg = rl.ReprTrainConfig(batch_size=8, total_steps=12,
+                                 checkpoint_every=5, seed=2)
+        enc, log = rl.train_encoder(ds, cfg, out_dir=tmp_path)
+        oracle, oracle_log = full_width_train_encoder(ds, cfg)
+        assert_matches_full_width(log, enc, oracle_log, oracle)
+        assert enc.net.weights[0].tobytes() == \
+            rl.init_encoder(cfg.seed).net.weights[0].tobytes()
+        resumed, _ = rl.train_encoder(ds, rl.ReprTrainConfig(
+            batch_size=8, total_steps=14, seed=2),
+            resume_from=tmp_path / "train_state.bin")
+        oracle, _ = full_width_train_encoder(ds, rl.ReprTrainConfig(
+            batch_size=8, total_steps=14, seed=2))
+        for p, q in zip(resumed.net.parameters(), oracle.net.parameters()):
+            assert np.allclose(p, q, rtol=0, atol=1e-12)
 
 
 class TestTrainEncoder:
