@@ -8,8 +8,9 @@ Two kinds of pin:
   checkpoint and state-blob files written from fixed weights. None of these
   passes a float through a BLAS matrix product, so their bits depend only on
   the code.
-* **Tolerance** (stored values, ``rtol=BLAS_RTOL``): the encoder loss curve
-  and rollout batches, which run through ``numpy`` matrix products. OpenBLAS
+* **Tolerance** (stored values, ``rtol=BLAS_RTOL``): the encoder loss curve,
+  rollout batches and the states of policy episodes, which run through
+  ``numpy`` matrix products. OpenBLAS
   picks its kernel by CPU and by the number of rows, and a 1-row product can
   round differently from a larger one, so the stored values are compared
   with a relative tolerance. Each such pin fixes its batch sizes and seeds,
@@ -318,6 +319,163 @@ PPO_UPDATE = {'stats': [0.029320658251035064, 0.06770833333333333, 2.88950235586
                            -0.7962297535724316, -1.1871260780530648,
                            -1.3584491256743667, -1.4624157088978331],
  'after_episode_successes': [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}
+
+
+POLICY_EPISODE_SEEDS = range(5)
+
+POLICY_EPISODE_OUTCOMES = {'close-door/0': [False, 400, 0, None, 400],
+ 'close-door/1': [False, 400, 1, 0, 400],
+ 'close-door/2': [False, 400, 0, None, 400],
+ 'close-door/3': [False, 400, 1, 0, 400],
+ 'close-door/4': [True, 96, 1, 0, 96],
+ 'close-drawer/0': [False, 400, 0, None, 400],
+ 'close-drawer/1': [False, 400, 0, None, 400],
+ 'close-drawer/2': [False, 400, 0, None, 400],
+ 'close-drawer/3': [True, 58, 1, 0, 58],
+ 'close-drawer/4': [False, 400, 0, None, 400],
+ 'lift-box/0': [False, 400, 0, None, 400],
+ 'lift-box/1': [False, 400, 0, None, 400],
+ 'lift-box/2': [False, 400, 0, None, 400],
+ 'lift-box/3': [False, 400, 0, None, 400],
+ 'lift-box/4': [False, 400, 0, None, 400],
+ 'move-box/0': [False, 400, 1, 0, 400],
+ 'move-box/1': [False, 400, 1, 0, 400],
+ 'move-box/2': [False, 400, 1, 0, 400],
+ 'move-box/3': [False, 400, 1, 0, 400],
+ 'move-box/4': [False, 400, 1, 0, 400],
+ 'open-door/0': [False, 400, 1, 0, 400],
+ 'open-door/1': [False, 400, 0, None, 400],
+ 'open-door/2': [False, 400, 0, None, 400],
+ 'open-door/3': [False, 400, 0, None, 400],
+ 'open-door/4': [False, 400, 0, None, 400],
+ 'open-drawer/0': [True, 85, 1, 0, 85],
+ 'open-drawer/1': [False, 400, 1, 0, 400],
+ 'open-drawer/2': [True, 39, 1, 0, 39],
+ 'open-drawer/3': [False, 400, 1, 0, 400],
+ 'open-drawer/4': [False, 400, 1, 0, 400]}
+
+POLICY_EPISODE_STATES = {'close-door/0': [-0.5651113591077879, 0.24272276922697641, -2.0788746137477328e-09,
+                  -4.4513511266155077e-10, 2.094, 0.0, -119.81247924124128,
+                  -28.153171499467227, 837.6000000000001, 0.0],
+ 'close-door/1': [-0.09592757398155986, 0.35636478024489315, 0.0, 0.0, 2.094, 0.0,
+                  104.25658203668746, -1.7895662919642925, 837.5259830087593,
+                  -0.3984336146939337],
+ 'close-door/2': [-0.2043247795382652, -0.3128041957088891, 9.89777850568567e-09,
+                  -2.5829079196559565e-09, 2.094, 0.0, -204.89251993061686,
+                  -36.15696515067491, 837.6000000000001, 0.0],
+ 'close-door/3': [-0.09592757398155986, 0.35636478024489315, 0.0, 0.0, 2.094, 0.0,
+                  104.10035084692346, 3.909561944468044, 837.6000000000001, 0.0],
+ 'close-door/4': [0.27356554707602343, 0.0906784414931824, -0.0037442101760820634,
+                  -0.8048786379455712, 0.1310875410934349, -2.940927579025985,
+                  39.21107572737919, 3.4402811365266457, 131.6082172427357,
+                  -98.14562294532827],
+ 'close-drawer/0': [-0.10947892850533877, 0.04013773453315917, 2.511756863076631e-06,
+                    -6.810300693859006e-08, 0.3, 0.0, -33.36685520267733,
+                    11.999198295964403, 119.99999999999997, 0.0],
+ 'close-drawer/1': [0.03486728621296086, -0.02805618775667397, 5.662497706473338e-15,
+                    5.205754490692659e-15, 0.3, 0.0, 3.3127993042253894,
+                    13.029128317683382, 119.99999999999997, 0.0],
+ 'close-drawer/2': [-0.031744848950386935, -0.05218690159920667, 1.0060729665186967e-07,
+                    -2.491193023446377e-08, 0.3, 0.0, -38.99082619725764,
+                    13.002896084203122, 119.99999999999997, 0.0],
+ 'close-drawer/3': [0.007610052732426181, 0.0, -1.0151896096058612, 0.0,
+                    0.047610052732426196, -1.0151896096058617, 5.44437565587108,
+                    18.76820426792269, 15.439230459196928, -12.619497363378688],
+ 'close-drawer/4': [-0.01628384978240926, -0.04901237365331007, 5.1231396321143454e-08,
+                    -7.876775640542807e-08, 0.3, 0.0, -27.878125736588853,
+                    9.46327053628039, 119.99999999999997, 0.0],
+ 'lift-box/0': [-0.019480187661642955, 0.10499328407568508, -1.2250594662218296e-07,
+                4.245790827135106e-09, 0.0, -0.34, 0.0, 0.0, 0.0, 0.0,
+                35.007583658650596, -5.258087184724511, -136.0, 0.0],
+ 'lift-box/1': [0.032224925572953374, -0.013488146563284733, 2.332051836166321e-14,
+                1.039446606493148e-14, 0.0, -0.34, 0.0, 0.0, 0.0, 0.0,
+                14.27538431534127, -11.374587654647524, -136.0, 0.0],
+ 'lift-box/2': [0.06378926579092933, 0.029216211703537696, 6.480000310298807e-08,
+                -1.6011442433408153e-08, 0.0, -0.34, 0.0, 0.0, 0.0, 0.0,
+                35.36184900179896, -3.150242513593852, -136.0, 0.0],
+ 'lift-box/3': [-0.10282121842760165, -0.08518224438470062, -1.2603297090758739e-16,
+                7.080503983623022e-17, 0.0, -0.34, 0.0, 0.0, 0.0, 0.0,
+                -72.06261589567558, -16.012471509313727, -136.0, 0.0],
+ 'lift-box/4': [-0.07161776304122894, 0.09408394374957485, -9.596570589284352e-09,
+                1.492765925016983e-08, 0.0, -0.34, 0.0, 0.0, 0.0, 0.0,
+                11.884128224002994, -11.14860925651635, -136.0, 0.0],
+ 'move-box/0': [0.52, -0.6, 0.0, 0.0, 0.6, -0.6, 0.0, 0.0, 0.0, 0.0, -82.1522659082822,
+                11.466257994573379, -47.81103731849396, 0.5435892714245316],
+ 'move-box/1': [-0.6799999999999999, 0.6, 0.0, 0.0, -0.6, 0.6, 0.0, 0.0, 0.0, 0.0,
+                -32.55169331225779, 8.688573394869042, -0.030483848786093448,
+                0.8248268983266458],
+ 'move-box/2': [0.52, -0.6, 0.0, 0.0, 0.6, -0.6, 0.0, 0.0, 0.0, 0.0, -33.15158804287721,
+                13.199483611682808, 0.6537259297499092, -0.20750673815158094],
+ 'move-box/3': [-0.6799999999999999, 0.6, 0.0, 0.0, -0.6, 0.6, 0.0, 0.0, 0.0, 0.0,
+                -62.14643206262549, 14.387701631301374, -28.612002563010375,
+                0.8092996571982125],
+ 'move-box/4': [0.19871750842145863, -0.266971777630502, 0.012935691363927249,
+                0.0017174076275772165, 0.27871750842145865, -0.266971777630502, 0.0,
+                0.012935691363928038, 0.001717407627577403, 0.0, -40.39976305223031,
+                9.315368247614185, -7.506033876767986, 0.5872865395478242],
+ 'open-door/0': [0.27, 0.05500000000000001, 0.0, 0.0, 0.0, 0.0, 128.09923149863585,
+                 11.716257994573379, 0.0013440083910804344, 0.06720041955402171],
+ 'open-door/1': [3.116242761946307e-15, 1.372453534744505e-15, -1.0317747245043315e-14,
+                 -7.103597178160429e-15, 0.0, 0.0, -2.723330012583105,
+                 -7.311426605130737, 0.0, 0.0],
+ 'open-door/2': [7.86048572648837e-08, -1.9422842404386007e-08, -1.5397418735716644e-07,
+                 3.804620324293572e-08, 0.0, 0.0, 5.412370595675736, -2.800513429216454,
+                 0.0, 0.0],
+ 'open-door/3': [1.046069161287673e-23, -8.394030866763275e-24, -1.8119915745946506e-22,
+                 8.812809739291376e-23, 0.0, 0.0, 0.07155707549540315,
+                 -1.61229836869862, 0.0, 0.0],
+ 'open-door/4': [4.5564794430465855e-08, -7.094148129773672e-08, -8.988802689182523e-08,
+                 1.3994980412970362e-07, 0.0, 0.0, 0.5354403010710306,
+                 -7.27191956076799, 0.0, 0.0],
+ 'open-drawer/0': [0.2120153751440319, 0.0, 0.21812186996175154, 0.0,
+                   0.25201537514403194, 0.21812186996175345, -0.13830186018025525,
+                   26.06702675177497, 7.117980240587894, 12.626036082121942],
+ 'open-drawer/1': [-0.04000000000000001, 0.0, 0.0, 0.0, 0.0, 0.0, -16.80509663864749,
+                   10.688573394869039, 0.0022443563098315062, 0.04815016259470774],
+ 'open-drawer/2': [0.21796093619949108, 0.0, 0.8353470595513002, 0.0,
+                   0.2579609361994911, 0.8353470595512998, -2.0317260558014585,
+                   28.09753042165736, 2.3175564641216666, 12.898046809974558],
+ 'open-drawer/3': [-0.04000000000000001, 0.0, 0.0, 0.0, 0.0, 0.0, -18.144017206262976,
+                   16.387701631301375, 0.0, 0.0],
+ 'open-drawer/4': [-0.04000000000000001, 0.0, 0.0, 0.0, 0.0, 0.0, -17.55542695498584,
+                   10.728081708066355, 0.0, 0.0]}
+
+
+def _policy_episodes(monkeypatch) -> tuple[dict, dict]:
+    """Deterministic-mean episodes of untrained policies over the six tasks:
+    per episode the exact outcome, and the final state followed by per-field
+    sums over every state the episode stepped into."""
+    visited: list = []
+    real_step = env2d.step
+
+    def recording_step(*args, **kwargs):
+        state, events = real_step(*args, **kwargs)
+        visited.append(state)
+        return state, events
+
+    monkeypatch.setattr(env2d, "step", recording_step)
+    outcomes, states = {}, {}
+    for name, task in sorted(builtin_catalogue().items()):
+        config = skillrl.SkillOptions().world_config(task)
+        for seed in POLICY_EPISODE_SEEDS:
+            visited.clear()
+            res = skillrl.run_policy_episode(skillrl.init_policy(seed), task,
+                                             config, seed)
+            end = res.final_state
+            key = f"{name}/{seed}"
+            outcomes[key] = [res.success, res.steps, int(end.phase),
+                             end.attachment, len(visited)]
+            fields = ("proxy_pos", "proxy_vel", "object_q", "object_qdot")
+            states[key] = ([v for f in fields for v in _floats(getattr(end, f))]
+                           + [float(np.sum([getattr(s, f) for s in visited]))
+                              for f in fields])
+    return outcomes, states
+
+
+def test_policy_episodes(monkeypatch):
+    outcomes, states = _policy_episodes(monkeypatch)
+    _assert_exact("POLICY_EPISODE_OUTCOMES", outcomes, POLICY_EPISODE_OUTCOMES)
+    _assert_close("POLICY_EPISODE_STATES", states, POLICY_EPISODE_STATES)
 
 
 def test_encoder_loss_curve(dataset_dir):
