@@ -11,14 +11,13 @@ dataset regenerates bitwise identically.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import env2d, render
-from .env2d import (FREE_BODY, PRISMATIC, REVOLUTE, Phase, ProxyAction,
+from .env2d import (PRISMATIC, REVOLUTE, Episode, Phase, ProxyAction,
                     TaskSpec, WorldConfig, WorldState)
 from .numcore import ConfigurationError, derive_seed
 from .render import AGENT_STYLES, FrameImage, camera_spec
@@ -91,41 +90,29 @@ def scripted_expert(task: TaskSpec):
     return policy
 
 
-@dataclass
-class EpisodeRecord:
-    states: list[WorldState]        # length T+1, last one is the end state
-    actions: np.ndarray             # (T, 4): a_p then a_f, inactive head zero
-    success: bool
-
-
 def run_expert_episode(task: TaskSpec, config: WorldConfig, seed: int,
-                       noise_scale: float = 0.0) -> EpisodeRecord:
-    """Roll one expert episode; raises ExpertFailure if the horizon runs out."""
+                       noise_scale: float = 0.0) -> Episode:
+    """Roll one expert episode, with seeded Gaussian noise on both action
+    heads; raises ExpertFailure if the horizon runs out."""
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
-    policy = scripted_expert(task)
-    state = env2d.reset(config, task, seed)
-    states = [state]
-    actions = []
-    for _ in range(config.episode_horizon):
-        act = policy(state)
-        a_p = np.asarray(act.desired_pos, dtype=float)
-        a_f = np.asarray(act.force, dtype=float)
-        if noise_scale > 0.0:
-            a_p = a_p + rng.normal(0.0, noise_scale * config.arena_half, 2)
-            a_f = a_f + rng.normal(0.0, noise_scale * config.force_max, 2)
-        if state.phase == Phase.EXPLORATION:
-            recorded = np.array([a_p[0], a_p[1], 0.0, 0.0])
-        else:
-            recorded = np.array([0.0, 0.0, a_f[0], a_f[1]])
-        state, _ = env2d.step(state, ProxyAction(tuple(a_p), tuple(a_f)),
-                              config, task)
-        states.append(state)
-        actions.append(recorded)
-        if env2d.is_success(state, task):
-            return EpisodeRecord(states, np.array(actions), True)
-    raise ExpertFailure(
-        f"expert for {task.name!r} missed success in {config.episode_horizon} steps "
-        f"(final q={states[-1].object_q})")
+    expert = scripted_expert(task)
+
+    def act(state: WorldState) -> ProxyAction:
+        action = expert(state)
+        if noise_scale <= 0.0:
+            return action
+        a_p = (np.asarray(action.desired_pos, dtype=float)
+               + rng.normal(0.0, noise_scale * config.arena_half, 2))
+        a_f = (np.asarray(action.force, dtype=float)
+               + rng.normal(0.0, noise_scale * config.force_max, 2))
+        return ProxyAction(tuple(a_p), tuple(a_f))
+
+    episode = env2d.run_episode(task, config, seed, act)
+    if not episode.success:
+        raise ExpertFailure(
+            f"expert for {task.name!r} missed success in {config.episode_horizon} "
+            f"steps (final q={episode.final_state.object_q})")
+    return episode
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +146,15 @@ class DemoDataset:
         return len(self.clips)
 
 
-def _state_summary(state: WorldState, obj: env2d.ObjectModel) -> dict:
-    return {
-        "time_step": state.time_step,
-        "proxy_pos": [float(v) for v in state.proxy_pos],
-        "proxy_vel": [float(v) for v in state.proxy_vel],
-        "object_q": [float(v) for v in state.object_q],
-        "object_qdot": [float(v) for v in state.object_qdot],
-        "phase": int(state.phase),
-        "attachment": state.attachment,
-        "obs": [float(v) for v in env2d.observe(state, obj)],
-    }
+def _action_row(state: WorldState, action: ProxyAction) -> np.ndarray:
+    """Dataset action row (a_p then a_f): the head the state's phase uses,
+    the other one zero."""
+    if state.phase == Phase.EXPLORATION:
+        return np.array([action.desired_pos[0], action.desired_pos[1], 0.0, 0.0])
+    return np.array([0.0, 0.0, action.force[0], action.force[1]])
 
 
-def episode_to_clip(task: TaskSpec, record: EpisodeRecord, clip_id: str,
+def episode_to_clip(task: TaskSpec, record: Episode, clip_id: str,
                     camera_id: str, style: str,
                     subsample: int = FRAME_SUBSAMPLE) -> Clip:
     """Render an episode into a clip, keeping every ``subsample``-th frame and
@@ -191,9 +173,9 @@ def episode_to_clip(task: TaskSpec, record: EpisodeRecord, clip_id: str,
         st = record.states[t]
         frames.append(render.render(st, task.object, spec, style,
                                     marker_pos=marker))
-        summaries.append(_state_summary(st, task.object))
-        if t < len(record.actions):
-            acts.append(record.actions[t])
+        summaries.append(env2d.state_record(st, task.object))
+        if t < record.steps:
+            acts.append(_action_row(st, record.actions[t]))
         else:
             acts.append(np.zeros(4))
     return Clip(clip_id, task.name, camera_id, frames, summaries,

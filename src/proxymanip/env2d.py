@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -419,6 +419,64 @@ def is_success(state: WorldState, task: TaskSpec) -> bool:
                        state.object_q[1] - task.target_q[1])
         return bool(err <= task.tolerance)
     return bool(abs(state.object_q[0] - task.target_q[0]) <= task.tolerance)
+
+
+@dataclass
+class Episode:
+    """One episode from reset: ``states`` holds the start state and the state
+    after every step; step ``i`` took ``actions[i]`` out of ``states[i]`` and
+    raised ``events[i]``."""
+    states: list[WorldState]
+    actions: list[ProxyAction]
+    events: list[list]
+    success: bool = False
+
+    @property
+    def steps(self) -> int:
+        return len(self.actions)
+
+    @property
+    def final_state(self) -> WorldState:
+        return self.states[-1]
+
+
+def run_episode(task: TaskSpec, config: WorldConfig, seed: int, act) -> Episode:
+    """Reset, then step with ``act(state) -> ProxyAction`` until the task
+    succeeds or ``config.episode_horizon`` steps have run."""
+    state = reset(config, task, seed)
+    episode = Episode([state], [], [])
+    for _ in range(config.episode_horizon):
+        action = act(state)
+        state, events = step(state, action, config, task)
+        episode.states.append(state)
+        episode.actions.append(action)
+        episode.events.append(events)
+        if is_success(state, task):
+            episode.success = True
+            break
+    return episode
+
+
+def state_record(state: WorldState, obj: ObjectModel) -> dict:
+    """JSON-ready record of one state: a dataset clip's per-frame summary and
+    a frame of the trajectory ``retarget`` reads."""
+    return {
+        "t": state.time_step,
+        "proxy_pos": [float(v) for v in state.proxy_pos],
+        "proxy_vel": [float(v) for v in state.proxy_vel],
+        "object_q": [float(v) for v in state.object_q],
+        "object_qdot": [float(v) for v in state.object_qdot],
+        "phase": int(state.phase),
+        "attachment": state.attachment,
+        "obs": [float(v) for v in observe(state, obj)],
+    }
+
+
+def trajectory_record(task: TaskSpec, episode: Episode) -> dict:
+    """An episode as the retargeting interchange document."""
+    return {"task": task.name, "success": episode.success,
+            "frames": [state_record(s, task.object) for s in episode.states],
+            "events": [list(e) for events in episode.events for e in events]}
 
 
 def kinetic_energy(state: WorldState, obj: ObjectModel, config: WorldConfig) -> float:

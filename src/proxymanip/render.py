@@ -163,12 +163,15 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """Read a binary PGM with maxval 255. A missing or non-integer header
+    field, or a raster shorter or longer than the header says, raises
+    ``ConfigurationError`` naming the path."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
         raise ConfigurationError(f"{path}: not a binary PGM file")
     # header: magic, width, height, maxval, single whitespace, then raster
-    fields: list[bytes] = []
+    fields: list[int] = []
     pos = 2
     while len(fields) < 3:
         while pos < len(data) and data[pos:pos + 1].isspace():
@@ -180,13 +183,21 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(f) for f in fields)
+        token = data[start:pos]
+        if not token.isdigit():
+            raise ConfigurationError(
+                f"{path}: PGM header field {len(fields) + 1} of 3 is "
+                f"{token.decode('latin-1')!r}, not an integer")
+        fields.append(int(token))
+    w, h, maxval = fields
     if maxval != 255:
         raise ConfigurationError(f"{path}: expected maxval 255, got {maxval}")
-    raster = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=pos)
-    return raster.reshape(h, w).copy()
+    raster = data[pos + 1:]  # after the single whitespace that ends maxval
+    if len(raster) != w * h:
+        kind = "truncated" if len(raster) < w * h else "trailing bytes after"
+        raise ConfigurationError(
+            f"{path}: {kind} raster: {len(raster)} bytes for {w}x{h} pixels")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
 
 
 def frame_filename(index: int) -> str:

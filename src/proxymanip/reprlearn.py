@@ -37,10 +37,6 @@ class Encoder:
 
     net: MlpNetwork
 
-    @property
-    def embed_dim(self) -> int:
-        return self.net.out_dim
-
 
 def init_encoder(seed: int) -> Encoder:
     return Encoder(init_mlp(ENCODER_LAYER_SIZES, ENCODER_ACTIVATIONS, seed))

@@ -20,13 +20,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from . import env2d
-from .env2d import (FREE_BODY, PRISMATIC, REVOLUTE, ObjectModel, Phase,
-                    TaskSpec, WorldState, grasp_point_world)
+from .env2d import (PRISMATIC, REVOLUTE, ObjectModel, Phase, TaskSpec,
+                    WorldState, grasp_point_world)
 from .numcore import ConfigurationError
 
 IK_POS_TOL = 1e-6
@@ -290,13 +289,6 @@ def inverse_kinematics(arm: ArmModel, target_position,
         f"best position residual {best_residual:.3e}")
 
 
-def snap_to_grasp(state: WorldState, obj: ObjectModel) -> tuple[np.ndarray, float]:
-    """Grasp pose the end effector aligns to at the phase transition."""
-    if state.attachment is None:
-        raise ConfigurationError("no attachment recorded at transition")
-    return grasp_point_world(obj, state.object_q, state.attachment)
-
-
 # ---------------------------------------------------------------------------
 # Trajectory retargeting
 # ---------------------------------------------------------------------------
@@ -318,11 +310,19 @@ class RetargetedTrajectory:
         return [e for e in self.events if e[0] == "discontinuity"]
 
 
-def _frame_target(frame: dict, obj: ObjectModel):
-    """IK target for one recorded proxy frame."""
+def _frame_target(index: int, frame: dict, obj: ObjectModel):
+    """IK target for recorded proxy frame ``index``: the proxy position while
+    exploring, the attached grasp pose while interacting."""
     q = np.asarray(frame["object_q"], dtype=float)
     if frame["phase"] == int(Phase.INTERACTION):
-        pos, ang = grasp_point_world(obj, q, frame["attachment"])
+        attachment = frame["attachment"]
+        if not (isinstance(attachment, int)
+                and 0 <= attachment < len(obj.grasp_points)):
+            raise ConfigurationError(
+                f"frame {index}: interaction frame has attachment "
+                f"{attachment!r}, not a grasp index in "
+                f"[0, {len(obj.grasp_points)})")
+        pos, ang = grasp_point_world(obj, q, attachment)
         return pos, wrap_angle(ang)
     return np.asarray(frame["proxy_pos"], dtype=float), None
 
@@ -387,22 +387,12 @@ def retarget_trajectory(traj: dict, arm: ArmModel,
     last_phase = int(Phase.EXPLORATION)
     for idx, frame in enumerate(frames_in):
         phase = frame["phase"]
+        target, orientation = _frame_target(idx, frame, obj)
         if phase == int(Phase.INTERACTION) and last_phase == int(Phase.EXPLORATION):
             # transition: align with the grasp pose before tracking the object
-            snap_state = WorldState(
-                time_step=frame["t"],
-                proxy_pos=np.asarray(frame["proxy_pos"], dtype=float),
-                proxy_vel=np.zeros(2),
-                object_q=np.asarray(frame["object_q"], dtype=float),
-                object_qdot=np.zeros(len(frame["object_q"])),
-                phase=Phase.INTERACTION,
-                attachment=frame["attachment"],
-            )
-            pos, ang = snap_to_grasp(snap_state, obj)
-            q = solve(idx, pos, wrap_angle(ang))
+            q = solve(idx, target, orientation)
             out.phase_markers.append(len(out.joint_angles))
-            emit(frame["t"], q, pos, wrap_angle(ang), snap=True)
-        target, orientation = _frame_target(frame, obj)
+            emit(frame["t"], q, target, orientation, snap=True)
         q = solve(idx, target, orientation)
         emit(frame["t"], q, target, orientation)
         out.frames[-1]["object_q"] = list(frame["object_q"])

@@ -15,14 +15,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import env2d, numcore, render, reprlearn
+from . import env2d, numcore, render
 from .demogen import Clip, goal_marker, goal_state
-from .env2d import (OBS_PHASE_INDEX, Phase, ProxyAction, TaskSpec, WorldConfig,
+from .env2d import (OBS_PHASE_INDEX, ProxyAction, TaskSpec, WorldConfig,
                     WorldState)
 from .numcore import (AdamState, ConfigurationError, MlpNetwork, adam_init,
                       adam_step, backward_batch, clip_by_global_norm,
@@ -56,9 +56,6 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 class RewardConfig:
     alpha: float = 3.0
     beta_floor: float = 1e-6
-    # divide by beta itself instead of |beta| (the raw published form; with
-    # negative similarities it inverts the incentive, so it is off by default)
-    literal_denominator: bool = False
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -74,11 +71,12 @@ class GoalSpec:
 
 def shaped_reward_value(s_t: float, beta: float, cfg: RewardConfig) -> float:
     """Boosted-progress reward from a similarity value and the start-goal
-    baseline. Zero at the baseline; gains beyond it are amplified by alpha."""
+    baseline. Zero at the baseline; gains beyond it are amplified by alpha.
+    The progress is scaled by |beta|: similarities are negative, and dividing
+    by beta itself, as the published form reads, would reward regressions."""
     if abs(beta) < cfg.beta_floor:
         return 0.0
-    denom = beta if cfg.literal_denominator else abs(beta)
-    delta = (s_t - beta) / denom
+    delta = (s_t - beta) / abs(beta)
     boost = 1.0 + (cfg.alpha if delta > 0 else 0.0)
     return float(math.exp(boost * delta) - 1.0)
 
@@ -517,52 +515,14 @@ def ppo_update(policy: PolicyCheckpoint, batch: dict, ppo: PpoConfig,
 # Episodes, evaluation, the training loop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EpisodeResult:
-    success: bool
-    steps: int
-    final_state: WorldState
-    trajectory: dict | None = None
-
-
 def run_policy_episode(policy: PolicyCheckpoint, task: TaskSpec,
-                       config: WorldConfig, seed: int,
-                       record: bool = False) -> EpisodeResult:
-    """One deterministic-mean episode; optionally records the proxy trajectory
-    in the retargeting interchange format."""
-    state = env2d.reset(config, task, seed)
-    frames = []
-    events: list = []
-
-    def snap(s: WorldState):
-        frames.append({
-            "t": s.time_step,
-            "proxy_pos": [float(v) for v in s.proxy_pos],
-            "phase": int(s.phase),
-            "attachment": s.attachment,
-            "object_q": [float(v) for v in s.object_q],
-        })
-
-    if record:
-        snap(state)
-    for step_i in range(config.episode_horizon):
+                       config: WorldConfig, seed: int) -> env2d.Episode:
+    """One episode taking the deterministic mean action at every step."""
+    def act(state: WorldState) -> ProxyAction:
         obs = env2d.observe(state, task.object)
-        action = deterministic_action(policy, obs)
-        state, evs = env2d.step(state, to_proxy_action(action), config, task)
-        if record:
-            snap(state)
-            events.extend([list(e) for e in evs])
-        if env2d.is_success(state, task):
-            traj = None
-            if record:
-                traj = {"task": task.name, "success": True,
-                        "frames": frames, "events": events}
-            return EpisodeResult(True, step_i + 1, state, traj)
-    traj = None
-    if record:
-        traj = {"task": task.name, "success": False,
-                "frames": frames, "events": events}
-    return EpisodeResult(False, config.episode_horizon, state, traj)
+        return to_proxy_action(deterministic_action(policy, obs))
+
+    return env2d.run_episode(task, config, seed, act)
 
 
 def evaluate_policy(policy: PolicyCheckpoint, task: TaskSpec,

@@ -75,7 +75,7 @@ def _floats(a) -> list[float]:
 # Exact pins
 # ---------------------------------------------------------------------------
 
-DATASET_DIGEST = 'c5de69b211246ddada7c8b18478a087a0dd039159b860a8b7bb3647944c1c69b'
+DATASET_DIGEST = 'afb2a858726a7e3a23a83bb5ad1057ed9ea9db322e18784b88db210a4a997e69'
 
 ENV_EPISODE_DIGESTS = {'close-door/two_phase': '53fd7e92ab147003dce18ffe5b106ccbfd485381111651a8a5e4f26a6e42ae41',
  'close-door/flat': '83356ceb6914a78df2d530e9db032e984e5d65b148a97d0cb29f9ca478d7dcfd',
@@ -185,14 +185,8 @@ def test_env_episode_digests():
 
 def _record_expert(task, seed: int) -> dict:
     config = task.world_config(start_jitter=0.1)
-    rec = demogen.run_expert_episode(task, config, seed, noise_scale=0.05)
-    frames = [{"t": s.time_step,
-               "proxy_pos": [float(v) for v in s.proxy_pos],
-               "phase": int(s.phase),
-               "attachment": s.attachment,
-               "object_q": [float(v) for v in s.object_q]} for s in rec.states]
-    return {"task": task.name, "success": rec.success, "frames": frames,
-            "events": []}
+    episode = demogen.run_expert_episode(task, config, seed, noise_scale=0.05)
+    return env2d.trajectory_record(task, episode)
 
 
 def test_retargeted_expert_digests():

@@ -7,6 +7,7 @@ from proxymanip.render import (
     CAMERAS, FrameImage, ImageSpec, camera_spec, frame_filename, read_pgm,
     render as draw, world_to_pixel, write_pgm,
 )
+from proxymanip.numcore import ConfigurationError
 
 
 @pytest.fixture
@@ -116,6 +117,18 @@ class TestPgm:
         path = tmp_path / "f.pgm"
         write_pgm(path, img)
         assert path.read_bytes().startswith(b"P5\n6 4\n255\n")
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"P5\n6 4\n255\n" + bytes(23), "truncated raster: 23 bytes"),
+        (b"P5\n6 4\n255\n" + bytes(25), "trailing bytes after raster: 25 bytes"),
+        (b"P5\n6 x4\n255\n" + bytes(24), "field 2 of 3 is 'x4', not an integer"),
+        (b"P5\n6 4\n", "field 3 of 3 is '', not an integer"),
+    ])
+    def test_rejects_malformed_file_naming_path(self, tmp_path, raw, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigurationError, match=f"bad.pgm: .*{message}"):
+            read_pgm(path)
 
     def test_filename_pattern(self):
         assert frame_filename(7) == "frame_000007.pgm"

@@ -5,10 +5,11 @@ import pytest
 
 from proxymanip import demogen, env2d, retarget
 from proxymanip.env2d import Phase, builtin_catalogue, get_task
+from proxymanip.numcore import ConfigurationError
 from proxymanip.retarget import (
     ArmModel, IkConvergenceError, InfeasiblePoseError, OutOfReachError,
     default_arm, feasibility_margin, forward_kinematics, inverse_kinematics,
-    replay_retargeted, retarget_trajectory, snap_to_grasp,
+    replay_retargeted, retarget_trajectory,
 )
 
 TWO_LINK = ArmModel(base_position=(0.0, 0.0), link_lengths=(1.0, 1.0),
@@ -144,31 +145,45 @@ class TestInfeasiblePose:
 
 
 class TestSnapToGrasp:
+    """The IK target of a recorded frame. The first interaction frame's
+    target is the grasp pose the end effector snaps to."""
+
+    @staticmethod
+    def target(task, state, index=0):
+        return retarget._frame_target(index, env2d.state_record(state, task.object),
+                                      task.object)
+
     def test_drawer_handle_direct_read(self):
         task = get_task("open-drawer")
-        cfg = task.world_config()
-        s = env2d.reset(cfg, task, seed=0)
+        s = env2d.reset(task.world_config(), task, seed=0)
         s.phase = Phase.INTERACTION
         s.attachment = 0
-        pos, ang = snap_to_grasp(s, task.object)
+        pos, ang = self.target(task, s)
         assert np.allclose(pos, [-0.04, 0.0])
         assert ang == 0.0
 
     def test_door_grasp_rotates_with_door(self):
         task = get_task("open-door")
-        cfg = task.world_config()
-        s = env2d.reset(cfg, task, seed=0)
+        s = env2d.reset(task.world_config(), task, seed=0)
         s.phase = Phase.INTERACTION
         s.attachment = 0
         s.object_q = np.array([0.7])
-        _, ang = snap_to_grasp(s, task.object)
+        _, ang = self.target(task, s)
         assert ang == pytest.approx(task.object.grasp_points[0].angle + 0.7)
 
     def test_missing_attachment_fatal(self):
         task = get_task("open-drawer")
         s = env2d.reset(task.world_config(), task, seed=0)
-        with pytest.raises(Exception):
-            snap_to_grasp(s, task.object)
+        s.phase = Phase.INTERACTION
+        with pytest.raises(ConfigurationError, match="frame 7: .*None"):
+            self.target(task, s, index=7)
+
+    def test_exploration_frame_targets_proxy_without_orientation(self):
+        task = get_task("open-drawer")
+        s = env2d.reset(task.world_config(), task, seed=0)
+        pos, ang = self.target(task, s)
+        assert np.array_equal(pos, s.proxy_pos)
+        assert ang is None
 
     def test_attachment_index_consistency(self):
         task = get_task("move-box")
@@ -177,26 +192,27 @@ class TestSnapToGrasp:
         s.proxy_pos = np.array([0.12, 0.0])  # nearest to grasp point 1
         s2 = env2d.check_phase_transition(s, task.object, cfg)
         assert s2.attachment == 1
-        pos, _ = snap_to_grasp(s2, task.object)
+        pos, _ = self.target(task, s2)
         expected, _ = env2d.grasp_point_world(task.object, s2.object_q, 1)
         assert np.allclose(pos, expected)
+
+    @pytest.mark.parametrize("attachment", [None, 5, -1])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_bad_attachment_names_frame(self, attachment, first):
+        # the first interaction frame is the snap; a later one is tracked
+        task, traj = expert_trajectory("open-drawer")
+        start = next(i for i, f in enumerate(traj["frames"])
+                     if f["phase"] == int(Phase.INTERACTION))
+        index = start if first else start + 3
+        traj["frames"][index]["attachment"] = attachment
+        with pytest.raises(ConfigurationError, match=rf"^frame {index}: .*attachment"):
+            retarget_trajectory(traj, default_arm(), task.object)
 
 
 def expert_trajectory(task_name, seed=0):
     task = get_task(task_name)
-    cfg = task.world_config()
-    rec = demogen.run_expert_episode(task, cfg, seed=seed)
-    frames = []
-    for s in rec.states:
-        frames.append({
-            "t": s.time_step,
-            "proxy_pos": [float(v) for v in s.proxy_pos],
-            "phase": int(s.phase),
-            "attachment": s.attachment,
-            "object_q": [float(v) for v in s.object_q],
-        })
-    return task, {"task": task.name, "success": True, "frames": frames,
-                  "events": []}
+    episode = demogen.run_expert_episode(task, task.world_config(), seed=seed)
+    return task, env2d.trajectory_record(task, episode)
 
 
 class TestRetargetTrajectory:
