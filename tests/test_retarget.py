@@ -155,7 +155,8 @@ class TestSnapToGrasp:
 
     def test_drawer_handle_direct_read(self):
         task = get_task("open-drawer")
-        s = env2d.reset(task.world_config(), task, seed=0)
+        cfg = task.world_config()
+        s = env2d.reset(cfg, task, seed=0)
         s.phase = Phase.INTERACTION
         s.attachment = 0
         pos, ang = self.target(task, s)
@@ -164,7 +165,8 @@ class TestSnapToGrasp:
 
     def test_door_grasp_rotates_with_door(self):
         task = get_task("open-door")
-        s = env2d.reset(task.world_config(), task, seed=0)
+        cfg = task.world_config()
+        s = env2d.reset(cfg, task, seed=0)
         s.phase = Phase.INTERACTION
         s.attachment = 0
         s.object_q = np.array([0.7])
@@ -177,13 +179,6 @@ class TestSnapToGrasp:
         s.phase = Phase.INTERACTION
         with pytest.raises(ConfigurationError, match="frame 7: .*None"):
             self.target(task, s, index=7)
-
-    def test_exploration_frame_targets_proxy_without_orientation(self):
-        task = get_task("open-drawer")
-        s = env2d.reset(task.world_config(), task, seed=0)
-        pos, ang = self.target(task, s)
-        assert np.array_equal(pos, s.proxy_pos)
-        assert ang is None
 
     def test_attachment_index_consistency(self):
         task = get_task("move-box")
