@@ -56,6 +56,16 @@ class WorldConfig:
             raise ConfigurationError("dt must be positive")
         if not (self.interact_radius > self.proxy_radius > 0):
             raise ConfigurationError("need interact_radius > proxy_radius > 0")
+        for name in ("proxy_mass", "arena_half"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(
+                    f"{name} must be positive, got {getattr(self, name)}")
+        if not self.force_max >= 0:
+            raise ConfigurationError(
+                f"force_max must be non-negative, got {self.force_max}")
+        if self.episode_horizon < 1:
+            raise ConfigurationError(
+                f"episode_horizon must be at least 1, got {self.episode_horizon}")
 
 
 @dataclass(frozen=True)
@@ -142,37 +152,123 @@ class ProxyAction:
         return ProxyAction((0.0, 0.0), (0.0, 0.0))
 
 
-def _rot(theta: float) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# Geometry
+#
+# Every formula computes on Python floats: a configuration ``q`` is a list of
+# floats and a point an (x, y) pair. On 2-vectors numpy's call overhead costs
+# far more than the arithmetic, and a float product rounds the same on every
+# CPU, where a BLAS 2x2 product may fuse a multiply-add. The public helpers
+# below take and return arrays and only convert around these cores.
+# ---------------------------------------------------------------------------
+
+def _floats(v) -> list[float]:
+    return np.asarray(v, dtype=float).tolist()
+
+
+def _finite(*values: float) -> bool:
+    return all(map(math.isfinite, values))
+
+
+def _rotate(c: float, s: float, x: float, y: float) -> tuple[float, float]:
+    """(x, y) rotated by the angle whose cosine and sine are ``c``, ``s``."""
+    return c * x - s * y, s * x + c * y
+
+
+def _frame(obj: ObjectModel, q: list[float]) -> tuple[float, float, float]:
+    """World origin (x, y) of the object frame and its rotation."""
+    if obj.kind == PRISMATIC:
+        return (obj.origin[0] + obj.axis[0] * q[0],
+                obj.origin[1] + obj.axis[1] * q[0], 0.0)
+    if obj.kind == REVOLUTE:
+        return float(obj.origin[0]), float(obj.origin[1]), q[0]
+    return q[0], q[1], q[2]
+
+
+def _rect_center(obj: ObjectModel, q: list[float]) -> tuple[float, float, float]:
+    """World center (x, y) and rotation of the drawn/collided rectangle."""
+    x, y, theta = _frame(obj, q)
+    if obj.kind == REVOLUTE:
+        # leaf extends from the pivot along local +x
+        dx, dy = _rotate(math.cos(theta), math.sin(theta), obj.extents[0] / 2.0, 0.0)
+        return x + dx, y + dy, theta
+    return x, y, theta
+
+
+def _grasp_world(obj: ObjectModel, q: list[float],
+                 index: int) -> tuple[float, float, float]:
+    """World position (x, y) and gripper angle of grasp point ``index``."""
+    gp = obj.grasp_points[index]
+    x, y, theta = _frame(obj, q)
+    if obj.kind == PRISMATIC:
+        return x + gp.position[0], y + gp.position[1], gp.angle
+    dx, dy = _rotate(math.cos(theta), math.sin(theta), *gp.position)
+    return x + dx, y + dy, gp.angle + theta
+
+
+def _closest_on_rect(px: float, py: float, cx: float, cy: float, theta: float,
+                     extents: tuple[float, float]) -> tuple[float, ...]:
+    """Closest point (x, y) of the rectangle to (px, py), the outward normal
+    (x, y) there and the distance; a point inside resolves to the nearest
+    face, at negative distance."""
+    hw, hh = extents[0] / 2.0, extents[1] / 2.0
     c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    lx, ly = _rotate(c, -s, px - cx, py - cy)
+    kx = min(max(lx, -hw), hw)
+    ky = min(max(ly, -hh), hh)
+    if kx != lx or ky != ly:
+        ex, ey = lx - kx, ly - ky
+        dist = math.hypot(ex, ey)
+        nx, ny = ex / dist, ey / dist
+    else:
+        # inside: exit through the nearest face
+        ex, ey = hw - abs(lx), hh - abs(ly)
+        if ex <= ey:
+            nx, ny = (1.0 if lx >= 0 else -1.0), 0.0
+            kx, dist = nx * hw, -ex
+        else:
+            nx, ny = 0.0, (1.0 if ly >= 0 else -1.0)
+            ky, dist = ny * hh, -ey
+    wx, wy = _rotate(c, s, kx, ky)
+    nx, ny = _rotate(c, s, nx, ny)
+    return cx + wx, cy + wy, nx, ny, dist
+
+
+def _nearest_grasp(obj: ObjectModel, q: list[float], px: float,
+                   py: float) -> tuple[int, float]:
+    best, best_d = 0, math.inf
+    for i in range(len(obj.grasp_points)):
+        gx, gy, _ = _grasp_world(obj, q, i)
+        d = math.hypot(px - gx, py - gy)
+        if d < best_d:
+            best, best_d = i, d
+    return best, best_d
+
+
+def _attach_index(obj: ObjectModel, config: WorldConfig, q: list[float],
+                  px: float, py: float) -> int | None:
+    """The grasp point a proxy at (px, py) attaches to, or None outside
+    every interactable ball."""
+    index, dist = _nearest_grasp(obj, q, px, py)
+    return index if dist <= config.interact_radius else None
 
 
 def object_frame(obj: ObjectModel, q: np.ndarray) -> tuple[np.ndarray, float]:
     """World position of the object frame origin and its rotation."""
-    if obj.kind == PRISMATIC:
-        return np.asarray(obj.origin) + np.asarray(obj.axis) * q[0], 0.0
-    if obj.kind == REVOLUTE:
-        return np.asarray(obj.origin, dtype=float), float(q[0])
-    return np.array([q[0], q[1]]), float(q[2])
+    x, y, theta = _frame(obj, _floats(q))
+    return np.array([x, y]), theta
 
 
 def rect_center(obj: ObjectModel, q: np.ndarray) -> tuple[np.ndarray, float]:
     """World center and rotation of the drawn/collided rectangle."""
-    origin, theta = object_frame(obj, q)
-    if obj.kind == REVOLUTE:
-        # leaf extends from the pivot along local +x
-        local_center = np.array([obj.extents[0] / 2.0, 0.0])
-        return origin + _rot(theta) @ local_center, theta
-    return origin, theta
+    x, y, theta = _rect_center(obj, _floats(q))
+    return np.array([x, y]), theta
 
 
 def grasp_point_world(obj: ObjectModel, q: np.ndarray, index: int) -> tuple[np.ndarray, float]:
     """World position and gripper angle of grasp point ``index``."""
-    gp = obj.grasp_points[index]
-    origin, theta = object_frame(obj, q)
-    if obj.kind == PRISMATIC:
-        return origin + np.asarray(gp.position), gp.angle
-    return origin + _rot(theta) @ np.asarray(gp.position), gp.angle + theta
+    x, y, angle = _grasp_world(obj, _floats(q), index)
+    return np.array([x, y]), angle
 
 
 def closest_point_on_rect(point: np.ndarray, center: np.ndarray, theta: float,
@@ -182,32 +278,9 @@ def closest_point_on_rect(point: np.ndarray, center: np.ndarray, theta: float,
     Points inside the rectangle are resolved to the nearest face (negative
     distance reported).
     """
-    hw, hh = extents[0] / 2.0, extents[1] / 2.0
-    rot = _rot(theta)
-    local = rot.T @ (point - center)
-    lx, ly = float(local[0]), float(local[1])
-    cx = min(max(lx, -hw), hw)
-    cy = min(max(ly, -hh), hh)
-    if cx != lx or cy != ly:
-        closest_local = np.array([cx, cy])
-        delta = local - closest_local
-        dist = float(np.hypot(delta[0], delta[1]))
-        normal_local = delta / dist
-    else:
-        # inside: exit through the nearest face
-        dx = hw - abs(lx)
-        dy = hh - abs(ly)
-        if dx <= dy:
-            sx = 1.0 if lx >= 0 else -1.0
-            closest_local = np.array([sx * hw, ly])
-            normal_local = np.array([sx, 0.0])
-            dist = -dx
-        else:
-            sy = 1.0 if ly >= 0 else -1.0
-            closest_local = np.array([lx, sy * hh])
-            normal_local = np.array([0.0, sy])
-            dist = -dy
-    return center + rot @ closest_local, rot @ normal_local, dist
+    x, y, nx, ny, dist = _closest_on_rect(*_floats(point), *_floats(center),
+                                          float(theta), extents)
+    return np.array([x, y]), np.array([nx, ny]), dist
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +320,7 @@ def nearest_grasp(obj: ObjectModel, q: np.ndarray,
                   point: np.ndarray) -> tuple[int, float]:
     """Index of the grasp point nearest to a world ``point`` at object
     configuration ``q``, and its distance; ties go to the lowest index."""
-    best, best_d = 0, math.inf
-    for i in range(len(obj.grasp_points)):
-        gp, _ = grasp_point_world(obj, q, i)
-        d = float(np.hypot(*(point - gp)))
-        if d < best_d:
-            best, best_d = i, d
-    return best, best_d
+    return _nearest_grasp(obj, _floats(q), *_floats(point))
 
 
 def check_phase_transition(state: WorldState, obj: ObjectModel,
@@ -262,8 +329,9 @@ def check_phase_transition(state: WorldState, obj: ObjectModel,
     grasp point; the nearest one attaches (see :func:`nearest_grasp`)."""
     if state.phase != Phase.EXPLORATION or not config.two_phase:
         return state
-    index, dist = nearest_grasp(obj, state.object_q, state.proxy_pos)
-    if dist > config.interact_radius:
+    index = _attach_index(obj, config, _floats(state.object_q),
+                          *_floats(state.proxy_pos))
+    if index is None:
         return state
     out = state.copy()
     out.phase = Phase.INTERACTION
@@ -271,42 +339,43 @@ def check_phase_transition(state: WorldState, obj: ObjectModel,
     return out
 
 
-def _clamp_action(action: ProxyAction, config: WorldConfig) -> tuple[np.ndarray, np.ndarray]:
-    a_p = np.clip(np.asarray(action.desired_pos, dtype=float),
-                  -config.arena_half, config.arena_half)
-    a_f = np.clip(np.asarray(action.force, dtype=float),
-                  -config.force_max, config.force_max)
-    return a_p, a_f
+def _clamp(v: float, bound: float) -> float:
+    """``v`` limited to [-bound, bound]; a NaN passes through."""
+    return -bound if v < -bound else bound if v > bound else v
 
 
-def _object_free_dynamics(state: WorldState, obj: ObjectModel, config: WorldConfig,
-                          gen_force: float | np.ndarray,
-                          events: list) -> tuple[np.ndarray, np.ndarray]:
+def _clamp_action(action: ProxyAction,
+                  config: WorldConfig) -> tuple[float, float, float, float]:
+    """Desired position (x, y) and force (x, y), each bounded per axis."""
+    (px, py), (fx, fy) = action.desired_pos, action.force
+    arena, force = config.arena_half, config.force_max
+    return (_clamp(float(px), arena), _clamp(float(py), arena),
+            _clamp(float(fx), force), _clamp(float(fy), force))
+
+
+def _object_free_dynamics(obj: ObjectModel, config: WorldConfig, q: list[float],
+                          qd: list[float], gen_force: tuple[float, ...],
+                          events: list) -> tuple[list[float], list[float]]:
     """Integrate the object's DOFs one step under a generalized force, then
     clamp each bounded coordinate to its limits."""
     dt = config.dt
     damping = config.object_damping + obj.friction
-    q = state.object_q
-    qd = state.object_qdot
     if obj.kind == FREE_BODY:
         m = obj.inertia
-        lin_acc = (np.asarray(gen_force, dtype=float)
-                   + m * np.asarray(config.gravity)
-                   - damping * qd[:2]) / m
+        gx, gy = config.gravity
         # grasps are rigid and desk objects sit on a surface, so rotation only
         # ever decays; the viscous scale matches the linear one
-        ang_acc = -(damping / m) * qd[2]
-        qd_new = qd + dt * np.array([lin_acc[0], lin_acc[1], ang_acc])
-        (xlo, xhi), (ylo, yhi) = obj.limits
-        bounds = ((0, xlo, xhi), (1, ylo, yhi))
+        acc = ((gen_force[0] + m * gx - damping * qd[0]) / m,
+               (gen_force[1] + m * gy - damping * qd[1]) / m,
+               -(damping / m) * qd[2])
+        bounds = obj.limits
     else:
         # articulated: scalar joint
-        acc = (float(gen_force) - damping * qd[0]) / obj.inertia
-        qd_new = qd + dt * np.array([acc])
-        lo, hi = obj.limits
-        bounds = ((0, lo, hi),)
-    q_new = q + dt * qd_new
-    for axis, lo, hi in bounds:
+        acc = ((gen_force[0] - damping * qd[0]) / obj.inertia,)
+        bounds = (obj.limits,)
+    qd_new = [v + dt * a for v, a in zip(qd, acc)]
+    q_new = [v + dt * w for v, w in zip(q, qd_new)]
+    for axis, (lo, hi) in enumerate(bounds):
         if q_new[axis] < lo:
             q_new[axis] = lo
             if qd_new[axis] < 0:
@@ -320,20 +389,21 @@ def _object_free_dynamics(state: WorldState, obj: ObjectModel, config: WorldConf
     return q_new, qd_new
 
 
-def _generalized_force(obj: ObjectModel, at_point: np.ndarray,
-                       force: np.ndarray) -> float | np.ndarray:
-    """Map a world-frame force applied at a world point onto the object DOFs.
+def _generalized_force(obj: ObjectModel, px: float, py: float, fx: float,
+                       fy: float) -> tuple[float, ...]:
+    """Map a world-frame force (fx, fy) applied at a world point (px, py)
+    onto the object DOFs.
 
     Free bodies take the force directly (no induced spin, see
     _object_free_dynamics); prismatic joints project onto the axis; revolute
     joints take the scalar cross product with the pivot arm.
     """
     if obj.kind == PRISMATIC:
-        return float(np.dot(np.asarray(obj.axis), force))
+        return (obj.axis[0] * fx + obj.axis[1] * fy,)
     if obj.kind == REVOLUTE:
-        r = at_point - np.asarray(obj.origin)
-        return float(r[0] * force[1] - r[1] * force[0])
-    return force
+        rx, ry = px - obj.origin[0], py - obj.origin[1]
+        return (rx * fy - ry * fx,)
+    return fx, fy
 
 
 def step(state: WorldState, action: ProxyAction, config: WorldConfig,
@@ -341,61 +411,59 @@ def step(state: WorldState, action: ProxyAction, config: WorldConfig,
     """Advance the world by one dt. Returns (next_state, events); events list
     phase transitions, joint-limit hits, and proxy-object contacts."""
     obj = task.object
-    if not np.all(np.isfinite(state.proxy_pos)) or not np.all(np.isfinite(state.object_q)):
+    px, py = state.proxy_pos.tolist()
+    vx, vy = state.proxy_vel.tolist()
+    q, qd = state.object_q.tolist(), state.object_qdot.tolist()
+    if not _finite(px, py, *q):
         raise FloatingPointError(
             f"non-finite state at step {state.time_step}: "
             f"proxy={state.proxy_pos}, q={state.object_q}")
-    a_p, a_f = _clamp_action(action, config)
+    apx, apy, afx, afy = _clamp_action(action, config)
     events: list = []
     dt = config.dt
-    nxt = state.copy()
+    phase, attachment = state.phase, state.attachment
 
-    if state.phase == Phase.INTERACTION:
-        gp_old, _ = grasp_point_world(obj, state.object_q, state.attachment)
-        gen_force = _generalized_force(obj, gp_old, a_f)
-        nxt.object_q, nxt.object_qdot = _object_free_dynamics(
-            state, obj, config, gen_force, events)
-        gp_new, _ = grasp_point_world(obj, nxt.object_q, state.attachment)
-        nxt.proxy_pos = gp_new
-        nxt.proxy_vel = (gp_new - state.proxy_pos) / dt
+    if phase == Phase.INTERACTION:
+        gx, gy, _ = _grasp_world(obj, q, attachment)
+        q, qd = _object_free_dynamics(
+            obj, config, q, qd, _generalized_force(obj, gx, gy, afx, afy), events)
+        gx, gy, _ = _grasp_world(obj, q, attachment)
+        vx, vy = (gx - px) / dt, (gy - py) / dt
+        px, py = gx, gy
     else:
         # PD toward the desired position, then contact against the rectangle
-        force = (config.pd_kp * (a_p - state.proxy_pos)
-                 - config.pd_kd * state.proxy_vel
-                 - config.proxy_damping * state.proxy_vel)
-        vel = state.proxy_vel + dt * force / config.proxy_mass
-        pos = state.proxy_pos + dt * vel
+        fx = config.pd_kp * (apx - px) - config.pd_kd * vx - config.proxy_damping * vx
+        fy = config.pd_kp * (apy - py) - config.pd_kd * vy - config.proxy_damping * vy
+        vx, vy = vx + dt * fx / config.proxy_mass, vy + dt * fy / config.proxy_mass
+        px, py = px + dt * vx, py + dt * vy
 
-        center, theta = rect_center(obj, state.object_q)
-        closest, normal, dist = closest_point_on_rect(pos, center, theta, obj.extents)
+        cx, cy, theta = _rect_center(obj, q)
+        kx, ky, nx, ny, dist = _closest_on_rect(px, py, cx, cy, theta, obj.extents)
         in_contact = dist < config.proxy_radius
         if in_contact:
-            pos = closest + normal * config.proxy_radius
-            vn = float(np.dot(vel, normal))
+            px, py = kx + nx * config.proxy_radius, ky + ny * config.proxy_radius
+            vn = vx * nx + vy * ny
             if vn < 0.0:
-                vel = vel - vn * normal
+                vx, vy = vx - vn * nx, vy - vn * ny
             events.append(("contact",))
-        nxt.proxy_pos = pos
-        nxt.proxy_vel = vel
 
-        gen_force: float | np.ndarray = np.zeros(2) if obj.kind == FREE_BODY else 0.0
+        gen_force = (0.0, 0.0) if obj.kind == FREE_BODY else (0.0,)
         if not config.two_phase and in_contact:
             # flat-action ablation: intended force transmits while touching
-            gen_force = _generalized_force(obj, closest, a_f)
-        nxt.object_q, nxt.object_qdot = _object_free_dynamics(
-            state, obj, config, gen_force, events)
+            gen_force = _generalized_force(obj, kx, ky, afx, afy)
+        q, qd = _object_free_dynamics(obj, config, q, qd, gen_force, events)
+        if config.two_phase:
+            index = _attach_index(obj, config, q, px, py)
+            if index is not None:
+                phase, attachment = Phase.INTERACTION, index
+                events.append(("phase_transition", index))
 
-    nxt.time_step = state.time_step + 1
-    if nxt.phase == Phase.EXPLORATION and config.two_phase:
-        after = check_phase_transition(nxt, obj, config)
-        if after.phase == Phase.INTERACTION:
-            events.append(("phase_transition", after.attachment))
-            nxt = after
-    if not np.all(np.isfinite(nxt.proxy_pos)) or not np.all(np.isfinite(nxt.object_q)):
+    if not _finite(px, py, *q):
         raise FloatingPointError(
-            f"step produced non-finite state at t={nxt.time_step}: "
-            f"proxy={nxt.proxy_pos}, vel={nxt.proxy_vel}, q={nxt.object_q}")
-    return nxt, events
+            f"step produced non-finite state at t={state.time_step + 1}: "
+            f"proxy={[px, py]}, vel={[vx, vy]}, q={q}")
+    return WorldState(state.time_step + 1, np.array([px, py]), np.array([vx, vy]),
+                      np.array(q), np.array(qd), phase, attachment), events
 
 
 def observe(state: WorldState, obj: ObjectModel) -> np.ndarray:
@@ -414,11 +482,10 @@ def observe(state: WorldState, obj: ObjectModel) -> np.ndarray:
 
 
 def is_success(state: WorldState, task: TaskSpec) -> bool:
+    q, target = _floats(state.object_q), task.target_q
     if task.object.kind == FREE_BODY:
-        err = np.hypot(state.object_q[0] - task.target_q[0],
-                       state.object_q[1] - task.target_q[1])
-        return bool(err <= task.tolerance)
-    return bool(abs(state.object_q[0] - task.target_q[0]) <= task.tolerance)
+        return math.hypot(q[0] - target[0], q[1] - target[1]) <= task.tolerance
+    return abs(q[0] - target[0]) <= task.tolerance
 
 
 @dataclass

@@ -81,11 +81,6 @@ def shaped_reward_value(s_t: float, beta: float, cfg: RewardConfig) -> float:
     return float(math.exp(boost * delta) - 1.0)
 
 
-def shaped_reward(z_t: np.ndarray, goal: GoalSpec, cfg: RewardConfig) -> float:
-    return shaped_reward_value(similarity(z_t, goal.goal_embedding),
-                               goal.beta, cfg)
-
-
 def make_goal(task: TaskSpec, camera_id: str, encoder: Encoder) -> GoalSpec:
     """Agent-masked render of the task's target state and its embedding.
     ``beta`` stays 0.0 here: the start-goal baseline belongs to each env slot
@@ -259,6 +254,10 @@ class PpoConfig:
             raise ConfigurationError("gamma must be in (0, 1]")
         if self.clip_ratio <= 0:
             raise ConfigurationError("clip_ratio must be positive")
+        for name in ("epochs", "minibatch_size", "rollout_envs", "horizon"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -527,6 +526,8 @@ def run_policy_episode(policy: PolicyCheckpoint, task: TaskSpec,
 
 def evaluate_policy(policy: PolicyCheckpoint, task: TaskSpec,
                     config: WorldConfig, seed: int, episodes: int) -> float:
+    if episodes < 1:
+        raise ConfigurationError(f"episodes must be at least 1, got {episodes}")
     wins = 0
     for ep in range(episodes):
         res = run_policy_episode(policy, task, config,

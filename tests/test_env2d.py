@@ -10,6 +10,7 @@ from proxymanip.env2d import (
     get_task, grasp_point_world, is_success, kinetic_energy, nearest_grasp,
     observe, reset, step,
 )
+from proxymanip.numcore import ConfigurationError
 
 
 @pytest.fixture
@@ -158,7 +159,7 @@ class TestNearestGrasp:
 
     @staticmethod
     def _distances(obj, q, point):
-        return [float(np.hypot(*(point - grasp_point_world(obj, q, i)[0])))
+        return [math.hypot(*(point - grasp_point_world(obj, q, i)[0]))
                 for i in range(len(obj.grasp_points))]
 
     def test_tie_goes_to_lowest_index(self):
@@ -319,6 +320,23 @@ class TestInvariants:
         assert run() == run()
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("proxy_mass", 0.0), ("proxy_mass", -1.0), ("arena_half", 0.0),
+        ("arena_half", -0.5), ("force_max", -1.0), ("episode_horizon", 0),
+    ])
+    def test_rejects_naming_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            WorldConfig(**{field: value})
+
+    def test_least_valid_values_accepted(self, drawer):
+        cfg = WorldConfig(force_max=0.0, episode_horizon=1, proxy_mass=1e-3,
+                          arena_half=1e-3)
+        s, _ = step(reset(cfg, drawer, seed=0),
+                    ProxyAction((1.0, 1.0), (5.0, 5.0)), cfg, drawer)
+        assert s.time_step == 1
+
+
 class TestCatalogueIO:
     def test_round_trip(self, tmp_path):
         cat = builtin_catalogue()
@@ -332,6 +350,259 @@ class TestCatalogueIO:
     def test_unknown_task_rejected(self):
         with pytest.raises(Exception):
             get_task("juggle-swords")
+
+
+# ---------------------------------------------------------------------------
+# Numpy oracle: the step as it was before it moved to Python floats, each
+# 2-vector an array and each rotation a 2x2 matrix product.
+# ---------------------------------------------------------------------------
+
+def _np_rot(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def _np_object_frame(obj, q):
+    if obj.kind == env2d.PRISMATIC:
+        return np.asarray(obj.origin) + np.asarray(obj.axis) * q[0], 0.0
+    if obj.kind == env2d.REVOLUTE:
+        return np.asarray(obj.origin, dtype=float), float(q[0])
+    return np.array([q[0], q[1]]), float(q[2])
+
+
+def _np_rect_center(obj, q):
+    origin, theta = _np_object_frame(obj, q)
+    if obj.kind == env2d.REVOLUTE:
+        return origin + _np_rot(theta) @ np.array([obj.extents[0] / 2.0, 0.0]), theta
+    return origin, theta
+
+
+def _np_grasp_point_world(obj, q, index):
+    gp = obj.grasp_points[index]
+    origin, theta = _np_object_frame(obj, q)
+    if obj.kind == env2d.PRISMATIC:
+        return origin + np.asarray(gp.position), gp.angle
+    return origin + _np_rot(theta) @ np.asarray(gp.position), gp.angle + theta
+
+
+def _np_closest_point_on_rect(point, center, theta, extents):
+    hw, hh = extents[0] / 2.0, extents[1] / 2.0
+    rot = _np_rot(theta)
+    local = rot.T @ (point - center)
+    lx, ly = float(local[0]), float(local[1])
+    cx = min(max(lx, -hw), hw)
+    cy = min(max(ly, -hh), hh)
+    if cx != lx or cy != ly:
+        closest_local = np.array([cx, cy])
+        delta = local - closest_local
+        dist = float(np.hypot(delta[0], delta[1]))
+        normal_local = delta / dist
+    else:
+        dx = hw - abs(lx)
+        dy = hh - abs(ly)
+        if dx <= dy:
+            sx = 1.0 if lx >= 0 else -1.0
+            closest_local = np.array([sx * hw, ly])
+            normal_local = np.array([sx, 0.0])
+            dist = -dx
+        else:
+            sy = 1.0 if ly >= 0 else -1.0
+            closest_local = np.array([lx, sy * hh])
+            normal_local = np.array([0.0, sy])
+            dist = -dy
+    return center + rot @ closest_local, rot @ normal_local, dist
+
+
+def _np_nearest_grasp(obj, q, point):
+    best, best_d = 0, math.inf
+    for i in range(len(obj.grasp_points)):
+        gp, _ = _np_grasp_point_world(obj, q, i)
+        d = float(np.hypot(*(point - gp)))
+        if d < best_d:
+            best, best_d = i, d
+    return best, best_d
+
+
+def _np_object_free_dynamics(state, obj, config, gen_force, events):
+    dt = config.dt
+    damping = config.object_damping + obj.friction
+    q = state.object_q
+    qd = state.object_qdot
+    if obj.kind == env2d.FREE_BODY:
+        m = obj.inertia
+        lin_acc = (np.asarray(gen_force, dtype=float)
+                   + m * np.asarray(config.gravity)
+                   - damping * qd[:2]) / m
+        ang_acc = -(damping / m) * qd[2]
+        qd_new = qd + dt * np.array([lin_acc[0], lin_acc[1], ang_acc])
+        (xlo, xhi), (ylo, yhi) = obj.limits
+        bounds = ((0, xlo, xhi), (1, ylo, yhi))
+    else:
+        acc = (float(gen_force) - damping * qd[0]) / obj.inertia
+        qd_new = qd + dt * np.array([acc])
+        lo, hi = obj.limits
+        bounds = ((0, lo, hi),)
+    q_new = q + dt * qd_new
+    for axis, lo, hi in bounds:
+        if q_new[axis] < lo:
+            q_new[axis] = lo
+            if qd_new[axis] < 0:
+                qd_new[axis] = 0.0
+            events.append(("limit_hit", axis, "lo"))
+        elif q_new[axis] > hi:
+            q_new[axis] = hi
+            if qd_new[axis] > 0:
+                qd_new[axis] = 0.0
+            events.append(("limit_hit", axis, "hi"))
+    return q_new, qd_new
+
+
+def _np_generalized_force(obj, at_point, force):
+    if obj.kind == env2d.PRISMATIC:
+        return float(np.dot(np.asarray(obj.axis), force))
+    if obj.kind == env2d.REVOLUTE:
+        r = at_point - np.asarray(obj.origin)
+        return float(r[0] * force[1] - r[1] * force[0])
+    return force
+
+
+def numpy_step(state, action, config, task):
+    obj = task.object
+    if not np.all(np.isfinite(state.proxy_pos)) or not np.all(np.isfinite(state.object_q)):
+        raise FloatingPointError("non-finite state")
+    a_p = np.clip(np.asarray(action.desired_pos, dtype=float),
+                  -config.arena_half, config.arena_half)
+    a_f = np.clip(np.asarray(action.force, dtype=float),
+                  -config.force_max, config.force_max)
+    events = []
+    dt = config.dt
+    nxt = state.copy()
+    if state.phase == Phase.INTERACTION:
+        gp_old, _ = _np_grasp_point_world(obj, state.object_q, state.attachment)
+        gen_force = _np_generalized_force(obj, gp_old, a_f)
+        nxt.object_q, nxt.object_qdot = _np_object_free_dynamics(
+            state, obj, config, gen_force, events)
+        gp_new, _ = _np_grasp_point_world(obj, nxt.object_q, state.attachment)
+        nxt.proxy_pos = gp_new
+        nxt.proxy_vel = (gp_new - state.proxy_pos) / dt
+    else:
+        force = (config.pd_kp * (a_p - state.proxy_pos)
+                 - config.pd_kd * state.proxy_vel
+                 - config.proxy_damping * state.proxy_vel)
+        vel = state.proxy_vel + dt * force / config.proxy_mass
+        pos = state.proxy_pos + dt * vel
+        center, theta = _np_rect_center(obj, state.object_q)
+        closest, normal, dist = _np_closest_point_on_rect(pos, center, theta, obj.extents)
+        in_contact = dist < config.proxy_radius
+        if in_contact:
+            pos = closest + normal * config.proxy_radius
+            vn = float(np.dot(vel, normal))
+            if vn < 0.0:
+                vel = vel - vn * normal
+            events.append(("contact",))
+        nxt.proxy_pos = pos
+        nxt.proxy_vel = vel
+        gen_force = np.zeros(2) if obj.kind == env2d.FREE_BODY else 0.0
+        if not config.two_phase and in_contact:
+            gen_force = _np_generalized_force(obj, closest, a_f)
+        nxt.object_q, nxt.object_qdot = _np_object_free_dynamics(
+            state, obj, config, gen_force, events)
+    nxt.time_step = state.time_step + 1
+    if nxt.phase == Phase.EXPLORATION and config.two_phase:
+        index, dist = _np_nearest_grasp(obj, nxt.object_q, nxt.proxy_pos)
+        if dist <= config.interact_radius:
+            nxt.phase = Phase.INTERACTION
+            nxt.attachment = index
+            events.append(("phase_transition", index))
+    if not np.all(np.isfinite(nxt.proxy_pos)) or not np.all(np.isfinite(nxt.object_q)):
+        raise FloatingPointError("step produced non-finite state")
+    return nxt, events
+
+
+STATE_FIELDS = ("proxy_pos", "proxy_vel", "object_q", "object_qdot")
+
+
+def _random_action(rng, task, state):
+    """Three times in ten a desired position near a grasp point, so episodes
+    attach; otherwise anywhere in the arena. Forces span past the clamp."""
+    if rng.uniform() < 0.3:
+        gp, _ = grasp_point_world(task.object, state.object_q,
+                                  int(rng.integers(len(task.object.grasp_points))))
+        desired = gp + rng.normal(0.0, 0.05, 2)
+    else:
+        desired = rng.uniform(-1.2, 1.2, 2)
+    return ProxyAction(tuple(desired), tuple(rng.uniform(-25.0, 25.0, 2)))
+
+
+def _random_start(rng, task, config, seed):
+    """A reset state moved to a random proxy position and object
+    configuration (boxes at any rotation) with random velocities, so
+    episodes start near limits and moving towards them."""
+    s = reset(config, task, seed)
+    s.proxy_pos = rng.uniform(-0.8, 0.8, 2)
+    s.proxy_vel = rng.uniform(-1.0, 1.0, 2)
+    s.object_qdot = rng.uniform(-3.0, 3.0, len(task.start_q))
+    if task.object.kind == env2d.FREE_BODY:
+        (xlo, xhi), (ylo, yhi) = task.object.limits
+        s.object_q = np.array([rng.uniform(xlo, xhi), rng.uniform(ylo, yhi),
+                               rng.uniform(-math.pi, math.pi)])
+    else:
+        s.object_q = np.array([rng.uniform(*task.object.limits)])
+    return s
+
+
+class TestNumpyOracle:
+    """The float step against the numpy step it replaced, one step at a
+    time from the same state along random-action episodes."""
+
+    @pytest.mark.parametrize("name", sorted(builtin_catalogue()))
+    def test_step_matches_oracle(self, name):
+        task = get_task(name)
+        rng = np.random.Generator(np.random.PCG64(17))
+        seen = {(kind, two_phase): 0 for kind in ("contact", "limit_hit", "phase_transition")
+                for two_phase in (True, False)}
+        worst = 0.0
+        for two_phase in (True, False):
+            for episode in range(16):
+                damping = 0.5 * (episode % 2)
+                cfg = task.world_config(two_phase=two_phase, proxy_damping=damping,
+                                        object_damping=damping)
+                s = _random_start(rng, task, cfg, episode)
+                for _ in range(120):
+                    act = _random_action(rng, task, s)
+                    got, events = step(s, act, cfg, task)
+                    want, want_events = numpy_step(s, act, cfg, task)
+                    assert events == want_events
+                    assert (got.time_step, got.phase, got.attachment) == (
+                        want.time_step, want.phase, want.attachment)
+                    for f in STATE_FIELDS:
+                        a, b = getattr(got, f), getattr(want, f)
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        worst = max(worst, float(np.max(np.abs(a - b))))
+                    for e in events:
+                        seen[e[0], two_phase] += 1
+                    s = got
+        assert worst <= 1e-13
+        # the episodes reach every branch of the step
+        assert seen["contact", True] + seen["contact", False] > 0
+        assert seen["limit_hit", True] + seen["limit_hit", False] > 0
+        assert seen["phase_transition", True] > 0
+        assert seen["phase_transition", False] == 0
+
+    def test_nan_desired_position_while_exploring_raises(self, drawer, config):
+        s = reset(config, drawer, seed=0)
+        with pytest.raises(FloatingPointError):
+            step(s, ProxyAction((math.nan, 0.0), (0.0, 0.0)), config, drawer)
+
+    @pytest.mark.parametrize("name", ["open-drawer", "open-door", "move-box"])
+    def test_nan_force_while_interacting_raises(self, name):
+        task = get_task(name)
+        cfg = task.world_config()
+        s = reset(cfg, task, seed=0)
+        s.phase, s.attachment = Phase.INTERACTION, 0
+        s.proxy_pos, _ = grasp_point_world(task.object, s.object_q, 0)
+        with pytest.raises(FloatingPointError):
+            step(s, ProxyAction((0.0, 0.0), (0.0, math.nan)), cfg, task)
 
 
 def test_grasp_point_world_rotates_with_door():

@@ -10,10 +10,9 @@ from proxymanip import numcore as nc
 from proxymanip import demogen, env2d, render, reprlearn, skillrl
 from proxymanip.env2d import get_task
 from proxymanip.skillrl import (
-    GoalSpec, PolicyCheckpoint, PpoConfig, RewardConfig, SkillOptions,
+    PolicyCheckpoint, PpoConfig, RewardConfig, SkillOptions,
     collect_rollouts, gae_advantages, init_policy, make_env_slots, make_goal,
-    ppo_update, progress_weights, run_policy_episode, shaped_reward,
-    shaped_reward_value,
+    ppo_update, progress_weights, run_policy_episode, shaped_reward_value,
 )
 
 
@@ -72,11 +71,9 @@ class TestShapedReward:
         # random orthogonal rotation preserves all pairwise similarities
         q, _ = np.linalg.qr(rng.normal(0, 1, (8, 8)))
         cfg = RewardConfig()
-        goal_a = GoalSpec(None, z_g, reprlearn.similarity(z_0, z_g))
-        goal_b = GoalSpec(None, q @ z_g,
-                          reprlearn.similarity(q @ z_0, q @ z_g))
-        ra = shaped_reward(z_t, goal_a, cfg)
-        rb = shaped_reward(q @ z_t, goal_b, cfg)
+        sim = reprlearn.similarity
+        ra = shaped_reward_value(sim(z_t, z_g), sim(z_0, z_g), cfg)
+        rb = shaped_reward_value(sim(q @ z_t, q @ z_g), sim(q @ z_0, q @ z_g), cfg)
         assert ra == pytest.approx(rb, rel=1e-9, abs=1e-9)
 
 
@@ -465,3 +462,19 @@ class TestPolicyIO:
         skillrl.save_policy(d2, policy)
         assert (d1 / "actor.ckpt").read_bytes() == (d2 / "actor.ckpt").read_bytes()
         assert (d1 / "policy.json").read_bytes() == (d2 / "policy.json").read_bytes()
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field", ["rollout_envs", "horizon", "epochs",
+                                       "minibatch_size"])
+    def test_ppo_rejects_below_one_naming_field(self, field):
+        with pytest.raises(nc.ConfigurationError, match=field):
+            PpoConfig(**{field: 0})
+        PpoConfig(**{field: 1})
+
+    def test_evaluate_policy_rejects_zero_episodes(self):
+        task = get_task("open-drawer")
+        config = SkillOptions().world_config(task)
+        with pytest.raises(nc.ConfigurationError, match="episodes"):
+            skillrl.evaluate_policy(init_policy(0), task, config, seed=0,
+                                    episodes=0)
