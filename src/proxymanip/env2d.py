@@ -253,12 +253,6 @@ def _attach_index(obj: ObjectModel, config: WorldConfig, q: list[float],
     return index if dist <= config.interact_radius else None
 
 
-def object_frame(obj: ObjectModel, q: np.ndarray) -> tuple[np.ndarray, float]:
-    """World position of the object frame origin and its rotation."""
-    x, y, theta = _frame(obj, _floats(q))
-    return np.array([x, y]), theta
-
-
 def rect_center(obj: ObjectModel, q: np.ndarray) -> tuple[np.ndarray, float]:
     """World center and rotation of the drawn/collided rectangle."""
     x, y, theta = _rect_center(obj, _floats(q))
@@ -544,16 +538,6 @@ def trajectory_record(task: TaskSpec, episode: Episode) -> dict:
     return {"task": task.name, "success": episode.success,
             "frames": [state_record(s, task.object) for s in episode.states],
             "events": [list(e) for events in episode.events for e in events]}
-
-
-def kinetic_energy(state: WorldState, obj: ObjectModel, config: WorldConfig) -> float:
-    ke = 0.5 * config.proxy_mass * float(np.dot(state.proxy_vel, state.proxy_vel))
-    if obj.kind == FREE_BODY:
-        ke += 0.5 * obj.inertia * float(np.dot(state.object_qdot[:2], state.object_qdot[:2]))
-        ke += 0.5 * obj.rot_inertia * float(state.object_qdot[2] ** 2)
-    else:
-        ke += 0.5 * obj.inertia * float(state.object_qdot[0] ** 2)
-    return ke
 
 
 # ---------------------------------------------------------------------------

@@ -142,22 +142,24 @@ def _apply_activation(name: str, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _activation_grad(name: str, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The upstream gradient ``g`` times the activation's derivative at ``u``."""
+def _activation_grad(name: str, out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The upstream gradient ``g`` times the activation's derivative, taken
+    from the activation's output ``out``. relu's output is positive exactly
+    where its input is (subgradient 0 at exactly 0, and at NaN), and tanh's
+    derivative is ``1 - tanh(u)**2``."""
     if name == "relu":
-        # subgradient 0 at exactly 0
-        return g * (u > 0.0)
+        return g * (out > 0.0)
     if name == "tanh":
-        t = np.tanh(u)
-        return g * (1.0 - t * t)
+        return g * (1.0 - out * out)
     return g
 
 
 def forward_batch(net: MlpNetwork, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Run a (B, in_dim) batch through the network.
 
-    Returns the (B, out_dim) output and a cache of per-layer (input,
-    pre-activation) pairs sufficient for :func:`backward_batch`.
+    Returns the (B, out_dim) output and a cache of per-layer (input, output)
+    pairs, each output being the next layer's input, sufficient for
+    :func:`backward_batch`. Pre-activations are not kept.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
@@ -166,17 +168,18 @@ def forward_batch(net: MlpNetwork, x: np.ndarray) -> tuple[np.ndarray, list]:
     cache = []
     h = x
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        u = h @ w + b
-        cache.append((h, u))
-        h = _apply_activation(act, u)
+        out = _apply_activation(act, h @ w + b)
+        cache.append((h, out))
+        h = out
     return h, cache
 
 
 def backward_batch(net: MlpNetwork, cache: list,
                    output_grad: np.ndarray) -> list[np.ndarray]:
     """Exact reverse-mode parameter gradients for a cached batched forward,
-    in ``net.parameters()`` order. The gradient with respect to the input is
-    not formed."""
+    in ``net.parameters()`` order. Each layer's activation derivative comes
+    from the output cached by :func:`forward_batch`. The gradient with
+    respect to the input is not formed."""
     if len(cache) != len(net.weights):
         raise ConfigurationError("cache does not match network depth")
     g = np.asarray(output_grad, dtype=np.float64)
@@ -184,8 +187,8 @@ def backward_batch(net: MlpNetwork, cache: list,
         raise ConfigurationError("output_grad shape does not match cached forward")
     grads: list[np.ndarray] = []
     for l in range(len(net.weights) - 1, -1, -1):
-        h_in, u = cache[l]
-        du = _activation_grad(net.activations[l], u, g)
+        h_in, out = cache[l]
+        du = _activation_grad(net.activations[l], out, g)
         grads = [h_in.T @ du, du.sum(axis=0)] + grads
         if l:
             g = du @ net.weights[l].T

@@ -98,23 +98,50 @@ def _pixel_centers(spec: ImageSpec) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
+def _window(spec: ImageSpec, cx: float, cy: float, hx: float, hy: float,
+            field: str) -> tuple[slice, slice]:
+    """Row and column slices of the pixels whose centers can lie within
+    ``hx`` of ``cx`` and ``hy`` of ``cy``, padded by one pixel so that no
+    rounding in the shape tests can reach past them. A bound that is not
+    finite raises ``ConfigurationError`` naming ``field``."""
+    if not all(map(math.isfinite, (cx - hx, cx + hx, cy - hy, cy + hy))):
+        raise ConfigurationError(
+            f"{field} is not finite: center ({cx}, {cy}), half-size ({hx}, {hy})")
+    xmin, ymin, xmax, ymax = spec.window
+    sx = spec.width / (xmax - xmin)
+    sy = spec.height / (ymax - ymin)
+    # pixel k has its center at k + 0.5 in these units
+    c0 = math.ceil((cx - hx - xmin) * sx - 0.5) - 1
+    c1 = math.floor((cx + hx - xmin) * sx - 0.5) + 2
+    r0 = math.ceil((ymax - cy - hy) * sy - 0.5) - 1
+    r1 = math.floor((ymax - cy + hy) * sy - 0.5) + 2
+    # a negative bound would count from the end; one past the edge is clipped
+    return slice(max(r0, 0), max(r1, 0)), slice(max(c0, 0), max(c1, 0))
+
+
 def _fill_rect(img: np.ndarray, spec: ImageSpec, center, theta: float,
-               extents, value: int) -> None:
-    gx, gy = _pixel_centers(spec)
-    dx = gx - center[0]
-    dy = gy - center[1]
+               extents, value: int, field: str) -> None:
+    cx, cy = float(center[0]), float(center[1])
     c, s = math.cos(theta), math.sin(theta)
+    hw, hh = extents[0] / 2.0, extents[1] / 2.0
+    rows, cols = _window(spec, cx, cy, abs(c) * hw + abs(s) * hh,
+                         abs(s) * hw + abs(c) * hh, field)
+    gx, gy = _pixel_centers(spec)
+    dx = gx[rows, cols] - cx
+    dy = gy[rows, cols] - cy
     lx = c * dx + s * dy
     ly = -s * dx + c * dy
-    mask = (np.abs(lx) <= extents[0] / 2.0) & (np.abs(ly) <= extents[1] / 2.0)
-    img[mask] = value
+    mask = (np.abs(lx) <= hw) & (np.abs(ly) <= hh)
+    img[rows, cols][mask] = value
 
 
 def _fill_disc(img: np.ndarray, spec: ImageSpec, center, radius: float,
-               value: int) -> None:
+               value: int, field: str) -> None:
+    cx, cy = float(center[0]), float(center[1])
+    rows, cols = _window(spec, cx, cy, abs(radius), abs(radius), field)
     gx, gy = _pixel_centers(spec)
-    mask = (gx - center[0]) ** 2 + (gy - center[1]) ** 2 <= radius * radius
-    img[mask] = value
+    mask = (gx[rows, cols] - cx) ** 2 + (gy[rows, cols] - cy) ** 2 <= radius * radius
+    img[rows, cols][mask] = value
     # a sub-pixel disc must still mark its center pixel
     row, col, inside = world_to_pixel(spec, center)
     if inside:
@@ -127,22 +154,27 @@ def render(state: WorldState, obj: ObjectModel | None, spec: ImageSpec,
 
     Painter's order: background (0), target marker (90), object (180), agent
     glyph (255). ``style='none'`` omits the agent entirely. Pure function of
-    its arguments.
+    its arguments. A non-finite marker, object pose or proxy position of a
+    drawn shape raises ``ConfigurationError`` naming it.
     """
     if style not in AGENT_STYLES:
         raise ConfigurationError(f"unknown agent style {style!r}")
     img = np.zeros((spec.height, spec.width), dtype=np.uint8)
     if marker_pos is not None:
         _fill_rect(img, spec, marker_pos, 0.0,
-                   (2 * MARKER_HALF_SIZE, 2 * MARKER_HALF_SIZE), INTENSITY_MARKER)
+                   (2 * MARKER_HALF_SIZE, 2 * MARKER_HALF_SIZE), INTENSITY_MARKER,
+                   "marker")
     if obj is not None:
         center, theta = rect_center(obj, state.object_q)
-        _fill_rect(img, spec, center, theta, obj.extents, INTENSITY_OBJECT)
+        _fill_rect(img, spec, center, theta, obj.extents, INTENSITY_OBJECT,
+                   "object pose")
     if style == STYLE_GRIPPER_DISC:
-        _fill_disc(img, spec, state.proxy_pos, proxy_radius, INTENSITY_AGENT)
+        _fill_disc(img, spec, state.proxy_pos, proxy_radius, INTENSITY_AGENT,
+                   "proxy position")
     elif style == STYLE_HAND_SQUARE:
         side = 3.0 * proxy_radius
-        _fill_rect(img, spec, state.proxy_pos, 0.0, (side, side), INTENSITY_AGENT)
+        _fill_rect(img, spec, state.proxy_pos, 0.0, (side, side),
+                   INTENSITY_AGENT, "proxy position")
         row, col, inside = world_to_pixel(spec, state.proxy_pos)
         if inside:
             img[row, col] = INTENSITY_AGENT

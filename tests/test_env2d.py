@@ -7,10 +7,21 @@ import pytest
 from proxymanip import demogen, env2d, retarget
 from proxymanip.env2d import (
     Phase, ProxyAction, WorldConfig, builtin_catalogue, check_phase_transition,
-    get_task, grasp_point_world, is_success, kinetic_energy, nearest_grasp,
+    get_task, grasp_point_world, is_success, nearest_grasp,
     observe, reset, step,
 )
 from proxymanip.numcore import ConfigurationError
+
+
+def kinetic_energy(state, obj, config) -> float:
+    """Kinetic energy of the proxy and the object, for the energy invariants."""
+    ke = 0.5 * config.proxy_mass * float(np.dot(state.proxy_vel, state.proxy_vel))
+    if obj.kind == env2d.FREE_BODY:
+        ke += 0.5 * obj.inertia * float(np.dot(state.object_qdot[:2], state.object_qdot[:2]))
+        ke += 0.5 * obj.rot_inertia * float(state.object_qdot[2] ** 2)
+    else:
+        ke += 0.5 * obj.inertia * float(state.object_qdot[0] ** 2)
+    return ke
 
 
 @pytest.fixture

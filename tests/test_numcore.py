@@ -13,6 +13,51 @@ def make_net(sizes, acts, seed=0):
     return nc.init_mlp(sizes, acts, seed)
 
 
+def _preactivation_grad(name, u, g):
+    """The activation derivative taken from the pre-activation ``u``; the
+    output-based derivative of ``backward_batch`` must equal it bit for bit."""
+    if name == "relu":
+        return g * (u > 0.0)
+    if name == "tanh":
+        t = np.tanh(u)
+        return g * (1.0 - t * t)
+    return g
+
+
+def oracle_backward(net, x, output_grad):
+    """Reverse-mode gradients from a forward that keeps the pre-activations."""
+    inputs, pre = [], []
+    h = x
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        u = h @ w + b
+        inputs.append(h)
+        pre.append(u)
+        h = nc._apply_activation(act, u)
+    g = output_grad
+    grads = []
+    for l in range(len(net.weights) - 1, -1, -1):
+        du = _preactivation_grad(net.activations[l], pre[l], g)
+        grads = [inputs[l].T @ du, du.sum(axis=0)] + grads
+        if l:
+            g = du @ net.weights[l].T
+    return grads
+
+
+def _net_with_zero_preactivations(act, seed):
+    """A net and batch in which every layer has pre-activations that are
+    exactly 0: a zero input row, zero weight columns and zero biases."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    net = make_net([5, 7, 6, 3], [act, act, act], seed=seed)
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        b[:] = rng.uniform(-0.5, 0.5, b.shape)
+        b[::2] = 0.0
+        w[:, l] = 0.0
+    x = rng.uniform(-1, 1, (9, 5))
+    x[0] = 0.0
+    x[3, 1:] = 0.0
+    return net, x, rng.uniform(-1, 1, (9, 3))
+
+
 class TestForward:
     def test_identity_single_layer(self):
         net = nc.MlpNetwork([2, 2], [np.eye(2)], [np.zeros(2)], ["identity"])
@@ -78,6 +123,30 @@ class TestBackward:
         exact = nc.backward_batch(net, cache, w[None, :])
         for a, b in zip(exact, fd):
             assert nc.relative_error(a, b) < 1e-6
+
+    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_preactivation_oracle_bitwise(self, act, seed):
+        net, x, g = _net_with_zero_preactivations(act, seed)
+        u0 = x @ net.weights[0] + net.biases[0]
+        assert (u0 == 0.0).any()
+        y, cache = nc.forward_batch(net, x)
+        assert cache[-1][1] is y
+        got = nc.backward_batch(net, cache, g)
+        want = oracle_backward(net, x, g)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    def test_matches_preactivation_oracle_with_nan(self, act):
+        net, x, g = _net_with_zero_preactivations(act, 5)
+        x[4, 2] = np.nan
+        _, cache = nc.forward_batch(net, x)
+        got = nc.backward_batch(net, cache, g)
+        for a, b in zip(got, oracle_backward(net, x, g)):
+            assert np.array_equal(a, b, equal_nan=True)
 
     def test_stale_cache_rejected(self):
         net = make_net([3, 2], ["identity"], seed=0)

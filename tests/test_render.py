@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from proxymanip import env2d, render
 from proxymanip.env2d import ProxyAction, get_task, reset
 from proxymanip.render import (
-    CAMERAS, FrameImage, ImageSpec, camera_spec, frame_filename, read_pgm,
-    render as draw, world_to_pixel, write_pgm,
+    AGENT_STYLES, CAMERAS, FrameImage, ImageSpec, camera_spec, frame_filename,
+    read_pgm, render as draw, world_to_pixel, write_pgm,
 )
 from proxymanip.numcore import ConfigurationError
 
@@ -102,6 +104,171 @@ class TestRender:
             frame = draw(state, task.object, camera_spec(cam), "gripper_disc")
             assert (frame.pixels == 255).any(), cam
             assert (frame.pixels == render.INTENSITY_OBJECT).any(), cam
+
+
+# The full-grid fills: every pixel center takes the shape test. The
+# rasterizer tests only the pixels a shape's bounding box can cover, and must
+# give the same pixels.
+
+def _full_fill_rect(img, spec, center, theta, extents, value):
+    gx, gy = render._pixel_centers(spec)
+    dx = gx - center[0]
+    dy = gy - center[1]
+    c, s = math.cos(theta), math.sin(theta)
+    lx = c * dx + s * dy
+    ly = -s * dx + c * dy
+    mask = (np.abs(lx) <= extents[0] / 2.0) & (np.abs(ly) <= extents[1] / 2.0)
+    img[mask] = value
+
+
+def _full_fill_disc(img, spec, center, radius, value):
+    gx, gy = render._pixel_centers(spec)
+    mask = (gx - center[0]) ** 2 + (gy - center[1]) ** 2 <= radius * radius
+    img[mask] = value
+    row, col, inside = world_to_pixel(spec, center)
+    if inside:
+        img[row, col] = value
+
+
+def oracle_render(state, obj, spec, style, marker_pos=None, proxy_radius=0.02):
+    img = np.zeros((spec.height, spec.width), dtype=np.uint8)
+    if marker_pos is not None:
+        half = render.MARKER_HALF_SIZE
+        _full_fill_rect(img, spec, marker_pos, 0.0, (2 * half, 2 * half),
+                        render.INTENSITY_MARKER)
+    if obj is not None:
+        center, theta = env2d.rect_center(obj, state.object_q)
+        _full_fill_rect(img, spec, center, theta, obj.extents,
+                        render.INTENSITY_OBJECT)
+    if style == render.STYLE_GRIPPER_DISC:
+        _full_fill_disc(img, spec, state.proxy_pos, proxy_radius,
+                        render.INTENSITY_AGENT)
+    elif style == render.STYLE_HAND_SQUARE:
+        side = 3.0 * proxy_radius
+        _full_fill_rect(img, spec, state.proxy_pos, 0.0, (side, side),
+                        render.INTENSITY_AGENT)
+        row, col, inside = world_to_pixel(spec, state.proxy_pos)
+        if inside:
+            img[row, col] = render.INTENSITY_AGENT
+    return img
+
+
+def _assert_matches_oracle(state, obj, marker_pos=None, proxy_radius=0.02):
+    for cam in CAMERAS:
+        spec = camera_spec(cam)
+        for style in AGENT_STYLES:
+            got = draw(state, obj, spec, style, marker_pos, proxy_radius).pixels
+            want = oracle_render(state, obj, spec, style, marker_pos,
+                                 proxy_radius)
+            assert np.array_equal(got, want), (cam, style, marker_pos,
+                                               state.object_q, state.proxy_pos,
+                                               proxy_radius)
+
+
+def _random_q(task, rng):
+    obj = task.object
+    if obj.kind == env2d.FREE_BODY:
+        return np.array([rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8),
+                         rng.uniform(-math.pi, math.pi)])
+    lo, hi = obj.limits
+    return np.array([rng.uniform(lo - 0.2, hi + 0.2)])
+
+
+class TestWindowedFill:
+    @pytest.mark.parametrize("name", sorted(env2d.builtin_catalogue()))
+    def test_random_poses_match_full_grid(self, name):
+        task = get_task(name)
+        rng = np.random.Generator(np.random.PCG64(sum(map(ord, name))))
+        state = reset(task.world_config(), task, seed=0)
+        for _ in range(40):
+            state.object_q = _random_q(task, rng)
+            # from well inside the window to wholly outside it
+            state.proxy_pos = rng.uniform(-0.9, 0.9, 2)
+            marker = tuple(rng.uniform(-0.8, 0.8, 2))
+            radius = float(rng.choice([0.02, 0.05, 0.004, 1e-4, 0.0, -0.02]))
+            _assert_matches_oracle(state, task.object, marker, radius)
+
+    def test_shapes_outside_the_window(self):
+        task = get_task("move-box")
+        state = reset(task.world_config(), task, seed=0)
+        for x, y in [(0.62, 0.0), (-0.74, 0.3), (0.0, -0.6), (0.2, 0.61),
+                     (0.77, 0.65), (0.1, 0.75), (-0.9, 0.1), (3.0, 0.0),
+                     (0.0, -40.0), (0.0, 40.0), (1e9, 1e9)]:
+            for theta in (0.0, 0.3, math.pi / 4, -2.0):
+                state.object_q = np.array([x, y, theta])
+                state.proxy_pos = np.array([-y, x])
+                _assert_matches_oracle(state, task.object, (y, -x), 0.03)
+
+    def test_edges_on_pixel_centers(self):
+        # an edge through a row or column of pixel centers, where only the
+        # rounding of the two computations decides a pixel
+        task = get_task("move-box")
+        state = reset(task.world_config(), task, seed=0)
+        half_box = task.object.extents[0] / 2.0
+        half_marker = render.MARKER_HALF_SIZE
+        radius = 0.02
+        for cam in CAMERAS:
+            gx, gy = render._pixel_centers(camera_spec(cam))
+            for k in range(0, 64, 3):
+                x, y = gx[0, k], gy[k, 0]
+                for sx, sy in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+                    state.object_q = np.array([x + sx * half_box,
+                                               y + sy * half_box, 0.0])
+                    state.proxy_pos = np.array([x + sx * radius, y])
+                    marker = (x - sx * half_marker, y - sy * half_marker)
+                    _assert_matches_oracle(state, task.object, marker, radius)
+                    state.proxy_pos = np.array([x + sx * 1.5 * radius,
+                                                y + sy * 1.5 * radius])
+                    _assert_matches_oracle(state, task.object, None, radius)
+
+    def test_sub_pixel_disc_marks_its_center(self):
+        task = get_task("open-drawer")
+        state = reset(task.world_config(), task, seed=0)
+        spec = camera_spec("front")
+        for pos in [(0.013, -0.2), (-0.54, 0.54), (0.2, 0.1)]:
+            state.proxy_pos = np.array(pos)
+            frame = draw(state, None, spec, "gripper_disc", proxy_radius=1e-4)
+            row, col, _ = world_to_pixel(spec, pos)
+            assert frame.pixels[row, col] == render.INTENSITY_AGENT
+            assert (frame.pixels > 0).sum() == 1
+            _assert_matches_oracle(state, task.object, None, 1e-4)
+
+
+class TestNonFinitePose:
+    @pytest.mark.parametrize("name, q", [
+        ("move-box", [math.nan, 0.2, 0.3]),
+        ("move-box", [0.1, math.nan, 0.3]),
+        ("move-box", [0.1, 0.2, math.nan]),
+        ("move-box", [0.1, -math.inf, 0.3]),
+        ("open-drawer", [math.nan]),
+        ("open-door", [math.nan]),
+    ])
+    def test_object_pose(self, name, q):
+        task = get_task(name)
+        state = reset(task.world_config(), task, seed=0)
+        state.object_q = np.array(q)
+        with pytest.raises(ConfigurationError, match="object pose"):
+            draw(state, task.object, camera_spec("front"), "none")
+
+    @pytest.mark.parametrize("style", ["gripper_disc", "hand_square"])
+    def test_proxy_position(self, drawer_state, style):
+        state, task = drawer_state
+        state.proxy_pos = np.array([0.1, math.nan])
+        with pytest.raises(ConfigurationError, match="proxy position"):
+            draw(state, task.object, camera_spec("front"), style)
+
+    def test_proxy_position_unused_without_agent(self, drawer_state):
+        state, task = drawer_state
+        plain = draw(state, task.object, camera_spec("front"), "none").pixels
+        state.proxy_pos = np.array([math.nan, math.nan])
+        frame = draw(state, task.object, camera_spec("front"), "none")
+        assert np.array_equal(frame.pixels, plain)
+
+    def test_marker(self, drawer_state):
+        state, task = drawer_state
+        with pytest.raises(ConfigurationError, match="marker"):
+            draw(state, task.object, camera_spec("front"), "none",
+                 marker_pos=(math.nan, 0.0))
 
 
 class TestPgm:
