@@ -165,6 +165,9 @@ def render(state: WorldState, obj: ObjectModel | None, spec: ImageSpec,
                    (2 * MARKER_HALF_SIZE, 2 * MARKER_HALF_SIZE), INTENSITY_MARKER,
                    "marker")
     if obj is not None:
+        if not all(map(math.isfinite, state.object_q)):
+            raise ConfigurationError(
+                f"object pose is not finite: {state.object_q}")
         center, theta = rect_center(obj, state.object_q)
         _fill_rect(img, spec, center, theta, obj.extents, INTENSITY_OBJECT,
                    "object pose")

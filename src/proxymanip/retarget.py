@@ -3,14 +3,13 @@
 Exploration frames map the proxy position straight onto the end effector
 (orientation free); at the phase transition the end effector snaps to the
 attached grasp pose; interaction frames then follow the grasp point as the
-object moves, orientation constrained. Inverse kinematics is damped least
-squares, warm-started frame to frame so the solution stays on one elbow
-branch. An orientation-constrained target for a three-link arm is first
-checked in closed form: a pose outside the joint-limited workspace is
-reported as such (``InfeasiblePoseError``, naming the joint and how far past
-its limit it would have to go) instead of stalling the iteration. A
-kinematic replay drives the object from the retargeted end-effector
-trace to confirm the arm actually reproduces task success.
+object moves, orientation constrained. One IK method per frame kind: a
+position-only target runs damped least squares on floats, warm-started frame
+to frame so the solution stays on one elbow branch; an orientation-constrained
+target takes the in-limit closed-form branch nearest the warm start, or
+raises ``InfeasiblePoseError`` naming the joint and how far past its limit it
+would have to go. A kinematic replay drives the object from the retargeted
+end-effector trace to confirm the arm actually reproduces task success.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from .env2d import (PRISMATIC, REVOLUTE, ObjectModel, Phase, TaskSpec,
 from .numcore import ConfigurationError
 
 IK_POS_TOL = 1e-6
-IK_ORI_TOL = 1e-4
+IK_ORI_TOL = 1e-4  # orientation tolerance of a retargeted frame
 IK_MAX_ITERS = 500
 IK_DAMPING = 1e-3
 IK_STEP_CAP = 0.3
@@ -41,8 +39,7 @@ class OutOfReachError(ValueError):
 
 
 class InfeasiblePoseError(OutOfReachError):
-    """Orientation-constrained target with no joint-limited solution: the
-    closed-form solve proves it, so no iteration is attempted."""
+    """Orientation-constrained target with no joint-limited solution."""
 
 
 class IkConvergenceError(RuntimeError):
@@ -91,13 +88,6 @@ class ArmModel:
         longest = max(self.link_lengths)
         return max(0.0, 2.0 * longest - self.reach)
 
-    @cached_property
-    def limit_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper joint limits as read-only arrays."""
-        bounds = np.array(self.joint_limits, dtype=float)
-        bounds.setflags(write=False)
-        return bounds[:, 0], bounds[:, 1]
-
 
 def default_arm() -> ArmModel:
     return ArmModel()
@@ -107,23 +97,29 @@ def wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _chain(arm: ArmModel, q: list[float]) -> tuple[float, float, float]:
+    """End-effector x, y and orientation of joint angles ``q``."""
+    x, y = arm.base_position
+    for l, c in zip(arm.link_lengths, itertools.accumulate(q)):
+        x += l * math.cos(c)
+        y += l * math.sin(c)
+    return x, y, c
+
+
 def forward_kinematics(arm: ArmModel, joint_angles) -> tuple[np.ndarray, float]:
     """End-effector position and orientation of the planar chain."""
     q = np.asarray(joint_angles, dtype=float)
     if q.shape != (arm.n_joints,):
         raise ConfigurationError(
             f"expected {arm.n_joints} joint angles, got shape {q.shape}")
-    x, y = arm.base_position
-    for l, c in zip(arm.link_lengths, itertools.accumulate(q.tolist())):
-        x += l * math.cos(c)
-        y += l * math.sin(c)
-    return np.array([x, y], dtype=float), c
+    x, y, ori = _chain(arm, q.tolist())
+    return np.array([x, y], dtype=float), ori
 
 
-def jacobian(arm: ArmModel, joint_angles, with_orientation: bool) -> np.ndarray:
-    q = np.asarray(joint_angles, dtype=float)
+def jacobian(arm: ArmModel, joint_angles) -> list[tuple[float, float]]:
+    """Columns (dx/dq_j, dy/dq_j) of the end-effector position Jacobian."""
     links = [(l * math.sin(c), l * math.cos(c)) for l, c in
-             zip(arm.link_lengths, itertools.accumulate(q.tolist()))]
+             zip(arm.link_lengths, itertools.accumulate(joint_angles))]
     cols = []
     for j in range(arm.n_joints):
         dx = dy = 0.0
@@ -131,57 +127,43 @@ def jacobian(arm: ArmModel, joint_angles, with_orientation: bool) -> np.ndarray:
             dx -= sin_term
             dy += cos_term
         cols.append((dx, dy))
-    jac = np.array(cols).T  # (2, n)
-    if with_orientation:
-        jac = np.vstack([jac, np.ones(arm.n_joints)])
-    return jac
+    return cols
 
 
-def _clip_to_limits(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    return np.clip(q, *arm.limit_arrays)
-
-
-def _dls_solve(arm: ArmModel, target: np.ndarray,
-               target_orientation: float | None, q0: np.ndarray):
-    """One damped-least-squares descent; returns the solution or None."""
-    q = _clip_to_limits(arm, q0.copy())
-    with_ori = target_orientation is not None
-    damping = IK_DAMPING * IK_DAMPING * np.eye(3 if with_ori else 2)
+def _dls_solve(arm: ArmModel, tx: float, ty: float, q0: list[float]):
+    """One damped-least-squares descent; returns the solution or None, and
+    the residual. Each step solves (J Jᵀ + λ²I) y = e by Cramer's rule."""
+    limits = arm.joint_limits
+    q = [min(max(a, lo), hi) for a, (lo, hi) in zip(q0, limits)]
+    damping = IK_DAMPING * IK_DAMPING
     residual = math.inf
     for _ in range(IK_MAX_ITERS):
-        pos, ori = forward_kinematics(arm, q)
-        err_pos = target - pos
-        residual = float(np.hypot(*err_pos))
-        pos_ok = residual < IK_POS_TOL
-        if with_ori:
-            err_ori = wrap_angle(target_orientation - ori)
-            if pos_ok and abs(err_ori) < IK_ORI_TOL:
-                return q, residual
-            err = np.array([err_pos[0], err_pos[1], err_ori])
-        else:
-            if pos_ok:
-                return q, residual
-            err = err_pos
-        jac = jacobian(arm, q, with_ori)
-        gram = jac @ jac.T + damping
-        dq = jac.T @ np.linalg.solve(gram, err)
-        biggest = float(np.abs(dq).max())
-        if biggest > IK_STEP_CAP:
-            dq *= IK_STEP_CAP / biggest
-        q = _clip_to_limits(arm, q + dq)
+        x, y, _ = _chain(arm, q)
+        ex, ey = tx - x, ty - y
+        residual = math.hypot(ex, ey)
+        if residual < IK_POS_TOL:
+            return q, residual
+        cols = jacobian(arm, q)
+        gxx = sum(dx * dx for dx, _ in cols) + damping
+        gxy = sum(dx * dy for dx, dy in cols)
+        gyy = sum(dy * dy for _, dy in cols) + damping
+        det = gxx * gyy - gxy * gxy
+        y0 = (ex * gyy - gxy * ey) / det
+        y1 = (gxx * ey - gxy * ex) / det
+        dq = [dx * y0 + dy * y1 for dx, dy in cols]
+        biggest = max(map(abs, dq))
+        scale = IK_STEP_CAP / biggest if biggest > IK_STEP_CAP else 1.0
+        q = [min(max(a + scale * s, lo), hi)
+             for a, s, (lo, hi) in zip(q, dq, limits)]
     return None, residual
 
 
-def _restart_guesses(arm: ArmModel, target: np.ndarray):
+def _restart_guesses(arm: ArmModel, tx: float, ty: float):
     """Deterministic fallback seeds, made only when asked for: shoulder
     pointed at the target with the elbow folded either way."""
-    rel = target - np.asarray(arm.base_position)
-    heading = math.atan2(rel[1], rel[0])
+    heading = math.atan2(ty - arm.base_position[1], tx - arm.base_position[0])
     for elbow in (0.7, -0.7, 1.8, -1.8):
-        g = np.zeros(arm.n_joints)
-        g[0] = heading
-        g[1] = elbow
-        yield g
+        yield [heading, elbow] + [0.0] * (arm.n_joints - 2)
 
 
 def _nearest_equivalent(angle: float, lo: float, hi: float) -> float:
@@ -225,23 +207,22 @@ def closed_form_solutions(arm: ArmModel, target_position,
     return solutions
 
 
-def feasibility_margin(arm: ArmModel, target_position,
-                       target_orientation: float) -> float:
-    """Worst joint margin of the best closed-form solution of a
-    three-link orientation-constrained pose.
+def _feasible_solutions(arm: ArmModel, target_position,
+                        target_orientation: float) -> list[tuple[tuple, float]]:
+    """The closed-form branches with every joint within its limits, each
+    with its worst joint margin.
 
-    Raises ``InfeasiblePoseError`` naming, per elbow branch, the joint (0 is
-    the shoulder) that lies furthest past its limit, the angle it needs and
-    the overshoot. An overshoot within the orientation tolerance is left to
-    the iterative solver, which can meet the pose with that joint clamped.
+    Raises ``InfeasiblePoseError`` when there is none, naming per elbow
+    branch the joint (0 is the shoulder) that lies furthest past its limit,
+    the angle it needs and the overshoot.
     """
     solutions = closed_form_solutions(arm, target_position, target_orientation)
     # signed clearance of each joint to its nearer limit, negative past it
     margins = [[min(a - lo, hi - a) for a, (lo, hi) in zip(q, arm.joint_limits)]
                for q in solutions]
-    best = max(min(m) for m in margins)
-    if best >= -IK_ORI_TOL:
-        return best
+    feasible = [(q, min(m)) for q, m in zip(solutions, margins) if min(m) >= 0.0]
+    if feasible:
+        return feasible
     details = []
     for q, m in zip(solutions, margins):
         j = m.index(min(m))
@@ -254,35 +235,48 @@ def feasibility_margin(arm: ArmModel, target_position,
         f"outside the joint-limited workspace: " + "; ".join(details))
 
 
+def feasibility_margin(arm: ArmModel, target_position,
+                       target_orientation: float) -> float:
+    """Worst joint margin of the best closed-form solution of a
+    three-link orientation-constrained pose; ``InfeasiblePoseError`` if no
+    branch is within the joint limits."""
+    return max(m for _, m in _feasible_solutions(arm, target_position,
+                                                 target_orientation))
+
+
 def inverse_kinematics(arm: ArmModel, target_position,
                        target_orientation: float | None = None,
                        initial_guess=None) -> np.ndarray:
-    """Damped-least-squares IK with per-iteration step cap and joint-limit
-    clamping.
+    """Joint angles that put the end effector on ``target_position``, and,
+    if given, at ``target_orientation``.
 
-    The warm start is attempted first so a continuous target path stays on
-    one elbow branch; deterministic restarts only run if it stalls. An
-    orientation-constrained target for a three-link arm is checked in closed
-    form first, so an infeasible pose raises ``InfeasiblePoseError`` without
-    any iteration; feasible targets are still solved by the iteration.
+    One method per target kind. An orientation-constrained target (three-link
+    arm only) returns the in-limit closed-form branch nearest the warm start
+    by the largest joint change, or raises ``InfeasiblePoseError``. A
+    position-only target runs damped least squares from the warm start, so a
+    continuous target path stays on one elbow branch; deterministic restarts
+    run only if it stalls.
     """
-    target = np.asarray(target_position, dtype=float)
-    dist = float(np.hypot(*(target - np.asarray(arm.base_position))))
+    tx, ty = (float(v) for v in target_position)
+    dist = math.hypot(tx - arm.base_position[0], ty - arm.base_position[1])
     if dist > arm.reach + 1e-9 or dist < arm.inner_reach - 1e-9:
         raise OutOfReachError(
-            f"target {target.tolist()} at distance {dist:.4f} outside "
+            f"target {[tx, ty]} at distance {dist:.4f} outside "
             f"reach [{arm.inner_reach:.4f}, {arm.reach:.4f}]")
-    if target_orientation is not None and arm.n_joints == 3:
-        feasibility_margin(arm, target, target_orientation)
-    if initial_guess is None:
-        q0 = np.zeros(arm.n_joints)
-    else:
-        q0 = np.asarray(initial_guess, dtype=float)
+    q0 = ([0.0] * arm.n_joints if initial_guess is None
+          else [float(v) for v in initial_guess])
+    if len(q0) != arm.n_joints:
+        raise ConfigurationError(
+            f"expected {arm.n_joints} joint angles, got {len(q0)}")
+    if target_orientation is not None:
+        q, _ = min(_feasible_solutions(arm, (tx, ty), target_orientation),
+                   key=lambda s: max(abs(a - g) for a, g in zip(s[0], q0)))
+        return np.array(q)
     best_residual = math.inf
-    for guess in itertools.chain([q0], _restart_guesses(arm, target)):
-        q, residual = _dls_solve(arm, target, target_orientation, guess)
+    for guess in itertools.chain([q0], _restart_guesses(arm, tx, ty)):
+        q, residual = _dls_solve(arm, tx, ty, guess)
         if q is not None:
-            return q
+            return np.array(q)
         best_residual = min(best_residual, residual)
     raise IkConvergenceError(
         f"no convergence in {IK_MAX_ITERS} iterations from any start; "
@@ -312,8 +306,12 @@ class RetargetedTrajectory:
 
 def _frame_target(index: int, frame: dict, obj: ObjectModel):
     """IK target for recorded proxy frame ``index``: the proxy position while
-    exploring, the attached grasp pose while interacting."""
-    q = np.asarray(frame["object_q"], dtype=float)
+    exploring, the attached grasp pose while interacting. A non-finite
+    ``proxy_pos`` or ``object_q`` raises ``ConfigurationError``."""
+    for key in ("proxy_pos", "object_q"):
+        if not all(map(math.isfinite, frame[key])):
+            raise ConfigurationError(
+                f"frame {index}: {key} {frame[key]} is not finite")
     if frame["phase"] == int(Phase.INTERACTION):
         attachment = frame["attachment"]
         if not (isinstance(attachment, int)
@@ -322,7 +320,7 @@ def _frame_target(index: int, frame: dict, obj: ObjectModel):
                 f"frame {index}: interaction frame has attachment "
                 f"{attachment!r}, not a grasp index in "
                 f"[0, {len(obj.grasp_points)})")
-        pos, ang = grasp_point_world(obj, q, attachment)
+        pos, ang = grasp_point_world(obj, frame["object_q"], attachment)
         return pos, wrap_angle(ang)
     return np.asarray(frame["proxy_pos"], dtype=float), None
 
@@ -342,23 +340,11 @@ def retarget_trajectory(traj: dict, arm: ArmModel,
         raise ConfigurationError("empty trajectory")
     out = RetargetedTrajectory(traj.get("task", "unknown"), [], [], [], [])
     # start from a ready pose facing the first target, elbow down
-    rel0 = (np.asarray(frames_in[0]["proxy_pos"], dtype=float)
-            - np.asarray(arm.base_position))
-    guess = np.zeros(arm.n_joints)
-    guess[0] = math.atan2(rel0[1], rel0[0])
-    if arm.n_joints > 1:
-        guess[1] = 0.7
+    x0, y0 = (float(v) for v in frames_in[0]["proxy_pos"])
+    guess = [math.atan2(y0 - arm.base_position[1], x0 - arm.base_position[0]),
+             0.7] + [0.0] * (arm.n_joints - 2)
     prev_q = None
     prev_was_snap = False
-
-    def solve(index, target, orientation):
-        nonlocal guess
-        try:
-            q = inverse_kinematics(arm, target, orientation, guess)
-        except (OutOfReachError, IkConvergenceError) as exc:
-            raise type(exc)(f"frame {index}: {exc}") from exc
-        guess = q
-        return q
 
     def emit(t, q, target, orientation, snap=False):
         nonlocal prev_q, prev_was_snap
@@ -388,12 +374,15 @@ def retarget_trajectory(traj: dict, arm: ArmModel,
     for idx, frame in enumerate(frames_in):
         phase = frame["phase"]
         target, orientation = _frame_target(idx, frame, obj)
+        try:
+            q = guess = inverse_kinematics(arm, target, orientation, guess)
+        except (OutOfReachError, IkConvergenceError) as exc:
+            raise type(exc)(f"frame {idx}: {exc}") from exc
         if phase == int(Phase.INTERACTION) and last_phase == int(Phase.EXPLORATION):
-            # transition: align with the grasp pose before tracking the object
-            q = solve(idx, target, orientation)
+            # transition: align with the grasp pose before tracking the
+            # object; solved in closed form, the frame itself has the same q
             out.phase_markers.append(len(out.joint_angles))
             emit(frame["t"], q, target, orientation, snap=True)
-        q = solve(idx, target, orientation)
         emit(frame["t"], q, target, orientation)
         out.frames[-1]["object_q"] = list(frame["object_q"])
         last_phase = phase

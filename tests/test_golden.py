@@ -8,9 +8,10 @@ Two kinds of pin:
   checkpoint and state-blob files written from fixed weights. The world
   steps on Python floats, so episodes and the dataset's states pass no float
   through a BLAS product and their bits depend only on the code. The
-  retargeter's damped least-squares IK does run small ``numpy`` matrix
-  products and solves; the expert trajectories converge to the same bits on
-  one machine, but on another BLAS build that pin may move in its last bits.
+  retargeter's IK runs on Python floats too (closed form for grasp poses,
+  a 2x2 damped least-squares solve by Cramer's rule for the rest), so its
+  pin is BLAS-free like the episodes. ``test_exact_pins_blas_kernel_free``
+  re-runs the exact pins under another OpenBLAS kernel to keep it so.
 * **Tolerance** (stored values, ``rtol=BLAS_RTOL``): the encoder loss curve,
   rollout batches and the states of policy episodes, which run through
   ``numpy`` matrix products. OpenBLAS
@@ -29,8 +30,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 import pprint
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,15 +100,15 @@ ENV_EPISODE_DIGESTS = {'close-door/two_phase': '91435d336e6cc34b2cf512b48cebc4a2
  'open-drawer/flat': '6e9806ac383e35072572fc89e907287a3acc1d95b7da1506b05c94a168310be9',
  'move-box/tie': 'f578b62272e5b88b5a9542339a884b3921be23a698a120814631b1fb444ba864'}
 
-RETARGET_DIGESTS = {'close-door': ('30e70d022ff12b31beec97b0fca7d3f16f164c3bc348b0a3687ea69bb408b911',
+RETARGET_DIGESTS = {'close-door': ('05f9bd83639ce0dc92db3b4272ecc51c6b77b9e8613a0f786287e87c7b4720ac',
                 True),
- 'close-drawer': ('02b4503f63a910939e605ad2a9b84bc84da8106c09b389d8460d1cb928f4dfdd',
+ 'close-drawer': ('fe33709a13df9a744dde89c9284df1f5a61330286a58c97511b277ff240b517f',
                   True),
- 'lift-box': ('8cf574c6c5428998706e081694ab2722021edcc62774c018632436bbdabeade7', True),
- 'move-box': ('a90e2fa7beff9db40d4358aa210b40f6d05383e273deb0d9554ac0bf8ab39d8e', True),
- 'open-door': ('574ff5281c5b44abdf48b8e7df4f45f3f6edc27e5804689f7fb99d03b9d46fb7',
+ 'lift-box': ('504741f231c76d71e1151fac72ba1b69261263b707fe43c3fd76beffd6da6037', True),
+ 'move-box': ('b009a73bf6a184696e49777ede00900d30beb218bd9216f28711a47fe597a268', True),
+ 'open-door': ('3287912b6f5d599a8fac5193b443c7489e197bbcc3e0ab7cc67e4d2cd3dd1bb9',
                True),
- 'open-drawer': ('2b781a0b73b46fad16b959f5917ca49530dfeb76d09091db297866bac37e164b',
+ 'open-drawer': ('9e9dbde095f57d69ff5704661c10094177150265ecbdaf8faf80665e41d23d68',
                  True)}
 
 CHECKPOINT_DIGESTS = {'policy/actor.ckpt': 'a45d51fc7683d491fc9be787968a56eaf0731faf99c070b45c8f14ad8d7d0cdd',
@@ -223,6 +229,24 @@ def test_checkpoint_file_digests(tmp_path):
     observed = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                 for f in files}
     _assert_exact("CHECKPOINT_DIGESTS", observed, CHECKPOINT_DIGESTS)
+
+
+EXACT_PIN_TESTS = ("test_dataset_directory_digest", "test_env_episode_digests",
+                   "test_retargeted_expert_digests", "test_checkpoint_file_digests")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_exact_pins_blas_kernel_free():
+    """The exact pins hold under OpenBLAS's generic SSE3 kernel, which any
+    x86-64 CPU runs: no exact pin depends on which BLAS kernel is picked."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *(f"tests/test_golden.py::{name}" for name in EXACT_PIN_TESTS)],
+        cwd=root, env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,11 @@ class TestNonFinitePose:
         ("move-box", [0.1, -math.inf, 0.3]),
         ("open-drawer", [math.nan]),
         ("open-door", [math.nan]),
+        ("move-box", [0.1, 0.2, math.inf]),
+        ("move-box", [0.1, 0.2, -math.inf]),
+        ("open-drawer", [math.inf]),
+        ("open-door", [math.inf]),
+        ("open-door", [-math.inf]),
     ])
     def test_object_pose(self, name, q):
         task = get_task(name)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,83 @@ from proxymanip.env2d import Phase, builtin_catalogue, get_task
 from proxymanip.numcore import ConfigurationError
 from proxymanip.retarget import (
     ArmModel, IkConvergenceError, InfeasiblePoseError, OutOfReachError,
-    default_arm, feasibility_margin, forward_kinematics, inverse_kinematics,
-    replay_retargeted, retarget_trajectory,
+    closed_form_solutions, default_arm, feasibility_margin, forward_kinematics,
+    inverse_kinematics, replay_retargeted, retarget_trajectory,
 )
 
 TWO_LINK = ArmModel(base_position=(0.0, 0.0), link_lengths=(1.0, 1.0),
                     joint_limits=((-2.967, 2.967), (-2.967, 2.967)))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: damped least squares on numpy arrays, the method that once solved
+# every frame. It meets an orientation-constrained target by iterating with
+# a third Jacobian row, to within IK_ORI_TOL, where inverse_kinematics now
+# takes the closed form; position-only targets differ only by the 2x2 solve.
+# ---------------------------------------------------------------------------
+
+def oracle_jacobian(arm, q, with_orientation):
+    links = [(l * math.sin(c), l * math.cos(c)) for l, c in
+             zip(arm.link_lengths, itertools.accumulate(q.tolist()))]
+    cols = []
+    for j in range(arm.n_joints):
+        dx = dy = 0.0
+        for sin_term, cos_term in links[j:]:
+            dx -= sin_term
+            dy += cos_term
+        cols.append((dx, dy))
+    jac = np.array(cols).T
+    if with_orientation:
+        jac = np.vstack([jac, np.ones(arm.n_joints)])
+    return jac
+
+
+def oracle_dls_solve(arm, target, target_orientation, q0):
+    lo, hi = np.array(arm.joint_limits, dtype=float).T
+    q = np.clip(q0, lo, hi)
+    with_ori = target_orientation is not None
+    damping = retarget.IK_DAMPING * retarget.IK_DAMPING * np.eye(3 if with_ori else 2)
+    for _ in range(retarget.IK_MAX_ITERS):
+        pos, ori = forward_kinematics(arm, q)
+        err = target - pos
+        pos_ok = float(np.hypot(*err)) < retarget.IK_POS_TOL
+        if with_ori:
+            err_ori = retarget.wrap_angle(target_orientation - ori)
+            if pos_ok and abs(err_ori) < retarget.IK_ORI_TOL:
+                return q
+            err = np.array([err[0], err[1], err_ori])
+        elif pos_ok:
+            return q
+        jac = oracle_jacobian(arm, q, with_ori)
+        dq = jac.T @ np.linalg.solve(jac @ jac.T + damping, err)
+        biggest = float(np.abs(dq).max())
+        if biggest > retarget.IK_STEP_CAP:
+            dq *= retarget.IK_STEP_CAP / biggest
+        q = np.clip(q + dq, lo, hi)
+    return None
+
+
+def oracle_inverse_kinematics(arm, target_position, target_orientation=None,
+                              initial_guess=None):
+    target = np.asarray(target_position, dtype=float)
+    rel = target - np.asarray(arm.base_position)
+    heading = math.atan2(rel[1], rel[0])
+    guesses = [np.zeros(arm.n_joints) if initial_guess is None
+               else np.asarray(initial_guess, dtype=float)]
+    guesses += [np.array([heading, elbow] + [0.0] * (arm.n_joints - 2))
+                for elbow in (0.7, -0.7, 1.8, -1.8)]
+    for guess in guesses:
+        q = oracle_dls_solve(arm, target, target_orientation, guess)
+        if q is not None:
+            return q
+    raise IkConvergenceError("oracle: no convergence from any start")
+
+
+@pytest.fixture
+def no_iteration(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("orientation-constrained pose reached the DLS iteration")
+    monkeypatch.setattr(retarget, "_dls_solve", fail)
 
 
 class TestForwardKinematics:
@@ -56,8 +128,7 @@ class TestForwardKinematics:
         got_pos, got_ori = forward_kinematics(arm, q)
         assert got_pos.tolist() == pos.tolist()
         assert got_ori == float(cum[-1])
-        jac = retarget.jacobian(arm, q, with_orientation=True)
-        assert jac.tolist() == np.vstack([np.array(cols).T, np.ones(3)]).tolist()
+        assert retarget.jacobian(arm, q.tolist()) == cols
 
 
 class TestInverseKinematics:
@@ -108,18 +179,47 @@ class TestInverseKinematics:
             hi = np.array([h for _, h in arm.joint_limits])
             assert np.all(q >= lo) and np.all(q <= hi)
 
+    def test_warm_start_picks_its_elbow_branch(self, no_iteration):
+        arm = default_arm()
+        pos, ori = forward_kinematics(arm, [0.2, 1.1, -0.7])
+        branches = closed_form_solutions(arm, pos, ori)
+        assert branches[0][1] == pytest.approx(1.1)
+        assert branches[1][1] == pytest.approx(-1.1)
+        for branch in branches:
+            guess = np.array(branch) + [0.1, -0.1, 0.1]
+            q = inverse_kinematics(arm, pos, ori, initial_guess=guess)
+            assert tuple(q.tolist()) == branch
+
+    @pytest.mark.parametrize("overshoot", [5e-5, -5e-5])
+    def test_joint_limits_are_hard(self, overshoot, no_iteration):
+        # the elbow-up branch puts joint 2 ``overshoot`` past its upper
+        # limit; the elbow-down branch is 0.049 rad past one
+        arm = default_arm()
+        hi = arm.joint_limits[2][1]
+        pos, ori = forward_kinematics(arm, [0.0, 0.3, hi + overshoot])
+        if overshoot > 0:
+            with pytest.raises(InfeasiblePoseError, match=r"joint 2 needs 2\.967"):
+                inverse_kinematics(arm, pos, ori)
+        else:
+            q = inverse_kinematics(arm, pos, ori)
+            assert q == pytest.approx([0.0, 0.3, hi + overshoot], abs=1e-12)
+
+    @pytest.mark.parametrize("orientation", [None, 0.5])
+    def test_guess_of_wrong_length(self, orientation):
+        with pytest.raises(ConfigurationError, match="expected 3 joint angles"):
+            inverse_kinematics(default_arm(), (0.1, 0.1), orientation,
+                               initial_guess=[1.2, -0.8])
+
+    def test_orientation_needs_three_links(self):
+        with pytest.raises(ConfigurationError, match="three-link"):
+            inverse_kinematics(TWO_LINK, (1.0, 1.0), 0.5)
+
 
 class TestInfeasiblePose:
     """Orientation-constrained poses outside the joint-limited workspace are
     proven infeasible in closed form, not left to stall the iteration."""
 
     OLD_MOUNT = ArmModel(base_position=(0.0, -0.45))
-
-    @pytest.fixture
-    def no_iteration(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("infeasible pose reached the DLS iteration")
-        monkeypatch.setattr(retarget, "_dls_solve", fail)
 
     def test_box_snap_from_old_mount_names_joint_and_margin(self, no_iteration):
         task = get_task("move-box")
@@ -203,11 +303,70 @@ class TestSnapToGrasp:
         with pytest.raises(ConfigurationError, match=rf"^frame {index}: .*attachment"):
             retarget_trajectory(traj, default_arm(), task.object)
 
+    @pytest.mark.parametrize("name, key, value, phase", [
+        ("open-drawer", "proxy_pos", math.nan, Phase.EXPLORATION),
+        ("open-drawer", "proxy_pos", math.inf, Phase.INTERACTION),
+        ("open-drawer", "object_q", math.nan, Phase.INTERACTION),
+        ("open-door", "object_q", math.inf, Phase.INTERACTION),
+        ("move-box", "object_q", -math.inf, Phase.EXPLORATION),
+    ])
+    def test_non_finite_input_names_frame(self, name, key, value, phase):
+        task, traj = expert_trajectory(name)
+        index = 2 + next(i for i, f in enumerate(traj["frames"])
+                         if f["phase"] == int(phase))
+        traj["frames"][index][key][0] = value
+        with pytest.raises(ConfigurationError,
+                           match=rf"^frame {index}: {key} .* is not finite"):
+            retarget_trajectory(traj, default_arm(), task.object)
 
-def expert_trajectory(task_name, seed=0):
+
+def expert_trajectory(task_name, seed=0, jitter=0.0, noise=0.0):
     task = get_task(task_name)
-    episode = demogen.run_expert_episode(task, task.world_config(), seed=seed)
+    episode = demogen.run_expert_episode(
+        task, task.world_config(start_jitter=jitter), seed=seed, noise_scale=noise)
     return task, env2d.trajectory_record(task, episode)
+
+
+class TestMatchesOracle:
+    """The closed form and the float DLS against the numpy DLS oracle, over
+    jittered, noisy expert episodes."""
+
+    @pytest.mark.parametrize("name", sorted(builtin_catalogue()))
+    def test_joints_match_numpy_dls(self, name, monkeypatch):
+        arm = default_arm()
+        calls = []
+
+        def oracle(*args):
+            calls.append(args)
+            return oracle_inverse_kinematics(*args)
+
+        for seed in range(4):
+            task, traj = expert_trajectory(name, seed, jitter=0.1, noise=0.05)
+            got = retarget_trajectory(traj, arm, task.object)
+            with monkeypatch.context() as m:
+                m.setattr(retarget, "inverse_kinematics", oracle)
+                want = retarget_trajectory(traj, arm, task.object)
+            # one solve per input frame: the snap frame is not solved twice
+            assert len(calls) == len(traj["frames"])
+            calls.clear()
+            assert len(got.phase_markers) == 1
+            assert got.n_frames == want.n_frames == len(traj["frames"]) + 1
+            for g, w, row in zip(got.joint_angles, want.joint_angles, got.frames):
+                tol = 1e-5 if row["phase"] == 1 else 1e-12
+                assert float(np.abs(g - w).max()) <= tol
+
+    @pytest.mark.parametrize("name", sorted(builtin_catalogue()))
+    def test_grasp_frames_never_iterate(self, name, no_iteration):
+        # the expert's interaction frames alone: every target is
+        # orientation constrained, so no frame may reach the iteration
+        task, traj = expert_trajectory(name, 1, jitter=0.1, noise=0.05)
+        traj["frames"] = [f for f in traj["frames"]
+                          if f["phase"] == int(Phase.INTERACTION)]
+        arm = default_arm()
+        out = retarget_trajectory(traj, arm, task.object)
+        assert out.phase_markers == [0]
+        assert out.discontinuities() == []
+        assert replay_retargeted(out, task, arm)
 
 
 class TestRetargetTrajectory:
