@@ -166,13 +166,11 @@ def episode_to_clip(task: TaskSpec, record: Episode, clip_id: str,
         raise ConfigurationError(
             f"clip {clip_id} would have {len(keep)} frames; "
             f"expert episodes must yield at least {MIN_CLIP_FRAMES}")
-    spec = camera_spec(camera_id)
-    marker = goal_marker(task)
-    frames, summaries, acts = [], [], []
-    for t in keep:
-        st = record.states[t]
-        frames.append(render.render(st, task.object, spec, style,
-                                    marker_pos=marker))
+    states = [record.states[t] for t in keep]
+    frames = render.render_batch(states, task.object, camera_spec(camera_id),
+                                 style, marker_pos=goal_marker(task))
+    summaries, acts = [], []
+    for t, st in zip(keep, states):
         summaries.append(env2d.state_record(st, task.object))
         if t < record.steps:
             acts.append(_action_row(st, record.actions[t]))

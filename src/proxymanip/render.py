@@ -5,10 +5,18 @@ agent glyph is optional: omitting it re-renders the exact scene without the
 actor, which is the desk-scale ground truth for segment-and-inpaint. Two
 distinct glyphs (a disc for the learner, a square for the demonstrator)
 deliberately reproduce the demonstrator/learner appearance gap.
+
+Rasterization is batched: :func:`render_batch` draws n frames of one object
+and camera in one set of array operations, testing for each shape only a
+fixed-size window of pixels around it, and :func:`render` is its n = 1 case.
+The per-call overhead is about that of two single frames, so a caller with
+several frames draws them in one call. The target marker is the same in
+every frame and is painted once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,59 +106,104 @@ def _pixel_centers(spec: ImageSpec) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def _window(spec: ImageSpec, cx: float, cy: float, hx: float, hy: float,
-            field: str) -> tuple[slice, slice]:
-    """Row and column slices of the pixels whose centers can lie within
-    ``hx`` of ``cx`` and ``hy`` of ``cy``, padded by one pixel so that no
-    rounding in the shape tests can reach past them. A bound that is not
-    finite raises ``ConfigurationError`` naming ``field``."""
-    if not all(map(math.isfinite, (cx - hx, cx + hx, cy - hy, cy + hy))):
-        raise ConfigurationError(
-            f"{field} is not finite: center ({cx}, {cy}), half-size ({hx}, {hy})")
+@functools.lru_cache(maxsize=64)
+def _window_geometry(spec: ImageSpec, reach: float):
+    """What the windows of every shape of ``reach`` on ``spec`` share.
+
+    A window holds the pixels whose centers can lie within ``reach`` of the
+    shape's center, plus two pixels on either side, so that no rounding in
+    the shape tests or in placing the window can reach past it. Returns the
+    pixel-center x of each column and y of each row, bitwise those of
+    :func:`_pixel_centers` with ``pad`` NaNs on either side; the affine map
+    (scale, offset) of a center to the padded index of its window's first
+    column and row, with the largest such index; the column and row ranges
+    of a window; and ``pad``. No shape test passes at NaN, so a window
+    reaching past the image paints nothing there.
+    """
     xmin, ymin, xmax, ymax = spec.window
     sx = spec.width / (xmax - xmin)
     sy = spec.height / (ymax - ymin)
-    # pixel k has its center at k + 0.5 in these units
-    c0 = math.ceil((cx - hx - xmin) * sx - 0.5) - 1
-    c1 = math.floor((cx + hx - xmin) * sx - 0.5) + 2
-    r0 = math.ceil((ymax - cy - hy) * sy - 0.5) - 1
-    r1 = math.floor((ymax - cy + hy) * sy - 0.5) + 2
-    # a negative bound would count from the end; one past the edge is clipped
-    return slice(max(r0, 0), max(r1, 0)), slice(max(c0, 0), max(c1, 0))
+    kc = math.ceil(2.0 * reach * sx) + 5
+    kr = math.ceil(2.0 * reach * sy) + 5
+    pad = max(kc, kr)
+    gx, gy = _pixel_centers(spec)
+    nan = np.full(pad, np.nan)
+    xs = np.concatenate([nan, gx[0], nan])
+    ys = np.concatenate([nan, gy[:, 0], nan])
+    # pixel k has its center at k + 0.5 in pixel units, y pointing down
+    scale = np.array([sx, -sy])
+    offset = np.array([pad - 1.5 - (xmin + reach) * sx,
+                       pad - 1.5 + (ymax - reach) * sy])
+    last = np.array([spec.width + pad, spec.height + pad], dtype=float)
+    return xs, ys, scale, offset, last, np.arange(kc), np.arange(kr), pad
 
 
-def _fill_rect(img: np.ndarray, spec: ImageSpec, center, theta: float,
-               extents, value: int, field: str) -> None:
-    cx, cy = float(center[0]), float(center[1])
-    c, s = math.cos(theta), math.sin(theta)
+def _windows(spec: ImageSpec, centers: np.ndarray, reach: float,
+             field: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One fixed-size pixel window per frame around ``centers[i]`` (see
+    :func:`_window_geometry`).
+
+    Returns ``dx`` (n, cols) and ``dy`` (n, rows), the window's pixel-center
+    offsets from the shape's center (NaN off the image), and ``flat``
+    (n, rows, cols), each window pixel's index into the raveled (n, H, W)
+    frames, valid wherever the pixel is on the image. A center or reach
+    that is not finite raises ``ConfigurationError`` naming ``field``.
+    """
+    if not (np.isfinite(centers).all() and math.isfinite(reach)):
+        x, y = centers[(~np.isfinite(centers)).any(axis=1).argmax()]
+        raise ConfigurationError(
+            f"{field} is not finite: center ({x}, {y}), reach {reach}")
+    xs, ys, scale, offset, last, col_range, row_range, pad = \
+        _window_geometry(spec, reach)
+    # a window wholly off the image moves to just past its edge, where it
+    # sees only NaN; the clipped start is not negative, so astype floors it
+    start = (centers * scale + offset).clip(0.0, last).astype(np.intp)
+    cols = start[:, :1] + col_range
+    rows = start[:, 1:] + row_range
+    dx = xs[cols] - centers[:, :1]
+    dy = ys[rows] - centers[:, 1:]
+    width = spec.width
+    frame_base = (np.arange(len(centers)) * (spec.height * width)
+                  - pad * (width + 1))
+    flat = (rows * width + frame_base[:, None])[:, :, None] + cols[:, None, :]
+    return dx, dy, flat
+
+
+def _fill_rects(imgs: np.ndarray, spec: ImageSpec, centers: np.ndarray, c, s,
+                extents, value: int, field: str) -> None:
+    """Paint into ``imgs[i]`` the rectangle of ``extents`` centered on
+    ``centers[i]`` and rotated by the angle of cosine ``c[i]`` and sine
+    ``s[i]`` (each (n, 1), or one float for every frame)."""
     hw, hh = extents[0] / 2.0, extents[1] / 2.0
-    rows, cols = _window(spec, cx, cy, abs(c) * hw + abs(s) * hh,
-                         abs(s) * hw + abs(c) * hh, field)
-    gx, gy = _pixel_centers(spec)
-    dx = gx[rows, cols] - cx
-    dy = gy[rows, cols] - cy
-    lx = c * dx + s * dy
-    ly = -s * dx + c * dy
+    dx, dy, flat = _windows(spec, centers, math.hypot(hw, hh), field)
+    lx = (c * dx)[:, None, :] + (s * dy)[:, :, None]
+    ly = (c * dy)[:, :, None] - (s * dx)[:, None, :]
     mask = (np.abs(lx) <= hw) & (np.abs(ly) <= hh)
-    img[rows, cols][mask] = value
+    imgs.reshape(-1)[flat[mask]] = value
 
 
-def _fill_disc(img: np.ndarray, spec: ImageSpec, center, radius: float,
-               value: int, field: str) -> None:
-    cx, cy = float(center[0]), float(center[1])
-    rows, cols = _window(spec, cx, cy, abs(radius), abs(radius), field)
-    gx, gy = _pixel_centers(spec)
-    mask = (gx[rows, cols] - cx) ** 2 + (gy[rows, cols] - cy) ** 2 <= radius * radius
-    img[rows, cols][mask] = value
-    # a sub-pixel disc must still mark its center pixel
-    row, col, inside = world_to_pixel(spec, center)
-    if inside:
-        img[row, col] = value
+def _fill_discs(imgs: np.ndarray, spec: ImageSpec, centers: np.ndarray,
+                radius: float, value: int, field: str) -> None:
+    dx, dy, flat = _windows(spec, centers, abs(radius), field)
+    mask = (dx ** 2)[:, None, :] + (dy ** 2)[:, :, None] <= radius * radius
+    imgs.reshape(-1)[flat[mask]] = value
 
 
-def render(state: WorldState, obj: ObjectModel | None, spec: ImageSpec,
-           style: str, marker_pos=None, proxy_radius: float = 0.02) -> FrameImage:
-    """Rasterize one frame.
+@functools.lru_cache(maxsize=64)
+def _marker_layer(spec: ImageSpec, x: float, y: float) -> np.ndarray:
+    """A read-only (1, H, W) frame holding only the target marker at (x, y).
+    Cached: every frame of a task shows its marker in the same place."""
+    layer = np.zeros((1, spec.height, spec.width), dtype=np.uint8)
+    _fill_rects(layer, spec, np.array([[x, y]]), 1.0, 0.0,
+                (2 * MARKER_HALF_SIZE, 2 * MARKER_HALF_SIZE), INTENSITY_MARKER,
+                "marker")
+    layer.flags.writeable = False
+    return layer
+
+
+def render_batch(states, obj: ObjectModel | None, spec: ImageSpec, style: str,
+                 marker_pos=None, proxy_radius: float = 0.02) -> list[FrameImage]:
+    """Rasterize one frame per state, all of one object and camera.
 
     Painter's order: background (0), target marker (90), object (180), agent
     glyph (255). ``style='none'`` omits the agent entirely. Pure function of
@@ -159,29 +212,46 @@ def render(state: WorldState, obj: ObjectModel | None, spec: ImageSpec,
     """
     if style not in AGENT_STYLES:
         raise ConfigurationError(f"unknown agent style {style!r}")
-    img = np.zeros((spec.height, spec.width), dtype=np.uint8)
-    if marker_pos is not None:
-        _fill_rect(img, spec, marker_pos, 0.0,
-                   (2 * MARKER_HALF_SIZE, 2 * MARKER_HALF_SIZE), INTENSITY_MARKER,
-                   "marker")
+    n = len(states)
+    if n == 0:
+        return []
+    if marker_pos is None:
+        imgs = np.zeros((n, spec.height, spec.width), dtype=np.uint8)
+    else:
+        imgs = _marker_layer(spec, float(marker_pos[0]),
+                             float(marker_pos[1])).repeat(n, axis=0)
     if obj is not None:
-        if not all(map(math.isfinite, state.object_q)):
-            raise ConfigurationError(
-                f"object pose is not finite: {state.object_q}")
-        center, theta = rect_center(obj, state.object_q)
-        _fill_rect(img, spec, center, theta, obj.extents, INTENSITY_OBJECT,
-                   "object pose")
-    if style == STYLE_GRIPPER_DISC:
-        _fill_disc(img, spec, state.proxy_pos, proxy_radius, INTENSITY_AGENT,
-                   "proxy position")
-    elif style == STYLE_HAND_SQUARE:
-        side = 3.0 * proxy_radius
-        _fill_rect(img, spec, state.proxy_pos, 0.0, (side, side),
-                   INTENSITY_AGENT, "proxy position")
-        row, col, inside = world_to_pixel(spec, state.proxy_pos)
-        if inside:
-            img[row, col] = INTENSITY_AGENT
-    return FrameImage(spec=spec, pixels=img)
+        poses = []
+        for state in states:
+            if not all(map(math.isfinite, state.object_q)):
+                raise ConfigurationError(
+                    f"object pose is not finite: {state.object_q}")
+            center, theta = rect_center(obj, state.object_q)
+            poses.append((center[0], center[1], math.cos(theta), math.sin(theta)))
+        poses = np.array(poses)
+        _fill_rects(imgs, spec, poses[:, :2], poses[:, 2:3], poses[:, 3:],
+                    obj.extents, INTENSITY_OBJECT, "object pose")
+    if style != STYLE_NONE:
+        pos = np.array([state.proxy_pos for state in states], dtype=float)
+        if style == STYLE_GRIPPER_DISC:
+            _fill_discs(imgs, spec, pos, proxy_radius, INTENSITY_AGENT,
+                        "proxy position")
+        else:
+            side = 3.0 * proxy_radius
+            _fill_rects(imgs, spec, pos, 1.0, 0.0, (side, side),
+                        INTENSITY_AGENT, "proxy position")
+        # a glyph smaller than a pixel must still mark its center pixel
+        for img, p in zip(imgs, pos):
+            row, col, inside = world_to_pixel(spec, p)
+            if inside:
+                img[row, col] = INTENSITY_AGENT
+    return [FrameImage(spec, img) for img in imgs]
+
+
+def render(state: WorldState, obj: ObjectModel | None, spec: ImageSpec,
+           style: str, marker_pos=None, proxy_radius: float = 0.02) -> FrameImage:
+    """Rasterize one frame: the n = 1 case of :func:`render_batch`."""
+    return render_batch([state], obj, spec, style, marker_pos, proxy_radius)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,28 @@ def embed(encoder: Encoder, frame) -> np.ndarray:
 
 
 def embed_batch(encoder: Encoder, frames) -> np.ndarray:
+    """Embeddings of a batch of frames (FrameImages or raw pixel arrays).
+
+    Layer 0 runs only on the active columns: the pooled pixels that are
+    non-zero in at least one frame of the batch. A zero column adds exactly
+    nothing to any product, and a masked frame is a marker and one object on
+    black, so most columns are zero. The result differs from the full-width
+    forward only in BLAS summation order.
+    """
     x = preprocess_batch(frames)
-    z, _ = forward_batch(encoder.net, x)
+    cols = np.flatnonzero(x.any(axis=0))
+    z, _ = forward_batch(_active_columns(encoder, cols).net, x[:, cols])
     return z
+
+
+def _active_columns(encoder: Encoder, cols: np.ndarray) -> Encoder:
+    """The encoder as seen by inputs that are zero outside ``cols``: layer 0
+    holds only the rows ``cols`` of ``W0``, and every other layer and bias is
+    the encoder's own array."""
+    net = encoder.net
+    return Encoder(MlpNetwork([cols.size] + net.layer_sizes[1:],
+                              [net.weights[0][cols]] + net.weights[1:],
+                              list(net.biases), list(net.activations)))
 
 
 def similarity(z_a: np.ndarray, z_b: np.ndarray) -> float:
@@ -253,9 +272,7 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
     cols = np.flatnonzero(active)
     for i, x in enumerate(pre):
         pre[i] = x[:, cols]
-    compact = Encoder(MlpNetwork([cols.size] + net.layer_sizes[1:],
-                                 [net.weights[0][cols]] + net.weights[1:],
-                                 list(net.biases), list(net.activations)))
+    compact = _active_columns(encoder, cols)
     if resume_from is None:
         adam = adam_init(compact.net.parameters(), lr=config.lr)
     else:

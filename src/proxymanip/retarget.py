@@ -207,6 +207,13 @@ def closed_form_solutions(arm: ArmModel, target_position,
     return solutions
 
 
+def _overshoot_text(overshoot: float) -> str:
+    """Three decimals, or two significant digits where three decimals would
+    round a positive overshoot to 0.000."""
+    text = f"{overshoot:.3f}"
+    return text if float(text) else f"{overshoot:.1e}"
+
+
 def _feasible_solutions(arm: ArmModel, target_position,
                         target_orientation: float) -> list[tuple[tuple, float]]:
     """The closed-form branches with every joint within its limits, each
@@ -227,7 +234,8 @@ def _feasible_solutions(arm: ArmModel, target_position,
     for q, m in zip(solutions, margins):
         j = m.index(min(m))
         lo, hi = arm.joint_limits[j]
-        details.append(f"joint {j} needs {q[j]:.3f} rad, {-m[j]:.3f} past "
+        details.append(f"joint {j} needs {q[j]:.3f} rad, "
+                       f"{_overshoot_text(-m[j])} past "
                        f"limit {lo if q[j] < lo else hi:.3f}")
     raise InfeasiblePoseError(
         f"pose ({float(target_position[0]):.4f}, "
@@ -258,6 +266,11 @@ def inverse_kinematics(arm: ArmModel, target_position,
     run only if it stalls.
     """
     tx, ty = (float(v) for v in target_position)
+    if not (math.isfinite(tx) and math.isfinite(ty)):
+        raise ConfigurationError(f"target position {[tx, ty]} is not finite")
+    if target_orientation is not None and not math.isfinite(target_orientation):
+        raise ConfigurationError(
+            f"target orientation {target_orientation} is not finite")
     dist = math.hypot(tx - arm.base_position[0], ty - arm.base_position[1])
     if dist > arm.reach + 1e-9 or dist < arm.inner_reach - 1e-9:
         raise OutOfReachError(

@@ -292,11 +292,6 @@ class _EnvSlot:
     episode_len: int = 0
 
 
-def _render_masked(slot: _EnvSlot, spec: ImageSpec, marker) -> FrameImage:
-    return render.render(slot.state, slot.task.object, spec, "none",
-                         marker_pos=marker)
-
-
 def _masked_similarities(slots: list[_EnvSlot], encoder: Encoder,
                          goal: GoalSpec, spec: ImageSpec, marker,
                          memo: dict) -> list[float]:
@@ -305,16 +300,18 @@ def _masked_similarities(slots: list[_EnvSlot], encoder: Encoder,
     With the agent masked out, the frame depends only on the object pose
     (task, camera and marker are fixed for the caller), so ``memo`` maps
     ``object_q.tobytes()`` to the similarity. Poses not yet in it are
-    rendered once each and embedded in one batch.
+    rendered in one batch, once each, and embedded in one batch.
     """
     keys = [slot.state.object_q.tobytes() for slot in slots]
-    frames: dict[bytes, FrameImage] = {}
+    new: dict[bytes, WorldState] = {}
     for key, slot in zip(keys, slots):
-        if key not in memo and key not in frames:
-            frames[key] = _render_masked(slot, spec, marker)
-    if frames:
-        z = embed_batch(encoder, list(frames.values()))
-        for key, z_k in zip(frames, z):
+        if key not in memo:
+            new.setdefault(key, slot.state)
+    if new:
+        frames = render.render_batch(list(new.values()), slots[0].task.object,
+                                     spec, "none", marker_pos=marker)
+        z = embed_batch(encoder, frames)
+        for key, z_k in zip(new, z):
             memo[key] = similarity(z_k, goal.goal_embedding)
     return [memo[key] for key in keys]
 

@@ -234,6 +234,138 @@ class TestWindowedFill:
             _assert_matches_oracle(state, task.object, None, 1e-4)
 
 
+def _assert_batch_matches_oracle(states, obj, marker_pos=None,
+                                 proxy_radius=0.02):
+    for cam in CAMERAS:
+        spec = camera_spec(cam)
+        for style in AGENT_STYLES:
+            frames = render.render_batch(states, obj, spec, style, marker_pos,
+                                         proxy_radius)
+            assert len(frames) == len(states)
+            for i, (state, frame) in enumerate(zip(states, frames)):
+                want = oracle_render(state, obj, spec, style, marker_pos,
+                                     proxy_radius)
+                assert frame.spec == spec
+                assert np.array_equal(frame.pixels, want), (
+                    cam, style, i, marker_pos, state.object_q,
+                    state.proxy_pos, proxy_radius)
+
+
+def _far_q(task, far):
+    if task.object.kind == env2d.FREE_BODY:
+        return np.array([far, -far / 2.0, 0.7])
+    return np.array([far])
+
+
+class TestRenderBatch:
+    """A batch gives, frame by frame, the oracle's pixels."""
+
+    @pytest.mark.parametrize("name", sorted(env2d.builtin_catalogue()))
+    def test_mixed_batch_matches_oracle(self, name):
+        task = get_task(name)
+        rng = np.random.Generator(np.random.PCG64(7 + sum(map(ord, name))))
+        start = reset(task.world_config(), task, seed=0)
+        states = []
+        for _ in range(24):
+            state = start.copy()
+            # joints up to 0.2 past their limits, free bodies off the image
+            state.object_q = _random_q(task, rng)
+            state.proxy_pos = rng.uniform(-0.9, 0.9, 2)
+            states.append(state)
+        for far in (0.7, -3.0, 40.0, 1e9, -1e9):
+            state = start.copy()
+            state.object_q = _far_q(task, far)
+            state.proxy_pos = np.array([far, far / 3.0])
+            states.append(state)
+        states = [states[i] for i in rng.permutation(len(states))]
+        for marker, radius in [(None, 0.02),
+                               (tuple(rng.uniform(-0.8, 0.8, 2)), 0.05),
+                               ((0.9, -0.7), 1e-4), ((0.1, 0.2), 0.0)]:
+            _assert_batch_matches_oracle(states, task.object, marker, radius)
+        _assert_batch_matches_oracle(states, None, (0.0, 0.0), 0.03)
+
+    def test_edges_on_pixel_centers(self):
+        task = get_task("move-box")
+        start = reset(task.world_config(), task, seed=0)
+        half_box = task.object.extents[0] / 2.0
+        radius = 0.02
+        for cam in CAMERAS:
+            gx, gy = render._pixel_centers(camera_spec(cam))
+            states = []
+            for k in range(0, 64, 5):
+                x, y = gx[0, k], gy[k, 0]
+                for sx, sy in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+                    state = start.copy()
+                    state.object_q = np.array([x + sx * half_box,
+                                               y + sy * half_box, 0.0])
+                    state.proxy_pos = np.array([x + sx * radius, y])
+                    states.append(state)
+            marker = (gx[0, 7] - render.MARKER_HALF_SIZE,
+                      gy[40, 0] + render.MARKER_HALF_SIZE)
+            _assert_batch_matches_oracle(states, task.object, marker, radius)
+
+    def test_empty_batch(self):
+        task = get_task("move-box")
+        spec = camera_spec("front")
+        for style in AGENT_STYLES:
+            assert render.render_batch([], task.object, spec, style,
+                                       marker_pos=(0.1, 0.1)) == []
+        with pytest.raises(ConfigurationError, match="agent style"):
+            render.render_batch([], task.object, spec, "plaid")
+
+    def test_frames_own_their_pixels(self):
+        task = get_task("lift-box")
+        start = reset(task.world_config(), task, seed=0)
+        states = []
+        for dx in (0.0, 0.1, 0.2):
+            state = start.copy()
+            state.object_q = start.object_q + [dx, 0.0, 0.0]
+            states.append(state)
+        spec = camera_spec("left")
+        marker = (0.2, 0.3)
+        frames = render.render_batch(states, task.object, spec, "gripper_disc",
+                                     marker_pos=marker)
+        for frame in frames:
+            px = frame.pixels
+            assert px.shape == (spec.height, spec.width)
+            assert px.dtype == np.uint8 and px.flags.c_contiguous
+            assert px.base is None or px.base.nbytes == px.nbytes * len(states)
+        assert not np.shares_memory(frames[0].pixels, frames[1].pixels)
+        # painting over one frame changes neither the others nor later frames
+        frames[0].pixels[:] = 7
+        for state, frame in zip(states[1:], frames[1:]):
+            assert np.array_equal(frame.pixels, oracle_render(
+                state, task.object, spec, "gripper_disc", marker))
+        again = render.render_batch(states, task.object, spec, "gripper_disc",
+                                    marker_pos=marker)
+        assert np.array_equal(again[0].pixels, oracle_render(
+            states[0], task.object, spec, "gripper_disc", marker))
+
+    @pytest.mark.parametrize("style, field, value", [
+        ("none", "object_q", math.nan),
+        ("hand_square", "object_q", math.inf),
+        ("gripper_disc", "proxy_pos", math.nan),
+        ("hand_square", "proxy_pos", -math.inf),
+    ])
+    def test_non_finite_pose_mid_batch(self, style, field, value):
+        task = get_task("open-door")
+        states = [reset(task.world_config(), task, seed=s) for s in range(5)]
+        getattr(states[2], field)[0] = value
+        match = "object pose" if field == "object_q" else "proxy position"
+        with pytest.raises(ConfigurationError, match=match):
+            render.render_batch(states, task.object, camera_spec("front"), style)
+
+    def test_non_finite_proxy_unused_without_agent(self):
+        task = get_task("open-door")
+        states = [reset(task.world_config(), task, seed=s) for s in range(5)]
+        states[2].proxy_pos = np.array([math.nan, 0.1])
+        frames = render.render_batch(states, task.object, camera_spec("front"),
+                                     "none")
+        for state, frame in zip(states, frames):
+            assert np.array_equal(frame.pixels, oracle_render(
+                state, task.object, camera_spec("front"), "none"))
+
+
 class TestNonFinitePose:
     @pytest.mark.parametrize("name, q", [
         ("move-box", [math.nan, 0.2, 0.3]),

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxymanip import numcore as nc
+from proxymanip import render
 from proxymanip import reprlearn as rl
-from proxymanip.demogen import generate_dataset, sample_tcn_batch
-from proxymanip.env2d import builtin_catalogue
+from proxymanip.demogen import generate_dataset, goal_marker, sample_tcn_batch
+from proxymanip.env2d import builtin_catalogue, get_task, reset
 
 
 def small_dataset(style="none", seed=21, clips=2):
@@ -213,6 +214,75 @@ class TestEmbed:
         zs = rl.embed_batch(enc, imgs)
         for img, z in zip(imgs, zs):
             assert np.allclose(rl.embed(enc, img), z, atol=1e-12)
+
+
+def reward_frames(style, n=10, seed=8):
+    """Frames of random move-box and open-door poses as the reward renders
+    them: goal marker, object and, unless ``style`` is none, the agent."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    frames = []
+    for name in ("move-box", "open-door"):
+        task = get_task(name)
+        states = []
+        for _ in range(n // 2):
+            state = reset(task.world_config(), task, seed=0)
+            state.object_q = state.object_q + rng.normal(0.0, 0.1,
+                                                         state.object_q.shape)
+            state.proxy_pos = rng.uniform(-0.5, 0.5, 2)
+            states.append(state)
+        frames += render.render_batch(states, task.object,
+                                      render.camera_spec("front"), style,
+                                      marker_pos=goal_marker(task))
+    return frames
+
+
+class TestEmbedActiveColumns:
+    """embed_batch runs layer 0 only on the pooled columns that are non-zero
+    in the batch; the full-width forward is the oracle."""
+
+    @pytest.mark.parametrize("kind", ["masked", "hand_square", "zeros", "dense"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_full_width_forward(self, kind, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        frames = {
+            "masked": lambda: reward_frames("none", seed=seed),
+            "hand_square": lambda: reward_frames("hand_square", seed=seed),
+            "zeros": lambda: list(np.zeros((4, 64, 64), dtype=np.uint8)),
+            "dense": lambda: list(rng.integers(1, 256, (6, 64, 64),
+                                               dtype=np.uint8)),
+        }[kind]()
+        enc = rl.init_encoder(seed)
+        # a trained encoder's biases are not zero
+        for b in enc.net.biases:
+            b[:] = rng.normal(0.0, 0.1, b.shape)
+        x = rl.preprocess_batch(frames)
+        want, _ = nc.forward_batch(enc.net, x)
+        got = rl.embed_batch(enc, frames)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for frame, z in zip(frames, got):
+            np.testing.assert_allclose(rl.embed(enc, frame), z, rtol=0,
+                                       atol=1e-12)
+        # how many of the 1,024 pooled columns layer 0 still multiplies
+        active = int(x.any(axis=0).sum())
+        assert {"masked": 0 < active < 1024 // 8,
+                "hand_square": 0 < active < 1024 // 4,
+                "zeros": active == 0, "dense": active == 1024}[kind], active
+
+    def test_zero_frames_give_output_of_biases(self):
+        enc = rl.init_encoder(seed=2)
+        z = rl.embed_batch(enc, [np.zeros((64, 64), dtype=np.uint8)] * 3)
+        h = np.maximum(enc.net.biases[0], 0.0)
+        h = np.maximum(h @ enc.net.weights[1] + enc.net.biases[1], 0.0)
+        want = h @ enc.net.weights[2] + enc.net.biases[2]
+        np.testing.assert_allclose(z, np.tile(want, (3, 1)), rtol=0, atol=1e-12)
+
+    def test_leaves_encoder_unchanged(self):
+        enc = rl.init_encoder(seed=4)
+        before = [p.copy() for p in enc.net.parameters()]
+        rl.embed_batch(enc, reward_frames("none"))
+        for p, q in zip(enc.net.parameters(), before):
+            assert p.tobytes() == q.tobytes()
 
 
 class TestSimilarity:

@@ -198,11 +198,25 @@ class TestInverseKinematics:
         hi = arm.joint_limits[2][1]
         pos, ori = forward_kinematics(arm, [0.0, 0.3, hi + overshoot])
         if overshoot > 0:
-            with pytest.raises(InfeasiblePoseError, match=r"joint 2 needs 2\.967"):
+            with pytest.raises(InfeasiblePoseError,
+                               match=r"joint 2 needs 2\.967 rad, 5\.0e-05 past "
+                                     r"limit 2\.967"):
                 inverse_kinematics(arm, pos, ori)
         else:
             q = inverse_kinematics(arm, pos, ori)
             assert q == pytest.approx([0.0, 0.3, hi + overshoot], abs=1e-12)
+
+    @pytest.mark.parametrize("position, orientation, message", [
+        ((math.nan, 0.1), None, "target position"),
+        ((0.1, math.inf), None, "target position"),
+        ((-math.inf, 0.1), 0.5, "target position"),
+        ((0.3, 0.2), math.nan, "target orientation"),
+        ((0.3, 0.2), -math.inf, "target orientation"),
+    ])
+    def test_non_finite_target(self, position, orientation, message,
+                               no_iteration):
+        with pytest.raises(ConfigurationError, match=f"{message} .* not finite"):
+            inverse_kinematics(default_arm(), position, orientation)
 
     @pytest.mark.parametrize("orientation", [None, 0.5])
     def test_guess_of_wrong_length(self, orientation):

@@ -237,12 +237,14 @@ class TestRollouts:
         slot = make_env_slots(task, options, encoder, goal, 1, seed=3)[0]
         spec = skillrl.camera_spec(options.camera)
         marker = skillrl.goal_marker(task)
-        z0 = reprlearn.embed(encoder, skillrl._render_masked(slot, spec, marker))
+        z0 = reprlearn.embed(encoder, render.render(slot.state, task.object, spec,
+                                                    "none", marker_pos=marker))
         beta = reprlearn.similarity(z0, goal.goal_embedding)
         slot.state, _ = skillrl.env2d.step(
             slot.state, skillrl.to_proxy_action(np.array([0.3, 0.1, 0, 0])),
             slot.config, slot.task)
-        z1 = reprlearn.embed(encoder, skillrl._render_masked(slot, spec, marker))
+        z1 = reprlearn.embed(encoder, render.render(slot.state, task.object, spec,
+                                                    "none", marker_pos=marker))
         s1 = reprlearn.similarity(z1, goal.goal_embedding)
         r = shaped_reward_value(s1, beta, options.reward)
         assert abs(r) < 1e-9
@@ -365,11 +367,12 @@ class TestPoseMemo:
     def test_renders_each_distinct_pose_once(self, encoder, monkeypatch):
         args = self.setup(get_task("lift-box"), encoder, seed=2)
         rendered, poses = [], set()
-        real_render, real_step, real_reset = render.render, env2d.step, env2d.reset
+        real_render, real_step, real_reset = (render.render_batch, env2d.step,
+                                              env2d.reset)
 
-        def counting_render(state, *a, **kw):
-            rendered.append(state.object_q.tobytes())
-            return real_render(state, *a, **kw)
+        def counting_render(states, *a, **kw):
+            rendered.extend(state.object_q.tobytes() for state in states)
+            return real_render(states, *a, **kw)
 
         def recording_step(*a, **kw):
             state, events = real_step(*a, **kw)
@@ -381,7 +384,7 @@ class TestPoseMemo:
             poses.add(state.object_q.tobytes())
             return state
 
-        monkeypatch.setattr(render, "render", counting_render)
+        monkeypatch.setattr(render, "render_batch", counting_render)
         monkeypatch.setattr(env2d, "step", recording_step)
         monkeypatch.setattr(env2d, "reset", recording_reset)
         collect_rollouts(*args)
