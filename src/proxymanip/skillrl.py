@@ -5,7 +5,11 @@ position during exploration, intended force during interaction; the phase flag
 sits in the observation) plus a critic. Rewards come from the frozen visual
 encoder: similarity of the current agent-masked frame to the goal image,
 shaped so that improving on the start state is boosted and regressions are
-penalized gently. Optimization is clipped-surrogate PPO with generalized
+penalized gently. A rollout computes its rewards in one pass after its step
+loop, with two memo keys: each distinct object pose (``object_q.tobytes()``)
+is rendered once, since the masked frame depends on nothing else, and each
+distinct frame (its pixel bytes) is embedded once, since many poses draw the
+same pixels. Optimization is clipped-surrogate PPO with generalized
 advantage estimation, all gradients written out by hand. Advantage-weighted
 regression over expert clips provides the imitation path.
 """
@@ -27,7 +31,7 @@ from .env2d import (OBS_PHASE_INDEX, ProxyAction, TaskSpec, WorldConfig,
 from .numcore import (AdamState, ConfigurationError, MlpNetwork, adam_init,
                       adam_step, backward_batch, clip_by_global_norm,
                       derive_seed, forward_batch, init_mlp)
-from .render import FrameImage, ImageSpec, camera_spec
+from .render import FrameImage, camera_spec
 from .reprlearn import Encoder, embed, embed_batch, similarity
 
 OBS_DIM = env2d.OBS_DIM
@@ -40,10 +44,21 @@ LOG_STD_INIT = (-0.7, -0.7, 1.0, 1.0)
 
 ROUTING_TWO_PHASE = "two_phase"
 ROUTING_FLAT = "flat"
+# the action dimensions each routing activates, one row per phase flag
+# (exploration, interaction): two-phase routes position, then force
+HEAD_MASKS = {
+    ROUTING_TWO_PHASE: np.array([[True, True, False, False],
+                                 [False, False, True, True]]),
+    ROUTING_FLAT: np.ones((2, ACTION_DIM), dtype=bool),
+}
 
 VALUE_LOSS_COEF = 0.5
 ENTROPY_COEF = 0.01
 GRAD_CLIP_NORM = 0.5
+
+# poses per render_batch call in the reward pass: large enough to spread the
+# renderer's fixed cost per call, small enough to keep few frames alive
+REWARD_CHUNK = 64
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -120,8 +135,16 @@ class PolicyCheckpoint:
                                 self.action_scales.copy())
 
 
+def _check_routing(routing: str, where: str) -> None:
+    if routing not in HEAD_MASKS:
+        raise ConfigurationError(
+            f"{where}: routing is {routing!r}, expected one of "
+            f"{sorted(HEAD_MASKS)}")
+
+
 def init_policy(seed: int, routing: str = ROUTING_TWO_PHASE,
                 arena_half: float = 1.0, force_max: float = 20.0) -> PolicyCheckpoint:
+    _check_routing(routing, "init_policy")
     scales = np.array([arena_half, arena_half, force_max, force_max])
     return PolicyCheckpoint(
         actor=init_mlp(ACTOR_LAYERS, HIDDEN_ACTIVATIONS, derive_seed(seed, 1)),
@@ -134,15 +157,8 @@ def init_policy(seed: int, routing: str = ROUTING_TWO_PHASE,
 
 def head_mask(policy: PolicyCheckpoint, obs: np.ndarray) -> np.ndarray:
     """Which action dimensions the routing rule activates per observation."""
-    obs = np.atleast_2d(obs)
-    n = obs.shape[0]
-    if policy.routing == ROUTING_FLAT:
-        return np.ones((n, ACTION_DIM), dtype=bool)
-    interaction = obs[:, OBS_PHASE_INDEX] > 0.5
-    mask = np.zeros((n, ACTION_DIM), dtype=bool)
-    mask[~interaction, 0:2] = True
-    mask[interaction, 2:4] = True
-    return mask
+    interaction = np.atleast_2d(obs)[:, OBS_PHASE_INDEX] > 0.5
+    return HEAD_MASKS[policy.routing][interaction.view(np.uint8)]
 
 
 def action_means(policy: PolicyCheckpoint, obs: np.ndarray):
@@ -292,40 +308,47 @@ class _EnvSlot:
     episode_len: int = 0
 
 
-def _masked_similarities(slots: list[_EnvSlot], encoder: Encoder,
-                         goal: GoalSpec, spec: ImageSpec, marker,
-                         memo: dict) -> list[float]:
-    """Goal similarity of each slot's agent-masked frame.
+@dataclass(frozen=True)
+class _ObjectPose:
+    """All that a render with the agent masked out reads of a state."""
+    object_q: np.ndarray
 
-    With the agent masked out, the frame depends only on the object pose
-    (task, camera and marker are fixed for the caller), so ``memo`` maps
-    ``object_q.tobytes()`` to the similarity. Poses not yet in it are
-    rendered in one batch, once each, and embedded in one batch.
+
+def _masked_similarities(poses: list[bytes], task: TaskSpec, camera: str,
+                         encoder: Encoder, goal: GoalSpec) -> list[float]:
+    """Goal similarity of the agent-masked frame of each object pose, given
+    as ``object_q.tobytes()``.
+
+    The poses are rendered ``REWARD_CHUNK`` at a time. Each frame is keyed
+    by its pixel bytes, which is exact for any render style, and each
+    distinct frame is embedded once, in one ``embed_batch`` call with the
+    other new frames of its chunk.
     """
-    keys = [slot.state.object_q.tobytes() for slot in slots]
-    new: dict[bytes, WorldState] = {}
-    for key, slot in zip(keys, slots):
-        if key not in memo:
-            new.setdefault(key, slot.state)
-    if new:
-        frames = render.render_batch(list(new.values()), slots[0].task.object,
-                                     spec, "none", marker_pos=marker)
-        z = embed_batch(encoder, frames)
-        for key, z_k in zip(new, z):
-            memo[key] = similarity(z_k, goal.goal_embedding)
-    return [memo[key] for key in keys]
+    spec, marker = camera_spec(camera), goal_marker(task)
+    by_pixels: dict[bytes, float] = {}
+    sims: list[float] = []
+    for start in range(0, len(poses), REWARD_CHUNK):
+        chunk = [_ObjectPose(np.frombuffer(q))
+                 for q in poses[start:start + REWARD_CHUNK]]
+        frames = render.render_batch(chunk, task.object, spec, "none",
+                                     marker_pos=marker)
+        keys = [frame.pixels.tobytes() for frame in frames]
+        new: dict[bytes, FrameImage] = {}
+        for key, frame in zip(keys, frames):
+            if key not in by_pixels:
+                new.setdefault(key, frame)
+        if new:
+            z = embed_batch(encoder, list(new.values()))
+            for key, z_k in zip(new, z):
+                by_pixels[key] = similarity(z_k, goal.goal_embedding)
+        sims.extend(by_pixels[key] for key in keys)
+    return sims
 
 
-def _reset_slots(slots: list[_EnvSlot], encoder: Encoder, goal: GoalSpec,
-                 spec: ImageSpec, marker, memo: dict) -> None:
-    for slot in slots:
-        seed = derive_seed(slot.master_seed, slot.env_index, slot.episode_index)
-        slot.state = env2d.reset(slot.config, slot.task, seed)
-        slot.episode_return = 0.0
-        slot.episode_len = 0
-    betas = _masked_similarities(slots, encoder, goal, spec, marker, memo)
-    for slot, beta in zip(slots, betas):
-        slot.beta = beta
+def _reset_slot(slot: _EnvSlot) -> None:
+    seed = derive_seed(slot.master_seed, slot.env_index, slot.episode_index)
+    slot.state = env2d.reset(slot.config, slot.task, seed)
+    slot.episode_len = 0
 
 
 def make_env_slots(task: TaskSpec, options: SkillOptions, encoder: Encoder,
@@ -333,30 +356,48 @@ def make_env_slots(task: TaskSpec, options: SkillOptions, encoder: Encoder,
     cfg = options.world_config(task)
     slots = [_EnvSlot(task, cfg, None, 0.0, 0, e, seed)  # type: ignore[arg-type]
              for e in range(n_envs)]
-    _reset_slots(slots, encoder, goal, camera_spec(options.camera),
-                 goal_marker(task), {})
+    for slot in slots:
+        _reset_slot(slot)
+    poses = [slot.state.object_q.tobytes() for slot in slots]
+    betas = _masked_similarities(poses, task, options.camera, encoder, goal)
+    for slot, beta in zip(slots, betas):
+        slot.beta = beta
     return slots
 
 
 def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
                      encoder: Encoder, goal: GoalSpec, ppo: PpoConfig,
                      options: SkillOptions, rng: np.random.Generator) -> dict:
-    """Gather horizon x n_envs transitions. The visual reward of each step is
-    the goal similarity of the agent-masked frame, rendered and embedded once
-    per distinct object pose within this call."""
+    """Gather horizon x n_envs transitions.
+
+    The step loop only steps, resets and records. Its rewards are formed
+    after it, in one pass over the call. With the agent masked out, a
+    reward frame depends only on the object pose, so poses are keyed by
+    ``object_q.tobytes()`` and each distinct pose of the call is rendered
+    once. ``_masked_similarities`` then keys the frames by pixel bytes and
+    embeds each distinct frame once. A slot's episode return and baseline
+    carry over to the next call.
+    """
     n_envs = len(slots)
-    spec = camera_spec(options.camera)
-    marker = goal_marker(slots[0].task)
-    memo: dict[bytes, float] = {}
+    # rows of the similarity table: row e < n_envs is the baseline slot e
+    # carries into the call, row n_envs + k the k-th distinct pose reached
+    pose_rows: dict[bytes, int] = {}
+
+    def pose_row(state: WorldState) -> int:
+        return pose_rows.setdefault(state.object_q.tobytes(),
+                                    n_envs + len(pose_rows))
+
     obs_buf = np.zeros((ppo.horizon, n_envs, OBS_DIM))
     act_buf = np.zeros((ppo.horizon, n_envs, ACTION_DIM))
     mask_buf = np.zeros((ppo.horizon, n_envs, ACTION_DIM), dtype=bool)
     logp_buf = np.zeros((ppo.horizon, n_envs))
-    rew_buf = np.zeros((ppo.horizon, n_envs))
     done_buf = np.zeros((ppo.horizon, n_envs))
     val_buf = np.zeros((ppo.horizon + 1, n_envs))
-    finished_returns: list[float] = []
-    finished_successes: list[bool] = []
+    # per (t, e): the table rows of the post-step pose and of the baseline
+    frame_rows = np.zeros((ppo.horizon, n_envs), dtype=np.intp)
+    beta_rows = np.zeros((ppo.horizon, n_envs), dtype=np.intp)
+    success_buf = np.zeros((ppo.horizon, n_envs), dtype=bool)
+    slot_beta_rows = list(range(n_envs))
 
     for t in range(ppo.horizon):
         obs = np.stack([env2d.observe(s.state, s.task.object) for s in slots])
@@ -371,23 +412,37 @@ def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
             slot.state, _ = env2d.step(slot.state, to_proxy_action(actions[e]),
                                        slot.config, slot.task)
             slot.episode_len += 1
-        sims = _masked_similarities(slots, encoder, goal, spec, marker, memo)
-        finished = []
-        for e, slot in enumerate(slots):
-            reward = shaped_reward_value(sims[e], slot.beta, options.reward)
+            frame_rows[t, e] = pose_row(slot.state)
+            beta_rows[t, e] = slot_beta_rows[e]
             success = env2d.is_success(slot.state, slot.task)
-            timeout = slot.episode_len >= slot.config.episode_horizon
-            if success:
+            success_buf[t, e] = success
+            if success or slot.episode_len >= slot.config.episode_horizon:
+                done_buf[t, e] = 1.0
+                slot.episode_index += 1
+                _reset_slot(slot)
+                slot_beta_rows[e] = pose_row(slot.state)
+
+    sims = [slot.beta for slot in slots] + _masked_similarities(
+        list(pose_rows), slots[0].task, options.camera, encoder, goal)
+    rew_buf = np.zeros((ppo.horizon, n_envs))
+    finished_returns: list[float] = []
+    finished_successes: list[bool] = []
+    for t, (rows, betas, successes, dones) in enumerate(zip(
+            frame_rows.tolist(), beta_rows.tolist(), success_buf.tolist(),
+            done_buf.tolist())):
+        for e, slot in enumerate(slots):
+            reward = shaped_reward_value(sims[rows[e]], sims[betas[e]],
+                                         options.reward)
+            if successes[e]:
                 reward += options.terminal_bonus
             rew_buf[t, e] = reward
             slot.episode_return += reward
-            if success or timeout:
-                done_buf[t, e] = 1.0
+            if dones[e]:
                 finished_returns.append(slot.episode_return)
-                finished_successes.append(success)
-                slot.episode_index += 1
-                finished.append(slot)
-        _reset_slots(finished, encoder, goal, spec, marker, memo)
+                finished_successes.append(successes[e])
+                slot.episode_return = 0.0
+    for slot, row in zip(slots, slot_beta_rows):
+        slot.beta = sims[row]
 
     last_obs = np.stack([env2d.observe(s.state, s.task.object) for s in slots])
     val_buf[ppo.horizon] = values(policy, last_obs)
@@ -619,11 +674,22 @@ def load_policy(out_dir) -> PolicyCheckpoint:
     out = Path(out_dir)
     actor, _, trailing = numcore.load_checkpoint(out / "actor.ckpt")
     critic, _, _ = numcore.load_checkpoint(out / "critic.ckpt")
-    with open(out / "policy.json") as fh:
+    path = out / "policy.json"
+    with open(path) as fh:
         manifest = json.load(fh)
+    for name, expected in (("format_version", numcore.CHECKPOINT_FORMAT_VERSION),
+                           ("obs_dim", OBS_DIM)):
+        if manifest.get(name) != expected:
+            raise ConfigurationError(
+                f"{path}: {name} is {manifest.get(name)!r}, expected {expected}")
+    _check_routing(manifest.get("routing"), str(path))
+    scales = np.array(manifest.get("action_scales"), dtype=float)
+    if scales.shape != (ACTION_DIM,):
+        raise ConfigurationError(
+            f"{path}: action_scales is {manifest.get('action_scales')!r}, "
+            f"expected {ACTION_DIM} values")
     return PolicyCheckpoint(actor, critic, trailing["log_std"],
-                            manifest["routing"],
-                            np.array(manifest["action_scales"]))
+                            manifest["routing"], scales)
 
 
 # ---------------------------------------------------------------------------

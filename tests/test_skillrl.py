@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -393,6 +395,48 @@ class TestPoseMemo:
         assert set(rendered) == poses
         assert len(rendered) < self.PPO.rollout_envs * self.PPO.horizon / 2
 
+    def test_calls_carry_episodes_over(self, encoder):
+        # episodes of 20 steps straddle the boundary between calls of 24
+        task = get_task("move-box")
+        seed = 4
+        whole = collect_rollouts(*self.setup(task, encoder, seed))
+        policy, slots, _, goal, ppo, options, rng = self.setup(task, encoder,
+                                                               seed)
+        half = replace(ppo, horizon=ppo.horizon // 2)
+        halves = [collect_rollouts(policy, slots, encoder, goal, half, options,
+                                   rng) for _ in range(2)]
+        for key in ("obs", "actions", "masks", "log_probs"):
+            assert np.array_equal(
+                np.concatenate([part[key] for part in halves]), whole[key]), key
+        assert (halves[0]["episode_successes"] + halves[1]["episode_successes"]
+                == whole["episode_successes"])
+        np.testing.assert_allclose(
+            halves[0]["episode_returns"] + halves[1]["episode_returns"],
+            whole["episode_returns"], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["lift-box", "move-box"])
+    def test_embeds_each_distinct_frame_once(self, encoder, monkeypatch, name):
+        args = self.setup(get_task(name), encoder, seed=2)
+        rendered, embedded = [], []
+        real_render, real_embed = render.render_batch, skillrl.embed_batch
+
+        def counting_render(*a, **kw):
+            frames = real_render(*a, **kw)
+            rendered.extend(frame.pixels.tobytes() for frame in frames)
+            return frames
+
+        def counting_embed(encoder, frames):
+            embedded.extend(frame.pixels.tobytes() for frame in frames)
+            return real_embed(encoder, frames)
+
+        monkeypatch.setattr(render, "render_batch", counting_render)
+        monkeypatch.setattr(skillrl, "embed_batch", counting_embed)
+        collect_rollouts(*args)
+        assert len(embedded) == len(set(embedded))
+        assert set(embedded) == set(rendered)
+        if name == "move-box":
+            assert len(embedded) < len(rendered)
+
 
 class TestEpisodes:
     def test_recorded_trajectory_format(self, encoder):
@@ -466,6 +510,24 @@ class TestPolicyIO:
         assert (d1 / "actor.ckpt").read_bytes() == (d2 / "actor.ckpt").read_bytes()
         assert (d1 / "policy.json").read_bytes() == (d2 / "policy.json").read_bytes()
 
+    @pytest.mark.parametrize("name, value, expected", [
+        ("obs_dim", 7, "expected 12"),
+        ("format_version", 99, "expected 1"),
+        ("routing", "bogus", "expected one of ['flat', 'two_phase']"),
+        ("action_scales", [1.0], "expected 4 values"),
+    ], ids=["obs_dim", "format_version", "routing", "action_scales"])
+    def test_load_rejects_bad_manifest_field(self, tmp_path, name, value,
+                                             expected):
+        skillrl.save_policy(tmp_path, init_policy(seed=8))
+        path = tmp_path / "policy.json"
+        manifest = json.loads(path.read_text())
+        manifest[name] = value
+        path.write_text(json.dumps(manifest))
+        message = f"{path}: {name} is {value!r}"
+        with pytest.raises(nc.ConfigurationError,
+                           match=re.escape(message) + ".*" + re.escape(expected)):
+            skillrl.load_policy(tmp_path)
+
 
 class TestConfig:
     @pytest.mark.parametrize("field", ["rollout_envs", "horizon", "epochs",
@@ -481,3 +543,25 @@ class TestConfig:
         with pytest.raises(nc.ConfigurationError, match="episodes"):
             skillrl.evaluate_policy(init_policy(0), task, config, seed=0,
                                     episodes=0)
+
+    @pytest.mark.parametrize("routing", ["tow_phase", "Flat", ""])
+    def test_init_policy_rejects_unknown_routing(self, routing):
+        with pytest.raises(nc.ConfigurationError,
+                           match=re.escape(f"routing is {routing!r}, expected "
+                                           "one of ['flat', 'two_phase']")):
+            init_policy(0, routing=routing)
+
+    @pytest.mark.parametrize("routing, active", [
+        ("two_phase", [[1, 1, 0, 0], [0, 0, 1, 1]]),
+        ("flat", [[1, 1, 1, 1], [1, 1, 1, 1]]),
+    ])
+    def test_head_mask_routes_by_phase(self, routing, active):
+        phases = np.array([0.0, 1.0, 1.0, 0.0, np.nan])
+        obs = np.zeros((phases.size, skillrl.OBS_DIM))
+        obs[:, env2d.OBS_PHASE_INDEX] = phases
+        mask = skillrl.head_mask(init_policy(0, routing=routing), obs)
+        expected = np.array(active, dtype=bool)[[0, 1, 1, 0, 0]]
+        assert mask.dtype == bool and np.array_equal(mask, expected)
+        assert np.array_equal(
+            skillrl.head_mask(init_policy(0, routing=routing), obs[1]),
+            expected[1:2])
