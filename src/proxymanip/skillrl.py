@@ -333,10 +333,8 @@ def _masked_similarities(poses: list[bytes], task: TaskSpec, camera: str,
         frames = render.render_batch(chunk, task.object, spec, "none",
                                      marker_pos=marker)
         keys = [frame.pixels.tobytes() for frame in frames]
-        new: dict[bytes, FrameImage] = {}
-        for key, frame in zip(keys, frames):
-            if key not in by_pixels:
-                new.setdefault(key, frame)
+        new = {key: frame for key, frame in zip(keys, frames)
+               if key not in by_pixels}
         if new:
             z = embed_batch(encoder, list(new.values()))
             for key, z_k in zip(new, z):
