@@ -4,8 +4,9 @@ refactor which claims "same behaviour" can be checked against them.
 Two kinds of pin:
 
 * **Exact** (sha256 of the bytes): the dataset directory, ``env2d.step``
-  episodes, retargeted expert trajectories with their replay results, and
-  checkpoint and state-blob files written from fixed weights. The world
+  episodes, scripted-expert episodes, retargeted expert trajectories with
+  their replay results, and checkpoint and state-blob files written from
+  fixed weights. The world
   steps on Python floats, so episodes and the dataset's states pass no float
   through a BLAS product and their bits depend only on the code. The
   retargeter's IK runs on Python floats too (closed form for grasp poses,
@@ -111,6 +112,19 @@ RETARGET_DIGESTS = {'close-door': ('05f9bd83639ce0dc92db3b4272ecc51c6b77b9e8613a
  'open-drawer': ('9e9dbde095f57d69ff5704661c10094177150265ecbdaf8faf80665e41d23d68',
                  True)}
 
+EXPERT_EPISODE_DIGESTS = {'close-door/0.0': 'f018bdf5a09bef1782e3acda22b3dae288faca4edb2f5f64987f5e2623a19a28',
+ 'close-door/0.05': 'c38a4d040a9ae812bf4d2157e3bda7106c958773d88bf73b3506158d8c4e55cd',
+ 'close-drawer/0.0': '2c06837b58260a25a3a417749667cbb89c45d72e14d88c39e82c235ffb2ad44d',
+ 'close-drawer/0.05': 'd7996e7e49fa523f5dff7e807835b600fc7f3689191a34ba60e97fb9b2a85118',
+ 'lift-box/0.0': '863e24547e3bfd322b86feb820116d1b107e4807ae476bdd3db2d27246dfe58f',
+ 'lift-box/0.05': '38efa256cd9f3025bc220607f759a4b10f90094cefae8bdcb916c7c4a0583da9',
+ 'move-box/0.0': 'ff6fc71483560092f348473f52093ecc4e1b57098577dd0d93858b4755713f27',
+ 'move-box/0.05': '852b8f9e37b2f89301b501bbd504da6b858646dce90d189c6c9b9bc74409ec0b',
+ 'open-door/0.0': 'd3735dedc54948ccd3e82b0f2d1e47908c43807d31a3315f48f3834aefa970c6',
+ 'open-door/0.05': '3803d56b5bfde8a41f7d1429cedccd156695234fb423f91891a5376b34a82460',
+ 'open-drawer/0.0': 'e9c98561b48ed4fbf395395839ac6c8fa62ef3c8ee5f3b0da63f4810b8a065f2',
+ 'open-drawer/0.05': 'a5c651cb90ef2b3470f63d4e99cf89467f890aee949515f04aad805d1036a8e9'}
+
 CHECKPOINT_DIGESTS = {'policy/actor.ckpt': 'a45d51fc7683d491fc9be787968a56eaf0731faf99c070b45c8f14ad8d7d0cdd',
  'policy/critic.ckpt': 'a31f3a25f8f0c3abc458ff76ee96fc63365db699dd9c4a2ef0906eb7768cd3d1',
  'policy/policy.json': 'bb95179f290e1ea505e1a324666c68d2b3597babc628d06e2fb2b6bab2913619',
@@ -192,6 +206,25 @@ def test_env_episode_digests():
     _assert_exact("ENV_EPISODE_DIGESTS", observed, ENV_EPISODE_DIGESTS)
 
 
+def _action_bytes(a: ProxyAction) -> bytes:
+    return np.array([*a.desired_pos, *a.force], dtype=float).tobytes()
+
+
+def test_expert_episode_digests():
+    """Scripted-expert episodes as ``demogen`` rolls them, with and without
+    action noise: every state and every action taken."""
+    observed = {}
+    for ti, (name, task) in enumerate(sorted(builtin_catalogue().items())):
+        config = task.world_config(start_jitter=0.1)
+        for noise in (0.0, 0.05):
+            episode = demogen.run_expert_episode(task, config, 80 + ti,
+                                                 noise_scale=noise)
+            observed[f"{name}/{noise}"] = _sha(
+                *map(_state_bytes, episode.states),
+                *map(_action_bytes, episode.actions))
+    _assert_exact("EXPERT_EPISODE_DIGESTS", observed, EXPERT_EPISODE_DIGESTS)
+
+
 def _record_expert(task, seed: int) -> dict:
     config = task.world_config(start_jitter=0.1)
     episode = demogen.run_expert_episode(task, config, seed, noise_scale=0.05)
@@ -232,7 +265,8 @@ def test_checkpoint_file_digests(tmp_path):
 
 
 EXACT_PIN_TESTS = ("test_dataset_directory_digest", "test_env_episode_digests",
-                   "test_retargeted_expert_digests", "test_checkpoint_file_digests")
+                   "test_expert_episode_digests", "test_retargeted_expert_digests",
+                   "test_checkpoint_file_digests")
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
