@@ -1,7 +1,10 @@
 """Scripted-expert demonstration generator.
 
 Closed-loop experts solve each catalogued task by seeking the grasp point and
-then driving the object toward its target. Rollouts are rendered into clips
+then driving the object toward its target. An expert computes on Python
+floats, like ``env2d.step``; its seeded Gaussian action noise is drawn in
+blocks of standard normals and scaled per step, with the values and the draw
+order of per-step ``rng.normal`` calls. Rollouts are rendered into clips
 (optionally without the agent glyph, the masked variant used for
 representation pre-training), subsampled, and persisted as PGM frames plus
 JSON metadata. Per-clip seeds derive from the master seed by splitmix, so a
@@ -11,6 +14,7 @@ dataset regenerates bitwise identically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,13 +22,14 @@ import numpy as np
 
 from . import env2d, render
 from .env2d import (PRISMATIC, REVOLUTE, Episode, Phase, ProxyAction,
-                    TaskSpec, WorldConfig, WorldState)
+                    TaskSpec, WorldConfig, WorldState, _clamp)
 from .numcore import ConfigurationError, derive_seed
 from .render import AGENT_STYLES, FrameImage, camera_spec
 
 FRAME_SUBSAMPLE = 4
 MIN_CLIP_FRAMES = 8
 START_JITTER = 0.1
+NOISE_BLOCK = 64           # noise rows drawn per standard_normal call
 DEFAULT_CAMERA_CYCLE = ("front", "left", "right")
 
 
@@ -57,55 +62,78 @@ def scripted_expert(task: TaskSpec):
 
     Returns ``policy(state) -> ProxyAction``: PD-seek the grasp point during
     exploration, then push the object along its solution direction until the
-    success predicate fires.
+    success predicate fires. The policy computes on Python floats through
+    ``env2d``'s float geometry, and each clamp is the float form of
+    ``np.clip``, so its actions are bitwise those of the same formulas on
+    2-vectors.
     """
     obj = task.object
-    target = np.array(task.target_q, dtype=float)
+    target = [float(v) for v in task.target_q]
+    gx, gy = (float(v) for v in task.gravity)
     grasp_choice: dict[str, int] = {}
 
     def policy(state: WorldState) -> ProxyAction:
+        q = state.object_q.tolist()
         if state.phase == Phase.EXPLORATION:
             if "idx" not in grasp_choice:
-                grasp_choice["idx"], _ = env2d.nearest_grasp(
-                    obj, state.object_q, state.proxy_pos)
-            gp, _ = env2d.grasp_point_world(obj, state.object_q, grasp_choice["idx"])
-            return ProxyAction(tuple(gp), (0.0, 0.0))
+                grasp_choice["idx"], _ = env2d._nearest_grasp(
+                    obj, q, *state.proxy_pos.tolist())
+            x, y, _ = env2d._grasp_world(obj, q, grasp_choice["idx"])
+            return ProxyAction((x, y), (0.0, 0.0))
         if obj.kind == PRISMATIC:
-            err = float(target[0] - state.object_q[0])
-            f = np.asarray(obj.axis) * np.clip(8.0 * err, -6.0, 6.0)
-        elif obj.kind == REVOLUTE:
-            gp, _ = env2d.grasp_point_world(obj, state.object_q, state.attachment)
-            r = gp - np.asarray(obj.origin)
-            tangent = np.array([-r[1], r[0]]) / max(float(np.hypot(*r)), 1e-9)
-            err = float(target[0] - state.object_q[0])
-            f = tangent * np.clip(3.0 * err, -5.0, 5.0)
-        else:
-            pos = state.object_q[:2]
-            vel = state.object_qdot[:2]
-            f = (12.0 * (target[:2] - pos) - 6.0 * vel
-                 - obj.inertia * np.asarray(task.gravity))
-            f = np.clip(f, -18.0, 18.0)
-        return ProxyAction((0.0, 0.0), (float(f[0]), float(f[1])))
+            push = _clamp(8.0 * (target[0] - q[0]), 6.0)
+            return ProxyAction((0.0, 0.0), (obj.axis[0] * push, obj.axis[1] * push))
+        if obj.kind == REVOLUTE:
+            x, y, _ = env2d._grasp_world(obj, q, state.attachment)
+            rx, ry = x - obj.origin[0], y - obj.origin[1]
+            # np.hypot, not math.hypot: the two differ in the last bit on
+            # about one argument pair in 200
+            norm = max(float(np.hypot(rx, ry)), 1e-9)
+            push = _clamp(3.0 * (target[0] - q[0]), 5.0)
+            return ProxyAction((0.0, 0.0), (-ry / norm * push, rx / norm * push))
+        vx, vy = state.object_qdot.tolist()[:2]
+        fx = 12.0 * (target[0] - q[0]) - 6.0 * vx - obj.inertia * gx
+        fy = 12.0 * (target[1] - q[1]) - 6.0 * vy - obj.inertia * gy
+        return ProxyAction((0.0, 0.0), (_clamp(fx, 18.0), _clamp(fy, 18.0)))
 
     return policy
+
+
+def _check_noise_scale(noise_scale: float) -> None:
+    if not (math.isfinite(noise_scale) and noise_scale >= 0.0):
+        raise ConfigurationError(
+            f"noise_scale must be finite and non-negative, got {noise_scale}")
 
 
 def run_expert_episode(task: TaskSpec, config: WorldConfig, seed: int,
                        noise_scale: float = 0.0) -> Episode:
     """Roll one expert episode, with seeded Gaussian noise on both action
-    heads; raises ExpertFailure if the horizon runs out."""
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
-    expert = scripted_expert(task)
+    heads; raises ExpertFailure if the horizon runs out.
 
-    def act(state: WorldState) -> ProxyAction:
-        action = expert(state)
-        if noise_scale <= 0.0:
-            return action
-        a_p = (np.asarray(action.desired_pos, dtype=float)
-               + rng.normal(0.0, noise_scale * config.arena_half, 2))
-        a_f = (np.asarray(action.force, dtype=float)
-               + rng.normal(0.0, noise_scale * config.force_max, 2))
-        return ProxyAction(tuple(a_p), tuple(a_f))
+    Step ``k`` adds ``0.0 + s * z`` to each action coordinate, with ``z``
+    from row ``k`` of standard-normal blocks of ``NOISE_BLOCK`` x 4 (position
+    x, y, then force x, y) and ``s`` the head's scale. That is the value and
+    the draw order of two ``rng.normal(0, s, 2)`` calls per step, without
+    their per-call cost; rows left over when the episode ends are dropped.
+    """
+    _check_noise_scale(noise_scale)
+    expert = scripted_expert(task)
+    if noise_scale == 0.0:
+        act = expert
+    else:
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
+        s_p = noise_scale * config.arena_half
+        s_f = noise_scale * config.force_max
+        rows: list[list[float]] = []
+
+        def act(state: WorldState) -> ProxyAction:
+            if not rows:
+                rows.extend(reversed(rng.standard_normal((NOISE_BLOCK, 4)).tolist()))
+            z0, z1, z2, z3 = rows.pop()
+            action = expert(state)
+            (px, py), (fx, fy) = action.desired_pos, action.force
+            return ProxyAction((px + (0.0 + s_p * z0), py + (0.0 + s_p * z1)),
+                               (fx + (0.0 + s_f * z2), fy + (0.0 + s_f * z3)))
 
     episode = env2d.run_episode(task, config, seed, act)
     if not episode.success:
@@ -146,12 +174,12 @@ class DemoDataset:
         return len(self.clips)
 
 
-def _action_row(state: WorldState, action: ProxyAction) -> np.ndarray:
+def _action_row(state: WorldState, action: ProxyAction) -> list[float]:
     """Dataset action row (a_p then a_f): the head the state's phase uses,
     the other one zero."""
     if state.phase == Phase.EXPLORATION:
-        return np.array([action.desired_pos[0], action.desired_pos[1], 0.0, 0.0])
-    return np.array([0.0, 0.0, action.force[0], action.force[1]])
+        return [*action.desired_pos, 0.0, 0.0]
+    return [0.0, 0.0, *action.force]
 
 
 def episode_to_clip(task: TaskSpec, record: Episode, clip_id: str,
@@ -175,7 +203,7 @@ def episode_to_clip(task: TaskSpec, record: Episode, clip_id: str,
         if t < record.steps:
             acts.append(_action_row(st, record.actions[t]))
         else:
-            acts.append(np.zeros(4))
+            acts.append([0.0] * 4)
     return Clip(clip_id, task.name, camera_id, frames, summaries,
                 np.array(acts), record.success)
 
@@ -191,6 +219,7 @@ def generate_dataset(tasks: list[TaskSpec], clips_per_task: int,
         raise ConfigurationError(f"unknown agent style {style!r}")
     if clips_per_task < 1:
         raise ConfigurationError("clips_per_task must be >= 1")
+    _check_noise_scale(noise_scale)
     clips: list[Clip] = []
     index: dict[str, list[int]] = {}
     for ti, task in enumerate(tasks):

@@ -523,13 +523,13 @@ def state_record(state: WorldState, obj: ObjectModel) -> dict:
     a frame of the trajectory ``retarget`` reads."""
     return {
         "t": state.time_step,
-        "proxy_pos": [float(v) for v in state.proxy_pos],
-        "proxy_vel": [float(v) for v in state.proxy_vel],
-        "object_q": [float(v) for v in state.object_q],
-        "object_qdot": [float(v) for v in state.object_qdot],
+        "proxy_pos": state.proxy_pos.tolist(),
+        "proxy_vel": state.proxy_vel.tolist(),
+        "object_q": state.object_q.tolist(),
+        "object_qdot": state.object_qdot.tolist(),
         "phase": int(state.phase),
         "attachment": state.attachment,
-        "obs": [float(v) for v in observe(state, obj)],
+        "obs": observe(state, obj).tolist(),
     }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,9 @@ from proxymanip.demogen import (
     scripted_expert,
 )
 from proxymanip.env2d import builtin_catalogue, get_task
+from proxymanip.numcore import ConfigurationError, derive_seed
+
+BAD_NOISE = [-0.1, math.nan, math.inf, -math.inf]
 
 
 def small_tasks():
@@ -54,6 +58,30 @@ class TestExperts:
         cfg = task.world_config(start_jitter=0.1)
         rec = run_expert_episode(task, cfg, seed=5, noise_scale=0.05)
         assert rec.success
+
+    @pytest.mark.parametrize("name", ["open-door", "move-box"])
+    def test_noise_is_two_normal_draws_per_step(self, name):
+        # episodes longer than one noise block, so blocks are refilled
+        task = get_task(name)
+        cfg = task.world_config(start_jitter=0.1)
+        rec = run_expert_episode(task, cfg, seed=3, noise_scale=0.05)
+        assert rec.steps > demogen.NOISE_BLOCK
+        expert = scripted_expert(task)
+        rng = np.random.Generator(np.random.PCG64(derive_seed(3, 1)))
+        for state, action in zip(rec.states, rec.actions):
+            clean = expert(state)
+            p = np.asarray(clean.desired_pos) + rng.normal(0.0, 0.05, 2)
+            f = np.asarray(clean.force) + rng.normal(0.0, 0.05 * cfg.force_max, 2)
+            assert action.desired_pos == tuple(p)
+            assert action.force == tuple(f)
+
+    @pytest.mark.parametrize("noise", BAD_NOISE)
+    def test_rejects_bad_noise_scale(self, noise):
+        task = get_task("open-drawer")
+        with pytest.raises(ConfigurationError,
+                           match=f"noise_scale must be .*, got {noise}"):
+            run_expert_episode(task, task.world_config(), seed=0,
+                               noise_scale=noise)
 
     def test_expert_actions_respect_phase(self):
         task = get_task("open-drawer")
@@ -120,6 +148,14 @@ class TestGenerateDataset:
             for fa, fb in zip(c_loaded.frames, c_mem.frames):
                 assert np.array_equal(fa.pixels, fb.pixels)
             assert np.allclose(c_loaded.actions, c_mem.actions)
+
+    @pytest.mark.parametrize("noise", BAD_NOISE)
+    def test_rejects_bad_noise_scale(self, tmp_path, noise):
+        with pytest.raises(ConfigurationError,
+                           match=f"noise_scale must be .*, got {noise}"):
+            generate_dataset(small_tasks(), 1, noise, "none", seed=0,
+                             out_dir=tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
 
     def test_meta_layout(self, tmp_path):
         generate_dataset([get_task("open-drawer")], 2, 0.0, "none",
