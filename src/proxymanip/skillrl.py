@@ -715,6 +715,20 @@ def awr_weights(frames, next_frames, goal: GoalSpec, encoder: Encoder,
     return progress_weights(s_now, s_next, temperature)
 
 
+def _awr_loss_and_grads(policy: PolicyCheckpoint, obs, actions, weights,
+                        wsum: float):
+    """Weighted squared error of the phase-active action means against the
+    demo actions, ``sum(w * |mask * (mean - a)|^2) / wsum``, and its gradient
+    with respect to the actor parameters."""
+    mask = head_mask(policy, obs)
+    means, squashed, cache = action_means(policy, obs)
+    err = np.where(mask, means - actions, 0.0)
+    loss = float((weights[:, None] * err * err).sum() / wsum)
+    out_grad = (2.0 * weights[:, None] * err / wsum
+                * (1.0 - squashed * squashed) * policy.action_scales)
+    return loss, backward_batch(policy.actor, cache, out_grad)
+
+
 def awr_fit(demos: list[Clip], encoder: Encoder, goal: GoalSpec,
             temperature: float, epochs: int, seed: int = 0,
             lr: float = 1e-3, minibatch_size: int = 64) -> PolicyCheckpoint:
@@ -749,12 +763,7 @@ def awr_fit(demos: list[Clip], encoder: Encoder, goal: GoalSpec,
         order = rng.permutation(n)
         for start in range(0, n, minibatch_size):
             idx = order[start:start + minibatch_size]
-            o, a, w = obs[idx], acts[idx], weights[idx]
-            mask = head_mask(policy, o)
-            means, squashed, cache = action_means(policy, o)
-            err = np.where(mask, means - a, 0.0)
-            out_grad = (2.0 * w[:, None] * err / wsum
-                        * (1.0 - squashed * squashed) * policy.action_scales)
-            grads = backward_batch(policy.actor, cache, out_grad)
+            _, grads = _awr_loss_and_grads(policy, obs[idx], acts[idx],
+                                           weights[idx], wsum)
             adam_step(adam, policy.actor.parameters(), grads)
     return policy

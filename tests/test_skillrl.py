@@ -395,10 +395,25 @@ class TestPoseMemo:
         assert set(rendered) == poses
         assert len(rendered) < self.PPO.rollout_envs * self.PPO.horizon / 2
 
-    def test_calls_carry_episodes_over(self, encoder):
+    def test_calls_carry_episodes_over(self, encoder, monkeypatch):
         # episodes of 20 steps straddle the boundary between calls of 24
         task = get_task("move-box")
-        seed = 4
+        self.check_calls_carry_over(task, encoder, seed=4)
+        # every reset puts the box at start_q, so every episode has the same
+        # baseline; a start offset drawn from the reset seed gives each
+        # episode its own, which a slot must carry into the next call
+        real_reset = env2d.reset
+
+        def offset_reset(config, task, seed):
+            state = real_reset(config, task, seed)
+            rng = np.random.Generator(np.random.PCG64(seed))
+            state.object_q[:2] += rng.uniform(-0.1, 0.1, 2)
+            return state
+
+        monkeypatch.setattr(env2d, "reset", offset_reset)
+        self.check_calls_carry_over(task, encoder, seed=4)
+
+    def check_calls_carry_over(self, task, encoder, seed):
         whole = collect_rollouts(*self.setup(task, encoder, seed))
         policy, slots, _, goal, ppo, options, rng = self.setup(task, encoder,
                                                                seed)
@@ -489,6 +504,31 @@ class TestAwr:
     def test_clip_ceiling(self):
         w = progress_weights(np.array([-5.0]), np.array([0.0]), 0.1)
         assert w[0] == 20.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradient_matches_finite_differences(self, seed):
+        policy = init_policy(seed=seed)
+        batch = synthetic_batch(policy, 8, seed=200 + seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        weights = progress_weights(rng.normal(-3.0, 1.0, 8),
+                                   rng.normal(-3.0, 1.0, 8), 0.5)
+        # demo actions away from the policy's own samples, in range
+        acts = rng.uniform(-1.0, 1.0, (8, 4)) * policy.action_scales
+        wsum = float(weights.sum()) + 1.5
+
+        def loss_of(params):
+            policy.actor.set_parameters([p.copy() for p in params])
+            loss, _ = skillrl._awr_loss_and_grads(policy, batch["obs"], acts,
+                                                  weights, wsum)
+            return loss
+
+        params = [p.copy() for p in policy.actor.parameters()]
+        fd = nc.finite_diff_grad(loss_of, params, step=1e-5)
+        policy.actor.set_parameters([p.copy() for p in params])
+        _, exact = skillrl._awr_loss_and_grads(policy, batch["obs"], acts,
+                                               weights, wsum)
+        for a, b in zip(exact, fd):
+            assert nc.normed_relative_error(a, b) < 1e-4
 
 
 class TestPolicyIO:
