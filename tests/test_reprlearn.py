@@ -467,6 +467,18 @@ class TestConfig:
         rl.ReprTrainConfig(batch_size=1, total_steps=0, checkpoint_every=1)
 
 
+class TestTrainingLog:
+    def test_train_log_cells_are_row_reprs(self, tmp_path):
+        cfg = rl.ReprTrainConfig(total_steps=3, batch_size=4)
+        _, log = rl.train_encoder(small_dataset(), cfg, out_dir=tmp_path)
+        keys = ("step", "tcn", "reg", "total")
+        lines = ["step,tcn_loss,reg_loss,total"]
+        lines += [",".join(repr(row[k]) for k in keys) for row in log]
+        assert len(log) == 3
+        assert (tmp_path / "train_log.csv").read_bytes() == \
+            "".join(line + "\r\n" for line in lines).encode()
+
+
 class TestTrainSidecar:
     @pytest.fixture
     def sidecar(self, tmp_path):

@@ -531,6 +531,23 @@ class TestAwr:
             assert nc.normed_relative_error(a, b) < 1e-4
 
 
+class TestCurveLog:
+    def test_curve_cells_are_row_reprs(self, encoder, tmp_path):
+        task = get_task("open-drawer")
+        ppo = PpoConfig(rollout_envs=2, horizon=16, epochs=1,
+                        minibatch_size=16, total_env_steps=64)
+        options = SkillOptions(episode_horizon=20, eval_every=32,
+                               eval_episodes=1, early_stop=False)
+        _, curve = skillrl.train_skill(task, encoder, ppo, options,
+                                       out_dir=tmp_path)
+        keys = ("env_steps", "mean_return", "eval_success")
+        lines = [",".join(keys)]
+        lines += [",".join(repr(row[k]) for k in keys) for row in curve]
+        assert len(curve) == 2
+        assert (tmp_path / "curve.csv").read_bytes() == \
+            "".join(line + "\r\n" for line in lines).encode()
+
+
 class TestPolicyIO:
     def test_save_load_round_trip(self, tmp_path):
         policy = init_policy(seed=8)
