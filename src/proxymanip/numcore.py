@@ -2,14 +2,15 @@
 
 Small feed-forward networks with hand-written exact gradients, a bias-corrected
 adaptive-moment optimizer, a central finite-difference oracle for gradient
-checks, and the one binary file envelope behind checkpoints and training state
+checks, the one binary file envelope behind checkpoints and training state
 blobs, with a reader that rejects truncated, padded or foreign files (see
-"Binary files" below). Everything is float64 so the finite-difference tests
+"Binary files" below), and the one CSV writer of run logs. Everything is float64 so the finite-difference tests
 stay tight.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import struct
@@ -454,3 +455,17 @@ def load_state_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
         arrays[name] = values[pos:pos + size].reshape(shape).copy()
         pos += size
     return header["meta"], arrays
+
+
+# ---------------------------------------------------------------------------
+# Run logs
+# ---------------------------------------------------------------------------
+
+def write_run_log(path, header: list[str], keys: list[str],
+                  rows: list[dict]) -> None:
+    """A CSV file of ``header`` and then one line per row, each cell the
+    ``repr`` of ``row[key]``, so a float reads back bitwise."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(row[k]) for k in keys] for row in rows)

@@ -9,7 +9,6 @@ exactly and checked against finite differences in the tests.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -300,17 +299,10 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
                                 done)
     net.weights[0][cols] = compact.net.weights[0]
     if out is not None:
-        write_training_log(out / "train_log.csv", log)
+        numcore.write_run_log(out / "train_log.csv",
+                              ["step", "tcn_loss", "reg_loss", "total"],
+                              ["step", "tcn", "reg", "total"], log)
     return encoder, log
-
-
-def write_training_log(path, log: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "tcn_loss", "reg_loss", "total"])
-        for row in log:
-            writer.writerow([row["step"], repr(row["tcn"]), repr(row["reg"]),
-                             repr(row["total"])])
 
 
 def save_encoder(path, encoder: Encoder, seed: int = 0, step_count: int = 0) -> None:

@@ -16,7 +16,6 @@ regression over expert clips provides the imitation path.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -637,17 +636,9 @@ def train_skill(task: TaskSpec, encoder: Encoder, ppo: PpoConfig,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_policy(out, best, seed=ppo.seed, step_count=env_steps)
-        write_curve(out / "curve.csv", curve)
+        keys = ["env_steps", "mean_return", "eval_success"]
+        numcore.write_run_log(out / "curve.csv", keys, keys, curve)
     return best, curve
-
-
-def write_curve(path, curve: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["env_steps", "mean_return", "eval_success"])
-        for row in curve:
-            writer.writerow([row["env_steps"], repr(row["mean_return"]),
-                             repr(row["eval_success"])])
 
 
 def save_policy(out_dir, policy: PolicyCheckpoint, seed: int = 0,
