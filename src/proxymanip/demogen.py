@@ -22,7 +22,7 @@ import numpy as np
 
 from . import env2d, render
 from .env2d import (PRISMATIC, REVOLUTE, Episode, Phase, ProxyAction,
-                    TaskSpec, WorldConfig, WorldState, _clamp)
+                    TaskSpec, WorldConfig, WorldState, clamp)
 from .numcore import ConfigurationError, derive_seed
 from .render import AGENT_STYLES, FrameImage, camera_spec
 
@@ -38,11 +38,11 @@ class ExpertFailure(RuntimeError):
     is misconfigured."""
 
 
-def goal_marker(task: TaskSpec) -> np.ndarray:
-    """World position marking the task target in every rendered frame: the
-    primary grasp point at the target configuration."""
-    pos, _ = env2d.grasp_point_world(task.object, np.array(task.target_q), 0)
-    return pos
+def goal_marker(task: TaskSpec) -> tuple[float, float]:
+    """World position (x, y) marking the task target in every rendered
+    frame: the primary grasp point at the target configuration."""
+    x, y, _ = env2d.grasp_world(task.object, [float(v) for v in task.target_q], 0)
+    return x, y
 
 
 def goal_state(task: TaskSpec) -> WorldState:
@@ -63,9 +63,8 @@ def scripted_expert(task: TaskSpec):
     Returns ``policy(state) -> ProxyAction``: PD-seek the grasp point during
     exploration, then push the object along its solution direction until the
     success predicate fires. The policy computes on Python floats through
-    ``env2d``'s float geometry, and each clamp is the float form of
-    ``np.clip``, so its actions are bitwise those of the same formulas on
-    2-vectors.
+    ``env2d``'s geometry and its ``clamp``, the float form of ``np.clip``,
+    so its actions are bitwise those of the same formulas on 2-vectors.
     """
     obj = task.object
     target = [float(v) for v in task.target_q]
@@ -76,25 +75,25 @@ def scripted_expert(task: TaskSpec):
         q = state.object_q.tolist()
         if state.phase == Phase.EXPLORATION:
             if "idx" not in grasp_choice:
-                grasp_choice["idx"], _ = env2d._nearest_grasp(
+                grasp_choice["idx"], _ = env2d.nearest_grasp(
                     obj, q, *state.proxy_pos.tolist())
-            x, y, _ = env2d._grasp_world(obj, q, grasp_choice["idx"])
+            x, y, _ = env2d.grasp_world(obj, q, grasp_choice["idx"])
             return ProxyAction((x, y), (0.0, 0.0))
         if obj.kind == PRISMATIC:
-            push = _clamp(8.0 * (target[0] - q[0]), 6.0)
+            push = clamp(8.0 * (target[0] - q[0]), 6.0)
             return ProxyAction((0.0, 0.0), (obj.axis[0] * push, obj.axis[1] * push))
         if obj.kind == REVOLUTE:
-            x, y, _ = env2d._grasp_world(obj, q, state.attachment)
+            x, y, _ = env2d.grasp_world(obj, q, state.attachment)
             rx, ry = x - obj.origin[0], y - obj.origin[1]
             # np.hypot, not math.hypot: the two differ in the last bit on
             # about one argument pair in 200
             norm = max(float(np.hypot(rx, ry)), 1e-9)
-            push = _clamp(3.0 * (target[0] - q[0]), 5.0)
+            push = clamp(3.0 * (target[0] - q[0]), 5.0)
             return ProxyAction((0.0, 0.0), (-ry / norm * push, rx / norm * push))
         vx, vy = state.object_qdot.tolist()[:2]
         fx = 12.0 * (target[0] - q[0]) - 6.0 * vx - obj.inertia * gx
         fy = 12.0 * (target[1] - q[1]) - 6.0 * vy - obj.inertia * gy
-        return ProxyAction((0.0, 0.0), (_clamp(fx, 18.0), _clamp(fy, 18.0)))
+        return ProxyAction((0.0, 0.0), (clamp(fx, 18.0), clamp(fy, 18.0)))
 
     return policy
 

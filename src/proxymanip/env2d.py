@@ -63,6 +63,9 @@ class WorldConfig:
         if not self.force_max >= 0:
             raise ConfigurationError(
                 f"force_max must be non-negative, got {self.force_max}")
+        if not (math.isfinite(self.start_jitter) and self.start_jitter >= 0.0):
+            raise ConfigurationError(
+                f"start_jitter must be finite and non-negative, got {self.start_jitter}")
         if self.episode_horizon < 1:
             raise ConfigurationError(
                 f"episode_horizon must be at least 1, got {self.episode_horizon}")
@@ -155,22 +158,25 @@ class ProxyAction:
 # ---------------------------------------------------------------------------
 # Geometry
 #
-# Every formula computes on Python floats: a configuration ``q`` is a list of
-# floats and a point an (x, y) pair. On 2-vectors numpy's call overhead costs
-# far more than the arithmetic, and a float product rounds the same on every
-# CPU, where a BLAS 2x2 product may fuse a multiply-add. The public helpers
-# below take and return arrays and only convert around these cores.
+# The world's geometry is one set of functions on Python floats, used by the
+# step and by every other module: a configuration ``q`` is a list of floats,
+# such as ``state.object_q.tolist()``, and a point is its x and y. On
+# 2-vectors numpy's call overhead costs far more than the arithmetic, and a
+# float product rounds the same on every CPU, where a BLAS 2x2 product may
+# fuse a multiply-add. Arrays exist only in ``WorldState``.
 # ---------------------------------------------------------------------------
-
-def _floats(v) -> list[float]:
-    return np.asarray(v, dtype=float).tolist()
-
 
 def _finite(*values: float) -> bool:
     return all(map(math.isfinite, values))
 
 
-def _rotate(c: float, s: float, x: float, y: float) -> tuple[float, float]:
+def clamp(v: float, bound: float) -> float:
+    """``v`` limited to [-bound, bound], the float form of ``np.clip``; a
+    NaN passes through."""
+    return -bound if v < -bound else bound if v > bound else v
+
+
+def rotate(c: float, s: float, x: float, y: float) -> tuple[float, float]:
     """(x, y) rotated by the angle whose cosine and sine are ``c``, ``s``."""
     return c * x - s * y, s * x + c * y
 
@@ -185,35 +191,35 @@ def _frame(obj: ObjectModel, q: list[float]) -> tuple[float, float, float]:
     return q[0], q[1], q[2]
 
 
-def _rect_center(obj: ObjectModel, q: list[float]) -> tuple[float, float, float]:
+def rect_center(obj: ObjectModel, q: list[float]) -> tuple[float, float, float]:
     """World center (x, y) and rotation of the drawn/collided rectangle."""
     x, y, theta = _frame(obj, q)
     if obj.kind == REVOLUTE:
         # leaf extends from the pivot along local +x
-        dx, dy = _rotate(math.cos(theta), math.sin(theta), obj.extents[0] / 2.0, 0.0)
+        dx, dy = rotate(math.cos(theta), math.sin(theta), obj.extents[0] / 2.0, 0.0)
         return x + dx, y + dy, theta
     return x, y, theta
 
 
-def _grasp_world(obj: ObjectModel, q: list[float],
-                 index: int) -> tuple[float, float, float]:
+def grasp_world(obj: ObjectModel, q: list[float],
+                index: int) -> tuple[float, float, float]:
     """World position (x, y) and gripper angle of grasp point ``index``."""
     gp = obj.grasp_points[index]
     x, y, theta = _frame(obj, q)
     if obj.kind == PRISMATIC:
         return x + gp.position[0], y + gp.position[1], gp.angle
-    dx, dy = _rotate(math.cos(theta), math.sin(theta), *gp.position)
+    dx, dy = rotate(math.cos(theta), math.sin(theta), *gp.position)
     return x + dx, y + dy, gp.angle + theta
 
 
-def _closest_on_rect(px: float, py: float, cx: float, cy: float, theta: float,
-                     extents: tuple[float, float]) -> tuple[float, ...]:
+def closest_on_rect(px: float, py: float, cx: float, cy: float, theta: float,
+                    extents: tuple[float, float]) -> tuple[float, ...]:
     """Closest point (x, y) of the rectangle to (px, py), the outward normal
     (x, y) there and the distance; a point inside resolves to the nearest
     face, at negative distance."""
     hw, hh = extents[0] / 2.0, extents[1] / 2.0
     c, s = math.cos(theta), math.sin(theta)
-    lx, ly = _rotate(c, -s, px - cx, py - cy)
+    lx, ly = rotate(c, -s, px - cx, py - cy)
     kx = min(max(lx, -hw), hw)
     ky = min(max(ly, -hh), hh)
     if kx != lx or ky != ly:
@@ -229,52 +235,22 @@ def _closest_on_rect(px: float, py: float, cx: float, cy: float, theta: float,
         else:
             nx, ny = 0.0, (1.0 if ly >= 0 else -1.0)
             ky, dist = ny * hh, -ey
-    wx, wy = _rotate(c, s, kx, ky)
-    nx, ny = _rotate(c, s, nx, ny)
+    wx, wy = rotate(c, s, kx, ky)
+    nx, ny = rotate(c, s, nx, ny)
     return cx + wx, cy + wy, nx, ny, dist
 
 
-def _nearest_grasp(obj: ObjectModel, q: list[float], px: float,
-                   py: float) -> tuple[int, float]:
+def nearest_grasp(obj: ObjectModel, q: list[float], px: float,
+                  py: float) -> tuple[int, float]:
+    """Index of the grasp point nearest to (px, py) at configuration ``q``,
+    and its distance; ties go to the lowest index."""
     best, best_d = 0, math.inf
     for i in range(len(obj.grasp_points)):
-        gx, gy, _ = _grasp_world(obj, q, i)
+        gx, gy, _ = grasp_world(obj, q, i)
         d = math.hypot(px - gx, py - gy)
         if d < best_d:
             best, best_d = i, d
     return best, best_d
-
-
-def _attach_index(obj: ObjectModel, config: WorldConfig, q: list[float],
-                  px: float, py: float) -> int | None:
-    """The grasp point a proxy at (px, py) attaches to, or None outside
-    every interactable ball."""
-    index, dist = _nearest_grasp(obj, q, px, py)
-    return index if dist <= config.interact_radius else None
-
-
-def rect_center(obj: ObjectModel, q: np.ndarray) -> tuple[np.ndarray, float]:
-    """World center and rotation of the drawn/collided rectangle."""
-    x, y, theta = _rect_center(obj, _floats(q))
-    return np.array([x, y]), theta
-
-
-def grasp_point_world(obj: ObjectModel, q: np.ndarray, index: int) -> tuple[np.ndarray, float]:
-    """World position and gripper angle of grasp point ``index``."""
-    x, y, angle = _grasp_world(obj, _floats(q), index)
-    return np.array([x, y]), angle
-
-
-def closest_point_on_rect(point: np.ndarray, center: np.ndarray, theta: float,
-                          extents: tuple[float, float]) -> tuple[np.ndarray, np.ndarray, float]:
-    """Closest rectangle point to ``point`` plus outward normal and distance.
-
-    Points inside the rectangle are resolved to the nearest face (negative
-    distance reported).
-    """
-    x, y, nx, ny, dist = _closest_on_rect(*_floats(point), *_floats(center),
-                                          float(theta), extents)
-    return np.array([x, y]), np.array([nx, ny]), dist
 
 
 # ---------------------------------------------------------------------------
@@ -310,41 +286,13 @@ def _check_q(obj: ObjectModel, q: np.ndarray) -> None:
         raise ConfigurationError("joint configuration must be a single value")
 
 
-def nearest_grasp(obj: ObjectModel, q: np.ndarray,
-                  point: np.ndarray) -> tuple[int, float]:
-    """Index of the grasp point nearest to a world ``point`` at object
-    configuration ``q``, and its distance; ties go to the lowest index."""
-    return _nearest_grasp(obj, _floats(q), *_floats(point))
-
-
-def check_phase_transition(state: WorldState, obj: ObjectModel,
-                           config: WorldConfig) -> WorldState:
-    """Exploration ends when the proxy enters the interactable ball of any
-    grasp point; the nearest one attaches (see :func:`nearest_grasp`)."""
-    if state.phase != Phase.EXPLORATION or not config.two_phase:
-        return state
-    index = _attach_index(obj, config, _floats(state.object_q),
-                          *_floats(state.proxy_pos))
-    if index is None:
-        return state
-    out = state.copy()
-    out.phase = Phase.INTERACTION
-    out.attachment = index
-    return out
-
-
-def _clamp(v: float, bound: float) -> float:
-    """``v`` limited to [-bound, bound]; a NaN passes through."""
-    return -bound if v < -bound else bound if v > bound else v
-
-
 def _clamp_action(action: ProxyAction,
                   config: WorldConfig) -> tuple[float, float, float, float]:
     """Desired position (x, y) and force (x, y), each bounded per axis."""
     (px, py), (fx, fy) = action.desired_pos, action.force
     arena, force = config.arena_half, config.force_max
-    return (_clamp(float(px), arena), _clamp(float(py), arena),
-            _clamp(float(fx), force), _clamp(float(fy), force))
+    return (clamp(float(px), arena), clamp(float(py), arena),
+            clamp(float(fx), force), clamp(float(fy), force))
 
 
 def _object_free_dynamics(obj: ObjectModel, config: WorldConfig, q: list[float],
@@ -418,10 +366,10 @@ def step(state: WorldState, action: ProxyAction, config: WorldConfig,
     phase, attachment = state.phase, state.attachment
 
     if phase == Phase.INTERACTION:
-        gx, gy, _ = _grasp_world(obj, q, attachment)
+        gx, gy, _ = grasp_world(obj, q, attachment)
         q, qd = _object_free_dynamics(
             obj, config, q, qd, _generalized_force(obj, gx, gy, afx, afy), events)
-        gx, gy, _ = _grasp_world(obj, q, attachment)
+        gx, gy, _ = grasp_world(obj, q, attachment)
         vx, vy = (gx - px) / dt, (gy - py) / dt
         px, py = gx, gy
     else:
@@ -431,8 +379,8 @@ def step(state: WorldState, action: ProxyAction, config: WorldConfig,
         vx, vy = vx + dt * fx / config.proxy_mass, vy + dt * fy / config.proxy_mass
         px, py = px + dt * vx, py + dt * vy
 
-        cx, cy, theta = _rect_center(obj, q)
-        kx, ky, nx, ny, dist = _closest_on_rect(px, py, cx, cy, theta, obj.extents)
+        cx, cy, theta = rect_center(obj, q)
+        kx, ky, nx, ny, dist = closest_on_rect(px, py, cx, cy, theta, obj.extents)
         in_contact = dist < config.proxy_radius
         if in_contact:
             px, py = kx + nx * config.proxy_radius, ky + ny * config.proxy_radius
@@ -447,8 +395,9 @@ def step(state: WorldState, action: ProxyAction, config: WorldConfig,
             gen_force = _generalized_force(obj, kx, ky, afx, afy)
         q, qd = _object_free_dynamics(obj, config, q, qd, gen_force, events)
         if config.two_phase:
-            index = _attach_index(obj, config, q, px, py)
-            if index is not None:
+            # the nearest grasp point attaches once the proxy is within reach
+            index, dist = nearest_grasp(obj, q, px, py)
+            if dist <= config.interact_radius:
                 phase, attachment = Phase.INTERACTION, index
                 events.append(("phase_transition", index))
 
@@ -476,7 +425,7 @@ def observe(state: WorldState, obj: ObjectModel) -> np.ndarray:
 
 
 def is_success(state: WorldState, task: TaskSpec) -> bool:
-    q, target = _floats(state.object_q), task.target_q
+    q, target = state.object_q.tolist(), task.target_q
     if task.object.kind == FREE_BODY:
         return math.hypot(q[0] - target[0], q[1] - target[1]) <= task.tolerance
     return abs(q[0] - target[0]) <= task.tolerance

@@ -89,23 +89,6 @@ def world_to_pixel(spec: ImageSpec, point) -> tuple[int, int, bool]:
     return row, col, inside
 
 
-_GRID_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _pixel_centers(spec: ImageSpec) -> tuple[np.ndarray, np.ndarray]:
-    """World coordinates of pixel centers, cached per spec."""
-    key = (spec.height, spec.width, spec.window)
-    hit = _GRID_CACHE.get(key)
-    if hit is not None:
-        return hit
-    xmin, ymin, xmax, ymax = spec.window
-    xs = xmin + (np.arange(spec.width) + 0.5) * (xmax - xmin) / spec.width
-    ys = ymax - (np.arange(spec.height) + 0.5) * (ymax - ymin) / spec.height
-    gx, gy = np.meshgrid(xs, ys)
-    _GRID_CACHE[key] = (gx, gy)
-    return gx, gy
-
-
 @functools.lru_cache(maxsize=64)
 def _window_geometry(spec: ImageSpec, reach: float):
     """What the windows of every shape of ``reach`` on ``spec`` share.
@@ -113,12 +96,12 @@ def _window_geometry(spec: ImageSpec, reach: float):
     A window holds the pixels whose centers can lie within ``reach`` of the
     shape's center, plus two pixels on either side, so that no rounding in
     the shape tests or in placing the window can reach past it. Returns the
-    pixel-center x of each column and y of each row, bitwise those of
-    :func:`_pixel_centers` with ``pad`` NaNs on either side; the affine map
-    (scale, offset) of a center to the padded index of its window's first
-    column and row, with the largest such index; the column and row ranges
-    of a window; and ``pad``. No shape test passes at NaN, so a window
-    reaching past the image paints nothing there.
+    world x of each column's pixel centers and y of each row's, with ``pad``
+    NaNs on either side; the affine map (scale, offset) of a center to the
+    padded index of its window's first column and row, with the largest
+    such index; the column and row ranges of a window; and ``pad``. No shape
+    test passes at NaN, so a window reaching past the image paints nothing
+    there.
     """
     xmin, ymin, xmax, ymax = spec.window
     sx = spec.width / (xmax - xmin)
@@ -126,10 +109,11 @@ def _window_geometry(spec: ImageSpec, reach: float):
     kc = math.ceil(2.0 * reach * sx) + 5
     kr = math.ceil(2.0 * reach * sy) + 5
     pad = max(kc, kr)
-    gx, gy = _pixel_centers(spec)
     nan = np.full(pad, np.nan)
-    xs = np.concatenate([nan, gx[0], nan])
-    ys = np.concatenate([nan, gy[:, 0], nan])
+    xs = xmin + (np.arange(spec.width) + 0.5) * (xmax - xmin) / spec.width
+    ys = ymax - (np.arange(spec.height) + 0.5) * (ymax - ymin) / spec.height
+    xs = np.concatenate([nan, xs, nan])
+    ys = np.concatenate([nan, ys, nan])
     # pixel k has its center at k + 0.5 in pixel units, y pointing down
     scale = np.array([sx, -sy])
     offset = np.array([pad - 1.5 - (xmin + reach) * sx,
@@ -223,11 +207,12 @@ def render_batch(states, obj: ObjectModel | None, spec: ImageSpec, style: str,
     if obj is not None:
         poses = []
         for state in states:
-            if not all(map(math.isfinite, state.object_q)):
+            q = state.object_q.tolist()
+            if not all(map(math.isfinite, q)):
                 raise ConfigurationError(
                     f"object pose is not finite: {state.object_q}")
-            center, theta = rect_center(obj, state.object_q)
-            poses.append((center[0], center[1], math.cos(theta), math.sin(theta)))
+            x, y, theta = rect_center(obj, q)
+            poses.append((x, y, math.cos(theta), math.sin(theta)))
         poses = np.array(poses)
         _fill_rects(imgs, spec, poses[:, :2], poses[:, 2:3], poses[:, 3:],
                     obj.extents, INTENSITY_OBJECT, "object pose")

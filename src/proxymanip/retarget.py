@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import env2d
-from .env2d import (PRISMATIC, REVOLUTE, ObjectModel, Phase, TaskSpec,
-                    WorldState, grasp_point_world)
+from .env2d import PRISMATIC, REVOLUTE, ObjectModel, Phase, TaskSpec, WorldState
 from .numcore import ConfigurationError
 
 IK_POS_TOL = 1e-6
@@ -318,8 +317,9 @@ class RetargetedTrajectory:
 
 
 def _frame_target(index: int, frame: dict, obj: ObjectModel):
-    """IK target for recorded proxy frame ``index``: the proxy position while
-    exploring, the attached grasp pose while interacting. A non-finite
+    """IK target for recorded proxy frame ``index``, a position (x, y) and
+    an orientation or None: the proxy position while exploring, the attached
+    grasp pose from ``env2d.grasp_world`` while interacting. A non-finite
     ``proxy_pos`` or ``object_q`` raises ``ConfigurationError``."""
     for key in ("proxy_pos", "object_q"):
         if not all(map(math.isfinite, frame[key])):
@@ -333,9 +333,11 @@ def _frame_target(index: int, frame: dict, obj: ObjectModel):
                 f"frame {index}: interaction frame has attachment "
                 f"{attachment!r}, not a grasp index in "
                 f"[0, {len(obj.grasp_points)})")
-        pos, ang = grasp_point_world(obj, frame["object_q"], attachment)
-        return pos, wrap_angle(ang)
-    return np.asarray(frame["proxy_pos"], dtype=float), None
+        x, y, ang = env2d.grasp_world(
+            obj, [float(v) for v in frame["object_q"]], attachment)
+        return (x, y), wrap_angle(ang)
+    x, y = frame["proxy_pos"]
+    return (float(x), float(y)), None
 
 
 def retarget_trajectory(traj: dict, arm: ArmModel,
@@ -406,49 +408,48 @@ def retarget_trajectory(traj: dict, arm: ArmModel,
 # Kinematic replay of a retargeted trajectory
 # ---------------------------------------------------------------------------
 
-def _object_q_from_ee(obj: ObjectModel, ee_pos: np.ndarray,
-                      ee_ori: float | None, attachment: int,
-                      prev_q: np.ndarray) -> np.ndarray:
-    """Invert the grasp map: which object configuration puts the attached
-    grasp point at the end-effector pose."""
+def _object_q_from_ee(obj: ObjectModel, x: float, y: float, ee_ori: float,
+                      attachment: int) -> list[float]:
+    """Invert the grasp map: the object configuration that puts the
+    attached grasp point at the end-effector pose (x, y, ``ee_ori``)."""
     gp = obj.grasp_points[attachment]
     if obj.kind == PRISMATIC:
-        rel = ee_pos - np.asarray(obj.origin) - np.asarray(gp.position)
-        q = float(np.dot(np.asarray(obj.axis), rel))
+        rx = x - obj.origin[0] - gp.position[0]
+        ry = y - obj.origin[1] - gp.position[1]
         lo, hi = obj.limits
-        return np.array([min(max(q, lo), hi)])
+        return [min(max(obj.axis[0] * rx + obj.axis[1] * ry, lo), hi)]
     if obj.kind == REVOLUTE:
-        rel = ee_pos - np.asarray(obj.origin)
         base_ang = math.atan2(gp.position[1], gp.position[0])
-        q = wrap_angle(math.atan2(rel[1], rel[0]) - base_ang)
+        q = wrap_angle(math.atan2(y - obj.origin[1], x - obj.origin[0]) - base_ang)
         lo, hi = obj.limits
-        return np.array([min(max(q, lo), hi)])
-    theta = (ee_ori - gp.angle) if ee_ori is not None else float(prev_q[2])
-    c, s = math.cos(theta), math.sin(theta)
-    offset = np.array([gp.position[0] * c - gp.position[1] * s,
-                       gp.position[0] * s + gp.position[1] * c])
-    pos = ee_pos - offset
+        return [min(max(q, lo), hi)]
+    theta = ee_ori - gp.angle
+    dx, dy = env2d.rotate(math.cos(theta), math.sin(theta), *gp.position)
     (xlo, xhi), (ylo, yhi) = obj.limits
-    return np.array([min(max(pos[0], xlo), xhi),
-                     min(max(pos[1], ylo), yhi), theta])
+    return [min(max(x - dx, xlo), xhi), min(max(y - dy, ylo), yhi), theta]
 
 
 def replay_retargeted(retargeted: RetargetedTrajectory, task: TaskSpec,
                       arm: ArmModel) -> bool:
     """Drive the object from the retargeted arm motion alone and check task
-    success: the end effector (via FK of the output joints) stands in for the
-    proxy, and the attached object follows it through the grasp map."""
+    success: the end effector (the chain's pose at each row's joints) stands
+    in for the proxy, and the attached object follows it through the grasp
+    map, on Python floats through ``env2d``'s geometry."""
     obj = task.object
-    q = np.array(task.start_q, dtype=float)
+    q = [float(v) for v in task.start_q]
     attachment = None
-    for row in retargeted.frames:
-        ee_pos, ee_ori = forward_kinematics(arm, np.asarray(row["joints"]))
+    for i, row in enumerate(retargeted.frames):
+        if len(row["joints"]) != arm.n_joints:
+            raise ConfigurationError(
+                f"row {i}: expected {arm.n_joints} joint angles, "
+                f"got {len(row['joints'])}")
         if row["phase"] == 1:
+            x, y, ori = _chain(arm, row["joints"])
             if attachment is None:
-                attachment, _ = env2d.nearest_grasp(obj, q, ee_pos)
-            q = _object_q_from_ee(obj, ee_pos, ee_ori, attachment, q)
-    final = WorldState(0, np.zeros(2), np.zeros(2), q,
-                       np.zeros_like(q), Phase.INTERACTION, attachment)
+                attachment, _ = env2d.nearest_grasp(obj, q, x, y)
+            q = _object_q_from_ee(obj, x, y, ori, attachment)
+    final = WorldState(0, np.zeros(2), np.zeros(2), np.array(q),
+                       np.zeros(len(q)), Phase.INTERACTION, attachment)
     return env2d.is_success(final, task)
 
 

@@ -6,9 +6,8 @@ import pytest
 
 from proxymanip import demogen, env2d, retarget
 from proxymanip.env2d import (
-    Phase, ProxyAction, WorldConfig, builtin_catalogue, check_phase_transition,
-    get_task, grasp_point_world, is_success, nearest_grasp,
-    observe, reset, step,
+    Phase, ProxyAction, WorldConfig, builtin_catalogue, get_task, grasp_world,
+    is_success, nearest_grasp, observe, reset, step,
 )
 from proxymanip.numcore import ConfigurationError
 
@@ -96,8 +95,8 @@ class TestStep:
         s.phase = Phase.INTERACTION
         s.attachment = 0
         nxt, _ = step(s, ProxyAction((0.0, 0.0), (10.0, 0.0)), cfg, task)
-        gp, _ = grasp_point_world(task.object, nxt.object_q, 0)
-        assert np.allclose(nxt.proxy_pos, gp)
+        x, y, _ = grasp_world(task.object, nxt.object_q.tolist(), 0)
+        assert np.allclose(nxt.proxy_pos, (x, y))
 
     def test_limit_clamp_emits_event(self):
         task = get_task("close-drawer")
@@ -120,8 +119,9 @@ class TestStep:
             s, _ = step(s, ProxyAction((0.1, 0.0), (0.0, 0.0)), config, drawer)
             if s.phase == Phase.INTERACTION:
                 break
-            c, n, d = env2d.closest_point_on_rect(
-                s.proxy_pos, *env2d.rect_center(drawer.object, s.object_q),
+            *_, d = env2d.closest_on_rect(
+                *s.proxy_pos.tolist(),
+                *env2d.rect_center(drawer.object, s.object_q.tolist()),
                 drawer.object.extents)
             assert d >= config.proxy_radius - 1e-12
 
@@ -132,34 +132,36 @@ class TestStep:
             step(s, ProxyAction.zero(), config, drawer)
 
 
-class TestPhaseTransition:
-    def _state_at(self, task, pos):
-        cfg = task.world_config()
-        s = reset(cfg, task, seed=0)
-        s.proxy_pos = np.array(pos)
-        return s, cfg
+def step_in_place(task, pos, cfg):
+    """One step from rest at ``pos``, commanding the proxy to stay there: the
+    PD force is zero, so only the attach rule can change the state. ``pos``
+    lies outside the contact band, where contact leaves the proxy alone."""
+    s = reset(cfg, task, seed=0)
+    s.proxy_pos = np.array(pos)
+    nxt, _ = step(s, ProxyAction(tuple(pos), (0.0, 0.0)), cfg, task)
+    assert nxt.proxy_pos.tolist() == list(pos)
+    return nxt
 
+
+class TestPhaseTransition:
     def test_fires_inside_radius(self, drawer):
-        gp, _ = grasp_point_world(drawer.object, np.array([0.0]), 0)
-        s, cfg = self._state_at(drawer, gp + np.array([0.09, 0.0]))
-        out = check_phase_transition(s, drawer.object, cfg)
+        x, y, _ = grasp_world(drawer.object, [0.0], 0)
+        out = step_in_place(drawer, (x - 0.09, y), drawer.world_config())
         assert out.phase == Phase.INTERACTION
         assert out.attachment == 0
 
     def test_silent_outside_radius(self, drawer):
-        gp, _ = grasp_point_world(drawer.object, np.array([0.0]), 0)
-        s, cfg = self._state_at(drawer, gp + np.array([0.11, 0.0]))
-        out = check_phase_transition(s, drawer.object, cfg)
+        x, y, _ = grasp_world(drawer.object, [0.0], 0)
+        out = step_in_place(drawer, (x - 0.11, y), drawer.world_config())
         assert out.phase == Phase.EXPLORATION
         assert out.attachment is None
 
     def test_equidistant_tie_breaks_to_lowest_index(self):
         task = get_task("move-box")
-        cfg = task.world_config()
-        s = reset(cfg, task, seed=0)
-        # the two grasp points sit at (-0.08, 0) and (0.08, 0): equidistant from origin
-        s.proxy_pos = np.array([0.0, 0.05])
-        out = check_phase_transition(s, task.object, cfg)
+        # the two grasp points sit at (-0.08, 0) and (0.08, 0): equidistant
+        # from the box's centre line, which leaves the box at y = 0.06
+        out = step_in_place(task, (0.0, 0.1),
+                            task.world_config(interact_radius=0.15))
         assert out.phase == Phase.INTERACTION
         assert out.attachment == 0
 
@@ -169,33 +171,32 @@ class TestNearestGrasp:
     frame, so every point on the box's vertical centre line is a tie."""
 
     @staticmethod
-    def _distances(obj, q, point):
-        return [math.hypot(*(point - grasp_point_world(obj, q, i)[0]))
-                for i in range(len(obj.grasp_points))]
+    def _distances(obj, q, px, py):
+        return [math.hypot(px - x, py - y)
+                for x, y, _ in (grasp_world(obj, q, i)
+                                for i in range(len(obj.grasp_points)))]
 
     def test_tie_goes_to_lowest_index(self):
         task = get_task("move-box")
-        q = np.array(task.start_q, dtype=float)
-        point = np.array([0.0, 0.05])
-        d = self._distances(task.object, q, point)
+        q = [float(v) for v in task.start_q]
+        d = self._distances(task.object, q, 0.0, 0.05)
         assert d[0] == d[1]
-        assert nearest_grasp(task.object, q, point) == (0, d[0])
+        assert nearest_grasp(task.object, q, 0.0, 0.05) == (0, d[0])
 
     def test_returns_nearest_and_its_distance(self):
         task = get_task("move-box")
-        q = np.array([0.1, -0.2, 0.5])
-        point = np.array([0.3, -0.1])
-        d = self._distances(task.object, q, point)
-        assert nearest_grasp(task.object, q, point) == (int(np.argmin(d)), min(d))
+        q = [0.1, -0.2, 0.5]
+        d = self._distances(task.object, q, 0.3, -0.1)
+        assert nearest_grasp(task.object, q, 0.3, -0.1) == (int(np.argmin(d)), min(d))
 
     def test_expert_transition_and_replay_agree_on_a_tie(self, monkeypatch):
         task = get_task("move-box")
-        cfg = task.world_config()
+        cfg = task.world_config(interact_radius=0.15)
         state = reset(cfg, task, seed=0)
-        state.proxy_pos = np.array([0.0, 0.05])
-        gp0, _ = grasp_point_world(task.object, state.object_q, 0)
-        assert demogen.scripted_expert(task)(state).desired_pos == tuple(gp0)
-        assert check_phase_transition(state, task.object, cfg).attachment == 0
+        state.proxy_pos = np.array([0.0, 0.1])
+        x0, y0, _ = grasp_world(task.object, state.object_q.tolist(), 0)
+        assert demogen.scripted_expert(task)(state).desired_pos == (x0, y0)
+        assert step_in_place(task, (0.0, 0.1), cfg).attachment == 0
 
         # replay attaches at the first interaction row: put the box so that
         # the arm's end effector lies on its centre line
@@ -203,7 +204,7 @@ class TestNearestGrasp:
         joints = np.array([-1.2, 1.0, 0.2])
         ee, _ = retarget.forward_kinematics(arm, joints)
         tied = replace(task, start_q=(float(ee[0]), float(ee[1]) - 0.05, 0.0))
-        d = self._distances(task.object, np.array(tied.start_q), ee)
+        d = self._distances(task.object, list(tied.start_q), *ee.tolist())
         assert d[0] == d[1]
         finals = []
         monkeypatch.setattr(env2d, "is_success",
@@ -304,8 +305,7 @@ class TestInvariants:
         s.phase = Phase.INTERACTION
         s.attachment = 0
         s.object_qdot = np.array([0.6, -0.3, 0.4])
-        gp, _ = grasp_point_world(task.object, s.object_q, 0)
-        s.proxy_pos = gp
+        s.proxy_pos = np.array(grasp_world(task.object, s.object_q.tolist(), 0)[:2])
         prev = None
         for _ in range(200):
             s, _ = step(s, ProxyAction((0.0, 0.0), (0.0, 0.0)), cfg, task)
@@ -339,6 +339,12 @@ class TestConfig:
     def test_rejects_naming_field(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             WorldConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+    def test_rejects_bad_start_jitter(self, value):
+        with pytest.raises(ConfigurationError,
+                           match="start_jitter must be finite and non-negative"):
+            WorldConfig(start_jitter=value)
 
     def test_least_valid_values_accepted(self, drawer):
         cfg = WorldConfig(force_max=0.0, episode_horizon=1, proxy_mass=1e-3,
@@ -537,9 +543,9 @@ def _random_action(rng, task, state):
     """Three times in ten a desired position near a grasp point, so episodes
     attach; otherwise anywhere in the arena. Forces span past the clamp."""
     if rng.uniform() < 0.3:
-        gp, _ = grasp_point_world(task.object, state.object_q,
-                                  int(rng.integers(len(task.object.grasp_points))))
-        desired = gp + rng.normal(0.0, 0.05, 2)
+        x, y, _ = grasp_world(task.object, state.object_q.tolist(),
+                              int(rng.integers(len(task.object.grasp_points))))
+        desired = np.array([x, y]) + rng.normal(0.0, 0.05, 2)
     else:
         desired = rng.uniform(-1.2, 1.2, 2)
     return ProxyAction(tuple(desired), tuple(rng.uniform(-25.0, 25.0, 2)))
@@ -611,20 +617,19 @@ class TestNumpyOracle:
         cfg = task.world_config()
         s = reset(cfg, task, seed=0)
         s.phase, s.attachment = Phase.INTERACTION, 0
-        s.proxy_pos, _ = grasp_point_world(task.object, s.object_q, 0)
+        s.proxy_pos = np.array(grasp_world(task.object, s.object_q.tolist(), 0)[:2])
         with pytest.raises(FloatingPointError):
             step(s, ProxyAction((0.0, 0.0), (0.0, math.nan)), cfg, task)
 
 
 def test_grasp_point_world_rotates_with_door():
     task = get_task("open-door")
-    q = np.array([math.pi / 3])
-    pos, angle = grasp_point_world(task.object, q, 0)
+    x, y, angle = grasp_world(task.object, [math.pi / 3], 0)
     gp = task.object.grasp_points[0]
     c, s_ = math.cos(math.pi / 3), math.sin(math.pi / 3)
     expected = np.array(task.object.origin) + np.array([
         gp.position[0] * c - gp.position[1] * s_,
         gp.position[0] * s_ + gp.position[1] * c,
     ])
-    assert np.allclose(pos, expected)
+    assert np.allclose((x, y), expected)
     assert angle == pytest.approx(gp.angle + math.pi / 3)

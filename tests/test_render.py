@@ -79,7 +79,7 @@ class TestRender:
     def test_painter_order_object_over_marker(self, drawer_state):
         state, task = drawer_state
         spec = camera_spec("front")
-        center, _ = env2d.rect_center(task.object, state.object_q)
+        center = env2d.rect_center(task.object, state.object_q.tolist())[:2]
         frame = draw(state, task.object, spec, "none", marker_pos=center)
         row, col, _ = world_to_pixel(spec, center)
         assert frame.pixels[row, col] == render.INTENSITY_OBJECT
@@ -110,8 +110,16 @@ class TestRender:
 # rasterizer tests only the pixels a shape's bounding box can cover, and must
 # give the same pixels.
 
+def _pixel_centers(spec):
+    """World coordinates of every pixel center, as two (H, W) grids."""
+    xmin, ymin, xmax, ymax = spec.window
+    xs = xmin + (np.arange(spec.width) + 0.5) * (xmax - xmin) / spec.width
+    ys = ymax - (np.arange(spec.height) + 0.5) * (ymax - ymin) / spec.height
+    return np.meshgrid(xs, ys)
+
+
 def _full_fill_rect(img, spec, center, theta, extents, value):
-    gx, gy = render._pixel_centers(spec)
+    gx, gy = _pixel_centers(spec)
     dx = gx - center[0]
     dy = gy - center[1]
     c, s = math.cos(theta), math.sin(theta)
@@ -122,7 +130,7 @@ def _full_fill_rect(img, spec, center, theta, extents, value):
 
 
 def _full_fill_disc(img, spec, center, radius, value):
-    gx, gy = render._pixel_centers(spec)
+    gx, gy = _pixel_centers(spec)
     mask = (gx - center[0]) ** 2 + (gy - center[1]) ** 2 <= radius * radius
     img[mask] = value
     row, col, inside = world_to_pixel(spec, center)
@@ -137,8 +145,8 @@ def oracle_render(state, obj, spec, style, marker_pos=None, proxy_radius=0.02):
         _full_fill_rect(img, spec, marker_pos, 0.0, (2 * half, 2 * half),
                         render.INTENSITY_MARKER)
     if obj is not None:
-        center, theta = env2d.rect_center(obj, state.object_q)
-        _full_fill_rect(img, spec, center, theta, obj.extents,
+        x, y, theta = env2d.rect_center(obj, state.object_q.tolist())
+        _full_fill_rect(img, spec, (x, y), theta, obj.extents,
                         render.INTENSITY_OBJECT)
     if style == render.STYLE_GRIPPER_DISC:
         _full_fill_disc(img, spec, state.proxy_pos, proxy_radius,
@@ -208,7 +216,7 @@ class TestWindowedFill:
         half_marker = render.MARKER_HALF_SIZE
         radius = 0.02
         for cam in CAMERAS:
-            gx, gy = render._pixel_centers(camera_spec(cam))
+            gx, gy = _pixel_centers(camera_spec(cam))
             for k in range(0, 64, 3):
                 x, y = gx[0, k], gy[k, 0]
                 for sx, sy in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
@@ -290,7 +298,7 @@ class TestRenderBatch:
         half_box = task.object.extents[0] / 2.0
         radius = 0.02
         for cam in CAMERAS:
-            gx, gy = render._pixel_centers(camera_spec(cam))
+            gx, gy = _pixel_centers(camera_spec(cam))
             states = []
             for k in range(0, 64, 5):
                 x, y = gx[0, k], gy[k, 0]

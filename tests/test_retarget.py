@@ -237,12 +237,11 @@ class TestInfeasiblePose:
 
     def test_box_snap_from_old_mount_names_joint_and_margin(self, no_iteration):
         task = get_task("move-box")
-        pos, ang = env2d.grasp_point_world(
-            task.object, np.array(task.start_q), 0)
+        x, y, ang = env2d.grasp_world(task.object, list(task.start_q), 0)
         with pytest.raises(InfeasiblePoseError,
                            match=r"joint 2 needs -2\.974 rad, "
                                  r"0\.007 past limit -2\.967"):
-            inverse_kinematics(self.OLD_MOUNT, pos, ang)
+            inverse_kinematics(self.OLD_MOUNT, (x, y), ang)
 
     def test_wrist_beyond_inner_links_says_so(self, no_iteration):
         arm = default_arm()
@@ -299,11 +298,14 @@ class TestSnapToGrasp:
         cfg = task.world_config()
         s = env2d.reset(cfg, task, seed=0)
         s.proxy_pos = np.array([0.12, 0.0])  # nearest to grasp point 1
-        s2 = env2d.check_phase_transition(s, task.object, cfg)
+        # at rest and told to stay, clear of the box: only the attach rule acts
+        s2, _ = env2d.step(s, env2d.ProxyAction((0.12, 0.0), (0.0, 0.0)),
+                           cfg, task)
+        assert s2.proxy_pos.tolist() == [0.12, 0.0]
         assert s2.attachment == 1
         pos, _ = self.target(task, s2)
-        expected, _ = env2d.grasp_point_world(task.object, s2.object_q, 1)
-        assert np.allclose(pos, expected)
+        x, y, _ = env2d.grasp_world(task.object, s2.object_q.tolist(), 1)
+        assert np.allclose(pos, (x, y))
 
     @pytest.mark.parametrize("attachment", [None, 5, -1])
     @pytest.mark.parametrize("first", [True, False])
@@ -423,6 +425,15 @@ class TestRetargetTrajectory:
         with pytest.raises(OutOfReachError, match="frame 1"):
             retarget_trajectory(traj, default_arm(), task.object)
 
+    def test_replay_rejects_row_of_wrong_joint_count(self):
+        task, traj = expert_trajectory("open-drawer")
+        arm = default_arm()
+        out = retarget_trajectory(traj, arm, task.object)
+        out.frames[4]["joints"] = out.frames[4]["joints"][:2]
+        with pytest.raises(ConfigurationError,
+                           match="row 4: expected 3 joint angles, got 2"):
+            replay_retargeted(out, task, arm)
+
     @pytest.mark.parametrize("name", ["open-drawer", "close-drawer", "move-box",
                                       "open-door", "close-door", "lift-box"])
     def test_replay_reproduces_success(self, name):
@@ -437,13 +448,11 @@ class TestRetargetTrajectory:
         # expert episode demands clears every joint limit by 0.1 rad
         task, traj = expert_trajectory(name)
         arm = default_arm()
-        poses = [env2d.grasp_point_world(task.object,
-                                         np.asarray(f["object_q"]),
-                                         f["attachment"])
+        poses = [env2d.grasp_world(task.object, f["object_q"], f["attachment"])
                  for f in traj["frames"] if f["phase"] == int(Phase.INTERACTION)]
         assert poses
-        for pos, ang in poses:
-            assert feasibility_margin(arm, pos, retarget.wrap_angle(ang)) >= 0.1
+        for x, y, ang in poses:
+            assert feasibility_margin(arm, (x, y), retarget.wrap_angle(ang)) >= 0.1
 
     def test_round_trip_json(self, tmp_path):
         task, traj = expert_trajectory("open-drawer")
