@@ -52,8 +52,13 @@ class WorldConfig:
     two_phase: bool = True           # False: flat action space, contact forces only
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigurationError(f"dt must be finite and positive, got {self.dt}")
+        for name in ("pd_kp", "pd_kd", "proxy_damping", "object_damping"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative, got {value}")
         if not (self.interact_radius > self.proxy_radius > 0):
             raise ConfigurationError("need interact_radius > proxy_radius > 0")
         for name in ("proxy_mass", "arena_half"):

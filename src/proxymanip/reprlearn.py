@@ -5,10 +5,16 @@ embedding. Training pulls temporally ordered frames of the same clip together
 against later frames and cross-clip negatives (softmax over negative-L2
 similarities) plus an L1+L2 compactness penalty. Gradients are written out
 exactly and checked against finite differences in the tests.
+
+A training batch draws its four frames per sample from a small pool, so it
+repeats frames. Each step runs the network once over the batch's distinct
+pooled rows and sums the gradients of a row's repeats before the backward
+pass; identical frames of different clips are one row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,10 +116,14 @@ class ReprTrainConfig:
     agent_aware: bool = False
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigurationError("loss weights must be non-negative")
-        if self.lr <= 0:
-            raise ConfigurationError("learning rate must be positive")
+        for name in ("lambda1", "lambda2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative, got {value}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigurationError(
+                f"lr must be finite and positive, got {self.lr}")
         for name, least in (("batch_size", 1), ("total_steps", 0),
                             ("checkpoint_every", 1)):
             if getattr(self, name) < least:
@@ -121,22 +131,28 @@ class ReprTrainConfig:
                     f"{name} must be at least {least}, not {getattr(self, name)}")
 
 
-def batch_loss_and_grads(encoder: Encoder, batch_inputs: np.ndarray,
-                         config: ReprTrainConfig):
-    """Combined objective over a stacked (4B, in_dim) batch.
+def batch_loss_and_grads(encoder: Encoder, rows: np.ndarray,
+                         index: np.ndarray, config: ReprTrainConfig):
+    """Combined objective over a batch of 4B sample slots.
 
-    Rows are grouped per sample as (anchor, positive, later, negative). The
+    Slot ``r`` embeds the input ``rows[index[r]]``: the network runs once
+    over the distinct rows, and each slot reads its row's embedding. A plain
+    stacked (4B, in_dim) batch is the case ``index = arange(4B)``.
+
+    Slots are grouped per sample as (anchor, positive, later, negative). The
     contrastive term is a softmax cross-entropy over the anchor's similarities
     to the other three, where the positive must win; it averages over samples.
     The compactness term, L1 plus L2 norm of each embedding, averages over
-    every embedded frame. A distance or norm below ``_NORM_EPS`` contributes
-    no gradient through its unit vector.
+    every slot. A distance or norm below ``_NORM_EPS`` contributes no
+    gradient through its unit vector. The output gradient of a row is the sum
+    of its slots' gradients, which is the chain rule through the gather.
     """
-    n_rows = batch_inputs.shape[0]
+    n_rows = index.size
     if n_rows % 4:
         raise ConfigurationError("batch rows must come in groups of four")
     b = n_rows // 4
-    z, cache = forward_batch(encoder.net, batch_inputs)
+    y, cache = forward_batch(encoder.net, rows)
+    z = y[index]
     z4 = z.reshape(b, 4, -1)
     # contrastive term: s = -|anchor - other| for the three others
     diff = z4[:, :1] - z4[:, 1:]
@@ -162,32 +178,53 @@ def batch_loss_and_grads(encoder: Encoder, batch_inputs: np.ndarray,
     tcn_mean = float(tcn.sum()) / b
     reg_mean = float(reg.sum()) / n_rows
     total = config.lambda1 * tcn_mean + config.lambda2 * reg_mean
-    param_grads = backward_batch(encoder.net, cache, out_grad)
+    row_grad = np.zeros_like(y)
+    np.add.at(row_grad, index, out_grad)
+    param_grads = backward_batch(encoder.net, cache, row_grad)
     return total, tcn_mean, reg_mean, param_grads
 
 
-def stack_batch_inputs(pre: list[np.ndarray],
-                       samples: list[TcnSample]) -> np.ndarray:
-    """Gather the (4B, in_dim) input matrix for a sampled batch from the
-    per-clip pooled frame matrices ``pre`` (see :func:`preprocess_batch`)."""
-    rows = []
+def distinct_pooled_rows(pre: list[np.ndarray]):
+    """The distinct rows of the per-clip pooled frame matrices ``pre`` (see
+    :func:`preprocess_batch`) as one matrix, in order of first appearance,
+    and for each clip the list of its frames' rows in that matrix. Rows are
+    keyed by their bytes, so frames whose pooled rows are equal, in one clip
+    or in two, share a row."""
+    keys: dict[bytes, int] = {}
+    frame_rows = [[keys.setdefault(row.tobytes(), len(keys)) for row in x]
+                  for x in pre]
+    rows = np.frombuffer(b"".join(keys), dtype=np.float64)
+    return rows.reshape(len(keys), pre[0].shape[1]), frame_rows
+
+
+def stack_batch_inputs(rows: np.ndarray, frame_rows: list[list[int]],
+                       samples: list[TcnSample]):
+    """The inputs of a sampled batch as ``(batch_rows, index)``: the distinct
+    rows of ``rows`` that the batch uses, and the (4B,) index of each sample
+    slot (anchor, positive, later, negative) into them. ``frame_rows[c][f]``
+    is the row of frame ``f`` of clip ``c`` (see
+    :func:`distinct_pooled_rows`)."""
+    slots = []
     for s in samples:
-        rows.extend((pre[s.clip_index][s.i], pre[s.clip_index][s.j],
-                     pre[s.clip_index][s.k], pre[s.neg_clip_index][s.l]))
-    return np.stack(rows)
+        clip = frame_rows[s.clip_index]
+        slots += (clip[s.i], clip[s.j], clip[s.k],
+                  frame_rows[s.neg_clip_index][s.l])
+    used, index = np.unique(slots, return_inverse=True)
+    return rows[used], index
 
 
-def train_step(encoder: Encoder, batch_inputs: np.ndarray,
+def train_step(encoder: Encoder, rows: np.ndarray, index: np.ndarray,
                config: ReprTrainConfig, adam: AdamState):
-    """One optimizer step over a stacked batch; mutates the encoder in place
-    and returns (loss breakdown, encoder)."""
+    """One optimizer step over a batch given as distinct ``rows`` and the
+    slot ``index`` into them (see :func:`batch_loss_and_grads`); mutates the
+    encoder in place and returns (loss breakdown, encoder)."""
     total, tcn_mean, reg_mean, grads = batch_loss_and_grads(
-        encoder, batch_inputs, config)
+        encoder, rows, index, config)
     if not np.isfinite(total):
         raise NumericsError(
             f"non-finite training loss {total!r} on batch of "
-            f"{batch_inputs.shape[0] // 4} samples "
-            f"(input range [{batch_inputs.min()}, {batch_inputs.max()}])")
+            f"{index.size // 4} samples "
+            f"(input range [{rows.min()}, {rows.max()}])")
     adam_step(adam, encoder.net.parameters(), grads)
     return {"total": total, "tcn": tcn_mean, "reg": reg_mean}, encoder
 
@@ -250,6 +287,11 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
     encoder's own arrays. The result differs from full-width training only
     in BLAS summation order. The rows are scattered back into the full
     encoder before every checkpoint and sidecar write and at the end.
+
+    The dataset's pooled frames, on those columns, are reduced once to their
+    distinct rows (:func:`distinct_pooled_rows`). Each step forwards only the
+    distinct rows its batch uses (:func:`stack_batch_inputs`); the loss and
+    its gradient are those of the stacked batch, up to BLAS summation order.
     """
     if dataset.N == 0:
         raise ConfigurationError("cannot train on an empty dataset")
@@ -269,8 +311,8 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
         start_step = load_train_sidecar(resume_from, encoder, loaded)
         active |= loaded.m[0].any(axis=1) | loaded.v[0].any(axis=1)
     cols = np.flatnonzero(active)
-    for i, x in enumerate(pre):
-        pre[i] = x[:, cols]
+    rows, frame_rows = distinct_pooled_rows([x[:, cols] for x in pre])
+    del pre
     compact = _active_columns(encoder, cols)
     if resume_from is None:
         adam = adam_init(compact.net.parameters(), lr=config.lr)
@@ -286,8 +328,8 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
     for step in range(start_step, config.total_steps):
         samples = sample_tcn_batch(dataset, config.batch_size,
                                    derive_seed(config.seed, 101, step))
-        batch = stack_batch_inputs(pre, samples)
-        losses, _ = train_step(compact, batch, config, adam)
+        batch_rows, index = stack_batch_inputs(rows, frame_rows, samples)
+        losses, _ = train_step(compact, batch_rows, index, config, adam)
         log.append({"step": step, **losses})
         done = step + 1
         if out is not None and (done % config.checkpoint_every == 0

@@ -266,9 +266,15 @@ class PpoConfig:
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
-            raise ConfigurationError("gamma must be in (0, 1]")
-        if self.clip_ratio <= 0:
-            raise ConfigurationError("clip_ratio must be positive")
+            raise ConfigurationError(f"gamma must be in (0, 1], got {self.gamma}")
+        if not (0.0 <= self.gae_lambda <= 1.0):
+            raise ConfigurationError(
+                f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
+        for name in ("clip_ratio", "lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value}")
         for name in ("epochs", "minibatch_size", "rollout_envs", "horizon"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(

@@ -346,9 +346,23 @@ class TestConfig:
                            match="start_jitter must be finite and non-negative"):
             WorldConfig(start_jitter=value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", 0.0), ("dt", -0.02), ("dt", math.nan), ("dt", math.inf),
+        ("pd_kp", -1.0), ("pd_kp", math.nan), ("pd_kd", -50.0),
+        ("pd_kd", math.inf), ("proxy_damping", -0.5),
+        ("proxy_damping", math.nan), ("object_damping", math.nan),
+        ("object_damping", -1.0)])
+    def test_rejects_bad_step_constant(self, field, value):
+        qualifier = "positive" if field == "dt" else "non-negative"
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be finite and {qualifier}, "
+                                 f"got {value}"):
+            WorldConfig(**{field: value})
+
     def test_least_valid_values_accepted(self, drawer):
         cfg = WorldConfig(force_max=0.0, episode_horizon=1, proxy_mass=1e-3,
-                          arena_half=1e-3)
+                          arena_half=1e-3, pd_kp=0.0, pd_kd=0.0,
+                          proxy_damping=0.0, object_damping=0.0)
         s, _ = step(reset(cfg, drawer, seed=0),
                     ProxyAction((1.0, 1.0), (5.0, 5.0)), cfg, drawer)
         assert s.time_step == 1

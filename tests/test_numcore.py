@@ -235,7 +235,7 @@ class TestAdam:
         ref_m = [m.copy() for m in st.m]
         ref_v = [v.copy() for v in st.v]
         for t in range(1, 7):
-            grads = rl.batch_loss_and_grads(enc, batch, cfg)[3]
+            grads = rl.batch_loss_and_grads(enc, batch, np.arange(32), cfg)[3]
             ref_p, ref_m, ref_v = adam_out_of_place(st, t, ref_p, ref_m, ref_v,
                                                     grads)
             nc.adam_step(st, enc.net.parameters(), grads)

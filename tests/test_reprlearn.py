@@ -43,10 +43,20 @@ def active_columns(dataset):
         axis=0))
 
 
+def stacked_batch(pre, samples):
+    """The (4B, in_dim) batch of a sample list, one row per slot: anchor,
+    positive, later and negative of each sample in turn."""
+    rows = []
+    for s in samples:
+        rows.extend((pre[s.clip_index][s.i], pre[s.clip_index][s.j],
+                     pre[s.clip_index][s.k], pre[s.neg_clip_index][s.l]))
+    return np.stack(rows)
+
+
 def full_width_train_encoder(dataset, config, out_dir=None, resume_from=None):
-    """rl.train_encoder as a loop over all input columns: every step updates
-    the full (1024, 256) W0 and its moments. Writes the resume sidecar with
-    the same names and layout."""
+    """rl.train_encoder as a loop over all input columns and every slot of
+    the stacked batch: every step updates the full (1024, 256) W0 and its
+    moments. Writes the resume sidecar with the same names and layout."""
     encoder = rl.init_encoder(config.seed)
     adam = nc.adam_init(encoder.net.parameters(), lr=config.lr)
     start_step = 0
@@ -57,8 +67,9 @@ def full_width_train_encoder(dataset, config, out_dir=None, resume_from=None):
     for step in range(start_step, config.total_steps):
         samples = sample_tcn_batch(dataset, config.batch_size,
                                    nc.derive_seed(config.seed, 101, step))
-        batch = rl.stack_batch_inputs(pre, samples)
-        losses, _ = rl.train_step(encoder, batch, config, adam)
+        batch = stacked_batch(pre, samples)
+        losses, _ = rl.train_step(encoder, batch, np.arange(len(batch)),
+                                  config, adam)
         log.append({"step": step, **losses})
         done = step + 1
         if out_dir is not None and (done % config.checkpoint_every == 0
@@ -351,6 +362,22 @@ class TestRegLoss:
             2.0 + math.sqrt(2.0), abs=1e-12)
 
 
+def check_fd(enc, rows, index, cfg):
+    """rl.batch_loss_and_grads's gradients against finite differences of its
+    total loss."""
+    def f(params):
+        enc.net.set_parameters(params)
+        total, _, _, _ = rl.batch_loss_and_grads(enc, rows, index, cfg)
+        return total
+
+    params = [p.copy() for p in enc.net.parameters()]
+    fd = nc.finite_diff_grad(f, params)
+    enc.net.set_parameters(params)
+    _, _, _, exact = rl.batch_loss_and_grads(enc, rows, index, cfg)
+    for a, b in zip(exact, fd):
+        assert nc.relative_error(a, b) < 1e-4
+
+
 class TestGradients:
     @pytest.mark.parametrize("seed", range(4))
     def test_tcn_grads_match_fd(self, seed):
@@ -376,29 +403,41 @@ class TestGradients:
         cfg = rl.ReprTrainConfig(total_steps=1, batch_size=2)
         batch = rng.uniform(0.1, 1.0, (8, 3))
 
-        def f(params):
-            enc.net.set_parameters(params)
-            total, _, _, _ = rl.batch_loss_and_grads(enc, batch, cfg)
-            return total
+        check_fd(enc, batch, np.arange(8), cfg)
 
-        params = [p.copy() for p in net.parameters()]
-        fd = nc.finite_diff_grad(f, params)
-        net.set_parameters(params)
-        _, _, _, exact = rl.batch_loss_and_grads(enc, batch, cfg)
-        for a, b in zip(exact, fd):
-            assert nc.relative_error(a, b) < 1e-4
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_rows_grads_match_fd(self, seed):
+        # 3 distinct rows fill the 8 slots of a 2-sample batch; sample 0 has
+        # anchor = positive, and row 0 sits in both samples
+        rng = np.random.Generator(np.random.PCG64(200 + seed))
+        net = nc.init_mlp([3, 4, 2], ["relu", "identity"], seed=seed)
+        enc = rl.Encoder(net)
+        cfg = rl.ReprTrainConfig(total_steps=1, batch_size=2, lambda2=0.5)
+        rows = rng.uniform(0.1, 1.0, (3, 3))
+        check_fd(enc, rows, np.array([0, 0, 1, 2, 2, 1, 0, 1]), cfg)
 
 
 class TestBatchLossMatchesLoop:
+    """The batch loss, given as stacked slots and as distinct rows plus a
+    slot index, against the loop over samples and slots."""
+
     def _check(self, batch, seed=7):
+        rows, index = np.unique(batch, axis=0, return_inverse=True)
+        index = index.reshape(-1)
+        assert rows.shape[0] < batch.shape[0]  # the index repeats rows
+        self._check_rows(rows, index, seed)
+
+    def _check_rows(self, rows, index, seed=7):
         enc = rl.init_encoder(seed)
         cfg = rl.ReprTrainConfig(lambda1=1.0, lambda2=0.5)
-        ours = rl.batch_loss_and_grads(enc, batch, cfg)
+        batch = rows[index]
         loop = loop_batch_loss_and_grads(enc, batch, cfg)
-        for a, b in zip(ours[:3], loop[:3]):
-            assert a == pytest.approx(b, rel=0, abs=1e-12)
-        for a, b in zip(ours[3], loop[3]):
-            assert np.allclose(a, b, rtol=0, atol=1e-12)
+        for ours in (rl.batch_loss_and_grads(enc, batch, np.arange(len(batch)), cfg),
+                     rl.batch_loss_and_grads(enc, rows, index, cfg)):
+            for a, b in zip(ours[:3], loop[:3]):
+                assert a == pytest.approx(b, rel=0, abs=1e-12)
+            for a, b in zip(ours[3], loop[3]):
+                assert np.allclose(a, b, rtol=0, atol=1e-12)
 
     def test_anchor_equals_positive(self):
         rng = np.random.Generator(np.random.PCG64(8))
@@ -420,11 +459,48 @@ class TestBatchLossMatchesLoop:
         self._check(batch)
 
     def test_demo_clips(self):
-        from proxymanip.demogen import sample_tcn_batch
         dataset = small_dataset()
         pre = [rl.preprocess_batch(clip.frames) for clip in dataset.clips]
-        batch = rl.stack_batch_inputs(pre, sample_tcn_batch(dataset, 16, seed=3))
-        self._check(batch)
+        rows, frame_rows = rl.distinct_pooled_rows(pre)
+        samples = sample_tcn_batch(dataset, 16, seed=3)
+        batch_rows, index = rl.stack_batch_inputs(rows, frame_rows, samples)
+        assert np.array_equal(batch_rows[index], stacked_batch(pre, samples))
+        self._check_rows(batch_rows, index)
+
+    def test_rows_repeated_across_samples(self):
+        # 5 rows fill 16 slots; sample 0 has anchor = positive
+        rng = np.random.Generator(np.random.PCG64(10))
+        rows = rng.uniform(0, 1, (5, 1024))
+        index = np.array([0, 0, 1, 2, 3, 1, 4, 0, 2, 3, 4, 1, 4, 2, 0, 3])
+        self._check_rows(rows, index)
+
+
+class TestDistinctRows:
+    def test_identical_frames_in_two_clips_share_a_row(self):
+        dataset = small_dataset()
+        clips = dataset.clips
+        shared = clips[0].frames[5].pixels
+        assert not np.array_equal(clips[1].frames[3].pixels, shared)
+        clips[1].frames[3] = replace(clips[1].frames[3], pixels=shared.copy())
+        pre = [rl.preprocess_batch(clip.frames) for clip in clips]
+        rows, frame_rows = rl.distinct_pooled_rows(pre)
+        assert frame_rows[1][3] == frame_rows[0][5]
+        for x, clip_rows in zip(pre, frame_rows):
+            assert np.array_equal(rows[clip_rows], x)
+        distinct = {row.tobytes() for x in pre for row in x}
+        assert rows.shape == (len(distinct), 1024)
+        assert rows.shape[0] < sum(len(x) for x in pre)
+
+    def test_batch_uses_each_row_once(self):
+        dataset = small_dataset()
+        pre = [rl.preprocess_batch(clip.frames) for clip in dataset.clips]
+        rows, frame_rows = rl.distinct_pooled_rows(pre)
+        samples = sample_tcn_batch(dataset, 32, seed=4)
+        batch_rows, index = rl.stack_batch_inputs(rows, frame_rows, samples)
+        assert index.shape == (4 * 32,)
+        assert np.array_equal(batch_rows[index], stacked_batch(pre, samples))
+        assert np.unique(index).size == batch_rows.shape[0] < index.size
+        assert len({row.tobytes() for row in batch_rows}) == batch_rows.shape[0]
 
 
 class TestTrainStep:
@@ -437,7 +513,8 @@ class TestTrainStep:
                           [1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0],
                           [0.0, 0.0, 1.0]])
-        total, tcn, reg, grads = rl.batch_loss_and_grads(enc, batch, cfg)
+        total, tcn, reg, grads = rl.batch_loss_and_grads(enc, batch,
+                                                         np.arange(4), cfg)
         assert total == pytest.approx(math.log(3.0), abs=1e-12)
         assert any(np.abs(g).max() > 0 for g in grads)
 
@@ -446,13 +523,12 @@ class TestTrainStep:
         cfg = rl.ReprTrainConfig(total_steps=1, batch_size=8, lr=1e-3)
         enc = rl.init_encoder(cfg.seed)
         adam = nc.adam_init(enc.net.parameters(), cfg.lr)
-        from proxymanip.demogen import sample_tcn_batch
         samples = sample_tcn_batch(dataset, 8, seed=0)
         pre = [rl.preprocess_batch(clip.frames) for clip in dataset.clips]
-        batch = rl.stack_batch_inputs(pre, samples)
-        first, _ = rl.train_step(enc, batch, cfg, adam)
+        rows, index = rl.stack_batch_inputs(*rl.distinct_pooled_rows(pre), samples)
+        first, _ = rl.train_step(enc, rows, index, cfg, adam)
         for _ in range(30):
-            last, _ = rl.train_step(enc, batch, cfg, adam)
+            last, _ = rl.train_step(enc, rows, index, cfg, adam)
         assert last["total"] < first["total"]
 
 
@@ -463,8 +539,20 @@ class TestConfig:
         with pytest.raises(nc.ConfigurationError, match=field):
             rl.ReprTrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", 0.0), ("lr", -1e-4), ("lr", math.nan), ("lr", math.inf),
+        ("lambda1", -1.0), ("lambda1", math.nan), ("lambda1", math.inf),
+        ("lambda2", -1.0), ("lambda2", math.nan), ("lambda2", math.inf)])
+    def test_rejects_bad_hyperparameter_naming_it(self, field, value):
+        qualifier = "positive" if field == "lr" else "non-negative"
+        with pytest.raises(nc.ConfigurationError,
+                           match=f"{field} must be finite and {qualifier}, "
+                                 f"got {value}"):
+            rl.ReprTrainConfig(**{field: value})
+
     def test_accepts_least_values(self):
-        rl.ReprTrainConfig(batch_size=1, total_steps=0, checkpoint_every=1)
+        rl.ReprTrainConfig(batch_size=1, total_steps=0, checkpoint_every=1,
+                           lambda1=0.0, lambda2=0.0)
 
 
 class TestTrainingLog:

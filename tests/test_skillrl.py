@@ -594,6 +594,21 @@ class TestConfig:
             PpoConfig(**{field: 0})
         PpoConfig(**{field: 1})
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
+        ("clip_ratio", math.nan), ("clip_ratio", math.inf),
+        ("gae_lambda", 1.5), ("gae_lambda", -0.1), ("gae_lambda", math.nan),
+        ("gamma", math.nan), ("gamma", 0.0)])
+    def test_ppo_rejects_bad_hyperparameter_naming_it(self, field, value):
+        with pytest.raises(nc.ConfigurationError,
+                           match=re.escape(f"{field} must be") + ".*"
+                           + re.escape(f"got {value}")):
+            PpoConfig(**{field: value})
+
+    def test_ppo_accepts_gae_lambda_bounds(self):
+        PpoConfig(gae_lambda=0.0)
+        PpoConfig(gae_lambda=1.0)
+
     def test_evaluate_policy_rejects_zero_episodes(self):
         task = get_task("open-drawer")
         config = SkillOptions().world_config(task)
