@@ -464,7 +464,10 @@ class TestBatchLossMatchesLoop:
         rows, frame_rows = rl.distinct_pooled_rows(pre)
         samples = sample_tcn_batch(dataset, 16, seed=3)
         batch_rows, index = rl.stack_batch_inputs(rows, frame_rows, samples)
+        assert index.shape == (4 * 16,)
         assert np.array_equal(batch_rows[index], stacked_batch(pre, samples))
+        assert np.unique(index).size == batch_rows.shape[0] < index.size
+        assert len({row.tobytes() for row in batch_rows}) == batch_rows.shape[0]
         self._check_rows(batch_rows, index)
 
     def test_rows_repeated_across_samples(self):
@@ -490,17 +493,6 @@ class TestDistinctRows:
         distinct = {row.tobytes() for x in pre for row in x}
         assert rows.shape == (len(distinct), 1024)
         assert rows.shape[0] < sum(len(x) for x in pre)
-
-    def test_batch_uses_each_row_once(self):
-        dataset = small_dataset()
-        pre = [rl.preprocess_batch(clip.frames) for clip in dataset.clips]
-        rows, frame_rows = rl.distinct_pooled_rows(pre)
-        samples = sample_tcn_batch(dataset, 32, seed=4)
-        batch_rows, index = rl.stack_batch_inputs(rows, frame_rows, samples)
-        assert index.shape == (4 * 32,)
-        assert np.array_equal(batch_rows[index], stacked_batch(pre, samples))
-        assert np.unique(index).size == batch_rows.shape[0] < index.size
-        assert len({row.tobytes() for row in batch_rows}) == batch_rows.shape[0]
 
 
 class TestTrainStep:
