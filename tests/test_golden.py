@@ -601,3 +601,29 @@ def test_ppo_update_then_rollout():
            _batch_summary(after, ppo.rollout_envs).items()},
     }
     _assert_close("PPO_UPDATE", observed, PPO_UPDATE)
+
+
+AWR_FIT = {'actor': [-1.431438695798695, -0.011183689221281176, -0.9111799810227375,
+                     0.006848633208353237, -0.7186256647084511, -0.004133576287770557],
+           'means': [3.434677988828612, -3.2644701048874496, 48.08457431277232,
+                     57.374361437087735]}
+
+
+def test_awr_fit_from_expert_clips(dataset_dir):
+    """Advantage-weighted regression on the golden dataset's move-box clips,
+    weighted by masked goal progress; the fitted actor and its action means
+    on the clips' observations."""
+    _, dataset = dataset_dir
+    task = get_task("move-box")
+    clips = [dataset.clips[i] for i in dataset.index["move-box"]]
+    encoder = reprlearn.init_encoder(5)
+    goal = skillrl.make_goal(task, "front", encoder)
+    policy = skillrl.awr_fit(clips, encoder, goal, temperature=0.05, epochs=3,
+                             seed=4, lr=1e-3, minibatch_size=32)
+    obs = np.stack([np.array(s["obs"]) for clip in clips for s in clip.states])
+    means, _, _ = skillrl.action_means(policy, obs)
+    observed = {
+        "actor": [float(p.sum()) for p in policy.actor.parameters()],
+        "means": _floats(means.sum(axis=0)),
+    }
+    _assert_close("AWR_FIT", observed, AWR_FIT)
