@@ -5,13 +5,13 @@ position during exploration, intended force during interaction; the phase flag
 sits in the observation) plus a critic. Rewards come from the frozen visual
 encoder: similarity of the current agent-masked frame to the goal image,
 shaped so that improving on the start state is boosted and regressions are
-penalized gently. A rollout computes its rewards in one pass after its step
-loop, with two memo keys: each distinct object pose (``object_q.tobytes()``)
-is rendered once, since the masked frame depends on nothing else, and each
-distinct frame (its pixel bytes) is embedded once, since many poses draw the
-same pixels. Optimization is clipped-surrogate PPO with generalized
-advantage estimation, all gradients written out by hand. Advantage-weighted
-regression over expert clips provides the imitation path.
+penalized gently. Every goal similarity, of reward frames, baselines and
+expert clips alike, comes from ``goal_similarities``, which embeds each
+distinct frame (its pixel bytes) once. A rollout forms its rewards in one
+pass after its step loop and renders each distinct object pose once.
+Optimization is clipped-surrogate PPO with generalized advantage
+estimation, all gradients written out by hand. Advantage-weighted
+regression over expert clips, weighted by goal progress, is the imitation path.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ CRITIC_LAYERS = [OBS_DIM, 64, 64, 1]
 HIDDEN_ACTIVATIONS = ["tanh", "tanh", "identity"]
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 1.0
 LOG_STD_INIT = (-0.7, -0.7, 1.0, 1.0)
+ACTION_SCALES = (1.0, 1.0, 20.0, 20.0)  # bounds of position, then force means
 
 ROUTING_TWO_PHASE = "two_phase"
 ROUTING_FLAT = "flat"
@@ -62,6 +63,12 @@ REWARD_CHUNK = 64
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _require(ok: bool, name: str, value, what: str) -> None:
+    """Reject a setting by name: ``<name> must be <what>, got <value>``."""
+    if not ok:
+        raise ConfigurationError(f"{name} must be {what}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Reward
 # ---------------------------------------------------------------------------
@@ -72,15 +79,15 @@ class RewardConfig:
     beta_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
+        _require(math.isfinite(self.alpha) and self.alpha > 0, "alpha",
+                 self.alpha, "finite and positive")
+        _require(math.isfinite(self.beta_floor) and self.beta_floor >= 0,
+                 "beta_floor", self.beta_floor, "finite and non-negative")
 
 
 @dataclass
 class GoalSpec:
-    goal_image: FrameImage
     goal_embedding: np.ndarray
-    beta: float
 
 
 def shaped_reward_value(s_t: float, beta: float, cfg: RewardConfig) -> float:
@@ -96,13 +103,27 @@ def shaped_reward_value(s_t: float, beta: float, cfg: RewardConfig) -> float:
 
 
 def make_goal(task: TaskSpec, camera_id: str, encoder: Encoder) -> GoalSpec:
-    """Agent-masked render of the task's target state and its embedding.
-    ``beta`` stays 0.0 here: the start-goal baseline belongs to each env slot
-    and is set at every episode reset."""
+    """Embedding of the agent-masked render of the task's target state. The
+    start-goal baseline belongs to each env slot, set at every reset."""
     spec = camera_spec(camera_id)
     frame = render.render(goal_state(task), task.object, spec, "none",
                           marker_pos=goal_marker(task))
-    return GoalSpec(frame, embed(encoder, frame), beta=0.0)
+    return GoalSpec(embed(encoder, frame))
+
+
+def goal_similarities(frames: list[FrameImage], encoder: Encoder,
+                      goal: GoalSpec, by_pixels: dict[bytes, float]) -> list[float]:
+    """Goal similarity of each frame. ``by_pixels`` maps the pixel bytes of
+    every frame scored so far, a key exact for any render style, to its
+    similarity; the distinct frames not in it are embedded in one
+    ``embed_batch`` call and added."""
+    keys = [frame.pixels.tobytes() for frame in frames]
+    new = {key: frame for key, frame in zip(keys, frames) if key not in by_pixels}
+    if new:
+        z = embed_batch(encoder, list(new.values()))
+        for key, z_k in zip(new, z):
+            by_pixels[key] = similarity(z_k, goal.goal_embedding)
+    return [by_pixels[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +137,7 @@ class PolicyCheckpoint:
     log_std: np.ndarray
     routing: str = ROUTING_TWO_PHASE
     action_scales: np.ndarray = field(
-        default_factory=lambda: np.array([1.0, 1.0, 20.0, 20.0]))
+        default_factory=lambda: np.array(ACTION_SCALES))
 
     def parameters(self) -> list[np.ndarray]:
         return self.actor.parameters() + self.critic.parameters() + [self.log_std]
@@ -141,16 +162,13 @@ def _check_routing(routing: str, where: str) -> None:
             f"{sorted(HEAD_MASKS)}")
 
 
-def init_policy(seed: int, routing: str = ROUTING_TWO_PHASE,
-                arena_half: float = 1.0, force_max: float = 20.0) -> PolicyCheckpoint:
+def init_policy(seed: int, routing: str = ROUTING_TWO_PHASE) -> PolicyCheckpoint:
     _check_routing(routing, "init_policy")
-    scales = np.array([arena_half, arena_half, force_max, force_max])
     return PolicyCheckpoint(
         actor=init_mlp(ACTOR_LAYERS, HIDDEN_ACTIVATIONS, derive_seed(seed, 1)),
         critic=init_mlp(CRITIC_LAYERS, HIDDEN_ACTIVATIONS, derive_seed(seed, 2)),
         log_std=np.clip(np.array(LOG_STD_INIT), LOG_STD_MIN, LOG_STD_MAX),
         routing=routing,
-        action_scales=scales,
     )
 
 
@@ -166,12 +184,6 @@ def action_means(policy: PolicyCheckpoint, obs: np.ndarray):
     squashed = np.tanh(out)
     return squashed * policy.action_scales, squashed, cache
 
-def policy_std(policy: PolicyCheckpoint) -> np.ndarray:
-    # log_std is kept inside [LOG_STD_MIN, LOG_STD_MAX] by projection after
-    # every optimizer step, so no clamp is needed here and the loss stays
-    # smooth in the parameter
-    return np.exp(policy.log_std)
-
 
 def sample_actions(policy: PolicyCheckpoint, obs: np.ndarray,
                    rng: np.random.Generator):
@@ -181,7 +193,9 @@ def sample_actions(policy: PolicyCheckpoint, obs: np.ndarray,
     """
     obs = np.atleast_2d(obs)
     means, _, _ = action_means(policy, obs)
-    std = policy_std(policy)
+    # log_std is kept inside [LOG_STD_MIN, LOG_STD_MAX] by projection after
+    # every optimizer step, so no clamp is needed and the loss stays smooth
+    std = np.exp(policy.log_std)
     mask = head_mask(policy, obs)
     noise = rng.standard_normal(means.shape)
     actions = np.where(mask, means + std * noise, 0.0)
@@ -265,20 +279,16 @@ class PpoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.gamma <= 1.0):
-            raise ConfigurationError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not (0.0 <= self.gae_lambda <= 1.0):
-            raise ConfigurationError(
-                f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
+        _require(0.0 < self.gamma <= 1.0, "gamma", self.gamma, "in (0, 1]")
+        _require(0.0 <= self.gae_lambda <= 1.0, "gae_lambda", self.gae_lambda,
+                 "in [0, 1]")
         for name in ("clip_ratio", "lr"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(
-                    f"{name} must be finite and positive, got {value}")
+            _require(math.isfinite(value) and value > 0, name, value,
+                     "finite and positive")
         for name in ("epochs", "minibatch_size", "rollout_envs", "horizon"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(
-                    f"{name} must be at least 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            _require(value >= 1, name, value, "at least 1")
 
 
 @dataclass
@@ -293,6 +303,13 @@ class SkillOptions:
     eval_episodes: int = 20
     early_stop: bool = True
     reward: RewardConfig = field(default_factory=RewardConfig)
+
+    def __post_init__(self):
+        _require(math.isfinite(self.terminal_bonus), "terminal_bonus",
+                 self.terminal_bonus, "finite")
+        for name in ("eval_every", "eval_episodes"):
+            value = getattr(self, name)
+            _require(value >= 1, name, value, "at least 1")
 
     def world_config(self, task: TaskSpec) -> WorldConfig:
         return task.world_config(start_jitter=self.start_jitter,
@@ -310,48 +327,26 @@ class _EnvSlot:
     env_index: int
     master_seed: int
     episode_return: float = 0.0
-    episode_len: int = 0
 
 
-@dataclass(frozen=True)
-class _ObjectPose:
-    """All that a render with the agent masked out reads of a state."""
-    object_q: np.ndarray
-
-
-def _masked_similarities(poses: list[bytes], task: TaskSpec, camera: str,
+def _masked_similarities(states: list[WorldState], task: TaskSpec, camera: str,
                          encoder: Encoder, goal: GoalSpec) -> list[float]:
-    """Goal similarity of the agent-masked frame of each object pose, given
-    as ``object_q.tobytes()``.
-
-    The poses are rendered ``REWARD_CHUNK`` at a time. Each frame is keyed
-    by its pixel bytes, which is exact for any render style, and each
-    distinct frame is embedded once, in one ``embed_batch`` call with the
-    other new frames of its chunk.
-    """
+    """Goal similarity of the agent-masked frame of each state, rendered
+    ``REWARD_CHUNK`` states at a time and scored by ``goal_similarities``
+    with one memo over all chunks."""
     spec, marker = camera_spec(camera), goal_marker(task)
     by_pixels: dict[bytes, float] = {}
     sims: list[float] = []
-    for start in range(0, len(poses), REWARD_CHUNK):
-        chunk = [_ObjectPose(np.frombuffer(q))
-                 for q in poses[start:start + REWARD_CHUNK]]
-        frames = render.render_batch(chunk, task.object, spec, "none",
-                                     marker_pos=marker)
-        keys = [frame.pixels.tobytes() for frame in frames]
-        new = {key: frame for key, frame in zip(keys, frames)
-               if key not in by_pixels}
-        if new:
-            z = embed_batch(encoder, list(new.values()))
-            for key, z_k in zip(new, z):
-                by_pixels[key] = similarity(z_k, goal.goal_embedding)
-        sims.extend(by_pixels[key] for key in keys)
+    for start in range(0, len(states), REWARD_CHUNK):
+        frames = render.render_batch(states[start:start + REWARD_CHUNK],
+                                     task.object, spec, "none", marker_pos=marker)
+        sims += goal_similarities(frames, encoder, goal, by_pixels)
     return sims
 
 
 def _reset_slot(slot: _EnvSlot) -> None:
     seed = derive_seed(slot.master_seed, slot.env_index, slot.episode_index)
     slot.state = env2d.reset(slot.config, slot.task, seed)
-    slot.episode_len = 0
 
 
 def make_env_slots(task: TaskSpec, options: SkillOptions, encoder: Encoder,
@@ -361,8 +356,8 @@ def make_env_slots(task: TaskSpec, options: SkillOptions, encoder: Encoder,
              for e in range(n_envs)]
     for slot in slots:
         _reset_slot(slot)
-    poses = [slot.state.object_q.tobytes() for slot in slots]
-    betas = _masked_similarities(poses, task, options.camera, encoder, goal)
+    betas = _masked_similarities([slot.state for slot in slots], task,
+                                 options.camera, encoder, goal)
     for slot, beta in zip(slots, betas):
         slot.beta = beta
     return slots
@@ -376,19 +371,24 @@ def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
     The step loop only steps, resets and records. Its rewards are formed
     after it, in one pass over the call. With the agent masked out, a
     reward frame depends only on the object pose, so poses are keyed by
-    ``object_q.tobytes()`` and each distinct pose of the call is rendered
-    once. ``_masked_similarities`` then keys the frames by pixel bytes and
-    embeds each distinct frame once. A slot's episode return and baseline
+    ``object_q.tobytes()``, and the first state to reach each distinct pose
+    of the call is rendered, once. ``goal_similarities`` then embeds each
+    distinct frame of the call once. A slot's episode return and baseline
     carry over to the next call.
     """
     n_envs = len(slots)
     # rows of the similarity table: row e < n_envs is the baseline slot e
-    # carries into the call, row n_envs + k the k-th distinct pose reached
+    # carries into the call, row n_envs + k the k-th distinct pose reached,
+    # drawn from pose_states[k]
     pose_rows: dict[bytes, int] = {}
+    pose_states: list[WorldState] = []
 
     def pose_row(state: WorldState) -> int:
-        return pose_rows.setdefault(state.object_q.tobytes(),
-                                    n_envs + len(pose_rows))
+        key = state.object_q.tobytes()
+        if key not in pose_rows:
+            pose_rows[key] = n_envs + len(pose_states)
+            pose_states.append(state)
+        return pose_rows[key]
 
     obs_buf = np.zeros((ppo.horizon, n_envs, OBS_DIM))
     act_buf = np.zeros((ppo.horizon, n_envs, ACTION_DIM))
@@ -414,19 +414,18 @@ def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
         for e, slot in enumerate(slots):
             slot.state, _ = env2d.step(slot.state, to_proxy_action(actions[e]),
                                        slot.config, slot.task)
-            slot.episode_len += 1
             frame_rows[t, e] = pose_row(slot.state)
             beta_rows[t, e] = slot_beta_rows[e]
             success = env2d.is_success(slot.state, slot.task)
             success_buf[t, e] = success
-            if success or slot.episode_len >= slot.config.episode_horizon:
+            if success or slot.state.time_step >= slot.config.episode_horizon:
                 done_buf[t, e] = 1.0
                 slot.episode_index += 1
                 _reset_slot(slot)
                 slot_beta_rows[e] = pose_row(slot.state)
 
     sims = [slot.beta for slot in slots] + _masked_similarities(
-        list(pose_rows), slots[0].task, options.camera, encoder, goal)
+        pose_states, slots[0].task, options.camera, encoder, goal)
     rew_buf = np.zeros((ppo.horizon, n_envs))
     finished_returns: list[float] = []
     finished_successes: list[bool] = []
@@ -581,8 +580,7 @@ def run_policy_episode(policy: PolicyCheckpoint, task: TaskSpec,
 
 def evaluate_policy(policy: PolicyCheckpoint, task: TaskSpec,
                     config: WorldConfig, seed: int, episodes: int) -> float:
-    if episodes < 1:
-        raise ConfigurationError(f"episodes must be at least 1, got {episodes}")
+    _require(episodes >= 1, "episodes", episodes, "at least 1")
     wins = 0
     for ep in range(episodes):
         res = run_policy_episode(policy, task, config,
@@ -694,22 +692,12 @@ def load_policy(out_dir) -> PolicyCheckpoint:
 def progress_weights(sims_now: np.ndarray, sims_next: np.ndarray,
                      temperature: float) -> np.ndarray:
     """Exponentiated goal-similarity improvement, clipped to [0, 20]."""
-    if temperature <= 0:
-        raise ConfigurationError("temperature must be positive")
+    _require(temperature > 0, "temperature", temperature, "positive or inf")
     if math.isinf(temperature):
         return np.ones_like(np.asarray(sims_now, dtype=float))
     delta = (np.asarray(sims_next, dtype=float)
              - np.asarray(sims_now, dtype=float)) / temperature
     return np.clip(np.exp(delta), 0.0, 20.0)
-
-
-def awr_weights(frames, next_frames, goal: GoalSpec, encoder: Encoder,
-                temperature: float) -> np.ndarray:
-    z_now = embed_batch(encoder, frames)
-    z_next = embed_batch(encoder, next_frames)
-    s_now = np.array([similarity(z, goal.goal_embedding) for z in z_now])
-    s_next = np.array([similarity(z, goal.goal_embedding) for z in z_next])
-    return progress_weights(s_now, s_next, temperature)
 
 
 def _awr_loss_and_grads(policy: PolicyCheckpoint, obs, actions, weights,
@@ -731,23 +719,25 @@ def awr_fit(demos: list[Clip], encoder: Encoder, goal: GoalSpec,
             lr: float = 1e-3, minibatch_size: int = 64) -> PolicyCheckpoint:
     """Weighted regression of the actor means onto demo actions.
 
-    ``temperature=inf`` gives uniform weights, i.e. plain behavior cloning.
-    Only the phase-active action head of each transition is regressed.
+    Transition t of a clip is weighted by the goal progress from its frame
+    t to t + 1. ``temperature=inf`` gives uniform weights, i.e. plain
+    behavior cloning. Only the phase-active action head is regressed.
     """
     if not demos:
         raise ConfigurationError("awr_fit needs at least one demo clip")
+    _require(epochs >= 0, "epochs", epochs, "at least 0")
+    _require(minibatch_size >= 1, "minibatch_size", minibatch_size, "at least 1")
+    _require(math.isfinite(lr), "lr", lr, "finite")
+    by_pixels: dict[bytes, float] = {}
     obs_rows, act_rows, w_rows = [], [], []
     for clip in demos:
-        frames_now = clip.frames[:-1]
-        frames_next = clip.frames[1:]
-        w = awr_weights(frames_now, frames_next, goal, encoder, temperature)
-        for t in range(clip.n_c - 1):
-            obs_rows.append(np.array(clip.states[t]["obs"]))
-            act_rows.append(clip.actions[t])
-            w_rows.append(w[t])
-    obs = np.stack(obs_rows)
-    acts = np.stack(act_rows)
-    weights = np.array(w_rows)
+        sims = np.array(goal_similarities(clip.frames, encoder, goal, by_pixels))
+        w_rows.append(progress_weights(sims[:-1], sims[1:], temperature))
+        obs_rows += [clip.states[t]["obs"] for t in range(clip.n_c - 1)]
+        act_rows.append(clip.actions[:-1])
+    obs = np.array(obs_rows, dtype=float)
+    acts = np.concatenate(act_rows)
+    weights = np.concatenate(w_rows)
     wsum = float(weights.sum())
     if wsum <= 0:
         raise ConfigurationError("all regression weights vanished")

@@ -216,6 +216,13 @@ def encoder():
     return reprlearn.init_encoder(seed=13)
 
 
+@pytest.fixture(scope="module")
+def expert_clips():
+    dataset = demogen.generate_dataset([get_task("move-box")], clips_per_task=2,
+                                       noise_scale=0.05, style="none", seed=3)
+    return dataset.clips
+
+
 class TestRollouts:
     def test_batch_shape(self, encoder):
         task = get_task("open-drawer")
@@ -505,6 +512,47 @@ class TestAwr:
         w = progress_weights(np.array([-5.0]), np.array([0.0]), 0.1)
         assert w[0] == 20.0
 
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+    def test_rejects_bad_temperature_naming_it(self, value):
+        with pytest.raises(nc.ConfigurationError,
+                           match=re.escape(f"temperature must be positive or inf, "
+                                           f"got {value}")):
+            progress_weights(np.array([-3.0]), np.array([-2.0]), value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("minibatch_size", 0), ("epochs", -1), ("lr", math.nan),
+        ("lr", math.inf)])
+    def test_fit_rejects_bad_setting_naming_it(self, encoder, expert_clips,
+                                               field, value):
+        goal = make_goal(get_task("move-box"), "front", encoder)
+        with pytest.raises(nc.ConfigurationError,
+                           match=re.escape(f"{field} must be") + ".*"
+                           + re.escape(f"got {value}")):
+            skillrl.awr_fit(expert_clips, encoder, goal, temperature=0.5,
+                            **{"epochs": 1, field: value})
+
+    def test_fit_embeds_each_distinct_frame_once(self, encoder, expert_clips,
+                                                 monkeypatch):
+        rows = []
+        real = skillrl.embed_batch
+
+        def counting(enc, frames):
+            rows.append(len(frames))
+            return real(enc, frames)
+
+        monkeypatch.setattr(skillrl, "embed_batch", counting)
+        goal = make_goal(get_task("move-box"), "front", encoder)
+        # the repeated clip brings no frame the fit has not scored
+        demos = expert_clips + expert_clips[:1]
+        skillrl.awr_fit(demos, encoder, goal, temperature=0.5, epochs=0)
+        seen, expected = set(), []
+        for clip in expert_clips:
+            keys = {f.pixels.tobytes() for f in clip.frames} - seen
+            seen |= keys
+            expected.append(len(keys))
+        assert rows == expected
+        assert sum(rows) < sum(clip.n_c for clip in expert_clips)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_gradient_matches_finite_differences(self, seed):
         policy = init_policy(seed=seed)
@@ -604,6 +652,23 @@ class TestConfig:
                            match=re.escape(f"{field} must be") + ".*"
                            + re.escape(f"got {value}")):
             PpoConfig(**{field: value})
+
+    @pytest.mark.parametrize("config, field, value", [
+        (RewardConfig, "alpha", math.nan),
+        (RewardConfig, "beta_floor", math.nan),
+        (SkillOptions, "terminal_bonus", math.nan),
+        (SkillOptions, "eval_every", -5),
+        (SkillOptions, "eval_episodes", 0)])
+    def test_skill_config_rejects_bad_field_naming_it(self, config, field,
+                                                      value):
+        with pytest.raises(nc.ConfigurationError,
+                           match=re.escape(f"{field} must be") + ".*"
+                           + re.escape(f"got {value}")):
+            config(**{field: value})
+
+    def test_skill_config_accepts_least_values(self):
+        RewardConfig(beta_floor=0.0)
+        SkillOptions(terminal_bonus=0.0, eval_every=1, eval_episodes=1)
 
     def test_ppo_accepts_gae_lambda_bounds(self):
         PpoConfig(gae_lambda=0.0)
