@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -291,40 +292,53 @@ def load_dataset(root: str | Path) -> DemoDataset:
 # Time-contrastive sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TcnSample:
-    clip_index: int
-    i: int
-    j: int
-    k: int
-    neg_clip_index: int
-    l: int
+class TcnBatch(NamedTuple):
+    """A batch of B time-contrastive samples as (B,) int arrays: sample ``r``
+    is frames ``i[r] < j[r] < k[r]`` of clip ``clip_index[r]`` and frame
+    ``l[r]`` of the other clip ``neg_clip_index[r]``."""
+
+    clip_index: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    neg_clip_index: np.ndarray
+    l: np.ndarray
 
 
 def sample_tcn_batch(dataset: DemoDataset, batch_size: int,
-                     seed: int) -> list[TcnSample]:
-    """Temporally ordered triplets plus one cross-clip negative per element.
+                     seed: int) -> TcnBatch:
+    """Temporally ordered triplets plus one cross-clip negative per sample,
+    drawn for the whole batch in six array calls of one seeded generator.
 
-    The anchor clip is drawn uniformly among clips with at least 3 frames;
-    i < j < k are distinct frame indices of that clip; the negative frame
-    comes from a uniformly chosen different clip.
+    The anchor clip is uniform among clips with at least 3 frames. Its
+    frames i < j < k are a uniform 3-subset of the clip's ``n`` frames by
+    Floyd's algorithm, one column at a time: ``a`` is uniform on
+    ``[0, n - 3]``; ``b`` is uniform on ``[0, n - 2]``, replaced by
+    ``n - 2`` if it equals ``a``; ``c`` is uniform on ``[0, n - 1]``,
+    replaced by ``n - 1`` if it equals ``a`` or ``b``. Each step keeps every
+    subset of its range equally likely, so the sorted row is uniform over
+    the ``C(n, 3)`` subsets. The negative clip is ``ni + (ni >= ci)`` with
+    ``ni`` uniform over ``N - 1`` values, which is uniform over the clips
+    other than the anchor ``ci``; its frame is uniform over that clip.
     """
+    if batch_size < 1:
+        raise ConfigurationError(
+            f"batch_size must be at least 1, got {batch_size}")
     if dataset.N < 2:
         raise ConfigurationError("need at least two clips for negatives")
-    eligible = [ci for ci, c in enumerate(dataset.clips) if c.n_c >= 3]
-    if not eligible:
+    n_c = np.array([c.n_c for c in dataset.clips])
+    eligible = np.flatnonzero(n_c >= 3)
+    if not eligible.size:
         raise ConfigurationError("no clip has 3 or more frames")
     rng = np.random.Generator(np.random.PCG64(seed))
-    batch = []
-    for _ in range(batch_size):
-        ci = eligible[int(rng.integers(len(eligible)))]
-        clip = dataset.clips[ci]
-        i, j, k = sorted(int(v) for v in
-                         rng.choice(clip.n_c, size=3, replace=False))
-        while True:
-            ni = int(rng.integers(dataset.N))
-            if ni != ci:
-                break
-        l = int(rng.integers(dataset.clips[ni].n_c))
-        batch.append(TcnSample(ci, i, j, k, ni, l))
-    return batch
+    ci = eligible[rng.integers(eligible.size, size=batch_size)]
+    n = n_c[ci]
+    a = rng.integers(0, n - 2)
+    b = rng.integers(0, n - 1)
+    b = np.where(b == a, n - 2, b)
+    c = rng.integers(0, n)
+    c = np.where((c == a) | (c == b), n - 1, c)
+    i, j, k = np.sort(np.stack([a, b, c]), axis=0)
+    ni = rng.integers(dataset.N - 1, size=batch_size)
+    ni += ni >= ci
+    return TcnBatch(ci, i, j, k, ni, rng.integers(0, n_c[ni]))

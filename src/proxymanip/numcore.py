@@ -1,11 +1,11 @@
 """Dense numerics for the whole pipeline.
 
 Small feed-forward networks with hand-written exact gradients, a bias-corrected
-adaptive-moment optimizer, a central finite-difference oracle for gradient
-checks, the one binary file envelope behind checkpoints and training state
-blobs, with a reader that rejects truncated, padded or foreign files (see
-"Binary files" below), and the one CSV writer of run logs. Everything is float64 so the finite-difference tests
-stay tight.
+adaptive-moment optimizer, the one binary file envelope behind checkpoints and
+training state blobs, with a reader that rejects truncated, padded or foreign
+files (see "Binary files" below), and the one CSV writer of run logs.
+Everything is float64 so the tests' finite-difference gradient checks stay
+tight.
 """
 
 from __future__ import annotations
@@ -266,45 +266,6 @@ def adam_step(state: AdamState, params: list[np.ndarray],
         np.add(den, state.eps, out=den)
         np.divide(num, den, out=num)
         np.subtract(p, num, out=p)
-
-
-# ---------------------------------------------------------------------------
-# Finite differences
-# ---------------------------------------------------------------------------
-
-def finite_diff_grad(f, params: list[np.ndarray], step: float = 1e-5) -> list[np.ndarray]:
-    """Central-difference gradient estimate of a scalar function of a
-    parameter list. The test oracle; deliberately simple and slow."""
-    grads = []
-    work = [p.copy() for p in params]
-    for i, p in enumerate(work):
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            f_plus = f(work)
-            flat[j] = orig - step
-            f_minus = f(work)
-            flat[j] = orig
-            gflat[j] = (f_plus - f_minus) / (2.0 * step)
-        grads.append(g)
-    return grads
-
-
-def relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Max per-entry relative error with an absolute floor."""
-    num = np.abs(a - b)
-    den = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
-    return float(np.max(num / den))
-
-
-def normed_relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Relative error in the Euclidean norm; the right metric for comparing
-    whole gradient blocks where single entries sit at roundoff level."""
-    den = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-12)
-    return float(np.linalg.norm(a - b) / den)
 
 
 def global_norm(arrays: list[np.ndarray]) -> float:

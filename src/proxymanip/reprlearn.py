@@ -6,10 +6,14 @@ against later frames and cross-clip negatives (softmax over negative-L2
 similarities) plus an L1+L2 compactness penalty. Gradients are written out
 exactly and checked against finite differences in the tests.
 
-A training batch draws its four frames per sample from a small pool, so it
-repeats frames. Each step runs the network once over the batch's distinct
-pooled rows and sums the gradients of a row's repeats before the backward
-pass; identical frames of different clips are one row.
+A training batch is drawn whole, as arrays of clip and frame indices
+(``demogen.sample_tcn_batch``: a uniform anchor clip with at least 3 frames,
+a uniform 3-subset of its frames and a uniform frame of a uniform other
+clip), and its slots are gathered from a frame-row table built once per run.
+The four frames per sample come from a small pool, so a batch repeats
+frames. Each step runs the network once over the batch's distinct pooled
+rows and sums the gradients of a row's repeats before the backward pass;
+identical frames of different clips are one row.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore
-from .demogen import DemoDataset, TcnSample, sample_tcn_batch
+from .demogen import DemoDataset, TcnBatch, sample_tcn_batch
 from .numcore import (AdamState, ConfigurationError, MlpNetwork, NumericsError,
                       adam_init, adam_step, derive_seed, forward_batch,
                       backward_batch, init_mlp)
@@ -187,29 +191,29 @@ def batch_loss_and_grads(encoder: Encoder, rows: np.ndarray,
 def distinct_pooled_rows(pre: list[np.ndarray]):
     """The distinct rows of the per-clip pooled frame matrices ``pre`` (see
     :func:`preprocess_batch`) as one matrix, in order of first appearance,
-    and for each clip the list of its frames' rows in that matrix. Rows are
-    keyed by their bytes, so frames whose pooled rows are equal, in one clip
-    or in two, share a row."""
+    with a flat frame-row table: ``frame_rows[clip_start[c] + f]`` is the
+    row of frame ``f`` of clip ``c`` in that matrix. Rows are keyed by their
+    bytes, so frames whose pooled rows are equal, in one clip or in two,
+    share a row. Returns ``(rows, frame_rows, clip_start)``."""
     keys: dict[bytes, int] = {}
-    frame_rows = [[keys.setdefault(row.tobytes(), len(keys)) for row in x]
-                  for x in pre]
+    frame_rows = np.array([keys.setdefault(row.tobytes(), len(keys))
+                           for x in pre for row in x], dtype=np.intp)
+    clip_start = np.cumsum([0] + [len(x) for x in pre[:-1]])
     rows = np.frombuffer(b"".join(keys), dtype=np.float64)
-    return rows.reshape(len(keys), pre[0].shape[1]), frame_rows
+    return rows.reshape(len(keys), pre[0].shape[1]), frame_rows, clip_start
 
 
-def stack_batch_inputs(rows: np.ndarray, frame_rows: list[list[int]],
-                       samples: list[TcnSample]):
+def stack_batch_inputs(rows: np.ndarray, frame_rows: np.ndarray,
+                       clip_start: np.ndarray, batch: TcnBatch):
     """The inputs of a sampled batch as ``(batch_rows, index)``: the distinct
     rows of ``rows`` that the batch uses, and the (4B,) index of each sample
-    slot (anchor, positive, later, negative) into them. ``frame_rows[c][f]``
-    is the row of frame ``f`` of clip ``c`` (see
-    :func:`distinct_pooled_rows`)."""
-    slots = []
-    for s in samples:
-        clip = frame_rows[s.clip_index]
-        slots += (clip[s.i], clip[s.j], clip[s.k],
-                  frame_rows[s.neg_clip_index][s.l])
-    used, index = np.unique(slots, return_inverse=True)
+    slot (anchor, positive, later, negative) into them. ``frame_rows`` and
+    ``clip_start`` map a clip's frame to its row (see
+    :func:`distinct_pooled_rows`); all 4B slots are gathered at once."""
+    anchor = clip_start[batch.clip_index]
+    slots = np.stack([anchor + batch.i, anchor + batch.j, anchor + batch.k,
+                      clip_start[batch.neg_clip_index] + batch.l], axis=1)
+    used, index = np.unique(frame_rows[slots.reshape(-1)], return_inverse=True)
     return rows[used], index
 
 
@@ -289,9 +293,12 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
     encoder before every checkpoint and sidecar write and at the end.
 
     The dataset's pooled frames, on those columns, are reduced once to their
-    distinct rows (:func:`distinct_pooled_rows`). Each step forwards only the
-    distinct rows its batch uses (:func:`stack_batch_inputs`); the loss and
-    its gradient are those of the stacked batch, up to BLAS summation order.
+    distinct rows and a flat frame-row table (:func:`distinct_pooled_rows`).
+    Each step draws its batch as index arrays (``sample_tcn_batch``, seeded
+    by ``derive_seed(config.seed, 101, step)``), gathers its 4B slots from
+    the table and forwards only the distinct rows they use
+    (:func:`stack_batch_inputs`); the loss and its gradient are those of the
+    stacked batch, up to BLAS summation order.
     """
     if dataset.N == 0:
         raise ConfigurationError("cannot train on an empty dataset")
@@ -311,7 +318,8 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
         start_step = load_train_sidecar(resume_from, encoder, loaded)
         active |= loaded.m[0].any(axis=1) | loaded.v[0].any(axis=1)
     cols = np.flatnonzero(active)
-    rows, frame_rows = distinct_pooled_rows([x[:, cols] for x in pre])
+    rows, frame_rows, clip_start = distinct_pooled_rows(
+        [x[:, cols] for x in pre])
     del pre
     compact = _active_columns(encoder, cols)
     if resume_from is None:
@@ -326,9 +334,10 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
         out.mkdir(parents=True, exist_ok=True)
     log: list[dict] = []
     for step in range(start_step, config.total_steps):
-        samples = sample_tcn_batch(dataset, config.batch_size,
-                                   derive_seed(config.seed, 101, step))
-        batch_rows, index = stack_batch_inputs(rows, frame_rows, samples)
+        batch = sample_tcn_batch(dataset, config.batch_size,
+                                 derive_seed(config.seed, 101, step))
+        batch_rows, index = stack_batch_inputs(rows, frame_rows, clip_start,
+                                               batch)
         losses, _ = train_step(compact, batch_rows, index, config, adam)
         log.append({"step": step, **losses})
         done = step + 1

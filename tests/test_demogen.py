@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -168,6 +170,15 @@ class TestGenerateDataset:
         assert (cdir / "frame_000000.pgm").exists()
 
 
+def stub_dataset(frame_counts, seed=0):
+    """A dataset of clips with the given frame counts; the sampler reads
+    only ``N`` and each clip's ``n_c``."""
+    clips = [demogen.Clip(f"c{c}", "stub", "front", [None] * n, [],
+                          np.zeros((n, 4)), True)
+             for c, n in enumerate(frame_counts)]
+    return demogen.DemoDataset(clips, "none", seed, {"stub": list(range(len(clips)))})
+
+
 class TestTcnSampling:
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -176,16 +187,23 @@ class TestTcnSampling:
 
     def test_temporal_order_always_holds(self, dataset):
         batch = sample_tcn_batch(dataset, 500, seed=0)
-        assert all(s.i < s.j < s.k for s in batch)
+        n_c = np.array([c.n_c for c in dataset.clips])
+        assert np.all(batch.i >= 0)
+        assert np.all((batch.i < batch.j) & (batch.j < batch.k))
+        assert np.all(batch.k < n_c[batch.clip_index])
+        assert np.all((batch.l >= 0) & (batch.l < n_c[batch.neg_clip_index]))
 
     def test_negative_from_other_clip(self, dataset):
         batch = sample_tcn_batch(dataset, 500, seed=1)
-        assert all(s.neg_clip_index != s.clip_index for s in batch)
+        assert np.all(batch.neg_clip_index != batch.clip_index)
 
     def test_same_seed_same_batch(self, dataset):
         a = sample_tcn_batch(dataset, 64, seed=5)
         b = sample_tcn_batch(dataset, 64, seed=5)
-        assert a == b
+        assert all(x.shape == (64,) and np.array_equal(x, y)
+                   for x, y in zip(a, b))
+        c = sample_tcn_batch(dataset, 64, seed=6)
+        assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
     def test_short_clips_skipped(self, dataset):
         import copy
@@ -194,4 +212,39 @@ class TestTcnSampling:
         stub.frames = stub.frames[:2]
         ds.clips = [stub] + dataset.clips[1:]
         batch = sample_tcn_batch(ds, 200, seed=2)
-        assert all(s.clip_index != 0 for s in batch)
+        assert np.all(batch.clip_index != 0)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_rejects_empty_batch_naming_it(self, dataset, batch_size):
+        with pytest.raises(ConfigurationError,
+                           match=f"batch_size must be at least 1, got {batch_size}"):
+            sample_tcn_batch(dataset, batch_size, seed=0)
+
+    def test_draws_are_uniform(self):
+        # Clips of 3, 4 and 5 frames, one 120,000-sample batch at a fixed
+        # seed. Every frequency below is a share of a count m with expected
+        # value p; each must lie within 5 standard errors, 5 sqrt(p(1-p)/m).
+        sizes = (3, 4, 5)
+        batch = sample_tcn_batch(stub_dataset(sizes), 120_000, seed=2024)
+
+        def assert_uniform(values, outcomes, label):
+            m, p = len(values), 1.0 / len(outcomes)
+            counts = collections.Counter(values)
+            assert set(counts) == set(outcomes), label
+            bound = 5.0 * math.sqrt(p * (1.0 - p) / m)
+            for outcome in outcomes:
+                assert abs(counts[outcome] / m - p) <= bound, (label, outcome)
+
+        assert_uniform(batch.clip_index.tolist(), range(3), "anchor clip")
+        for c, n in enumerate(sizes):
+            anchor = batch.clip_index == c
+            triples = list(zip(batch.i[anchor].tolist(), batch.j[anchor].tolist(),
+                               batch.k[anchor].tolist()))
+            assert_uniform(triples, list(itertools.combinations(range(n), 3)),
+                           f"3-subsets of clip {c}")
+            assert_uniform(batch.neg_clip_index[anchor].tolist(),
+                           [d for d in range(3) if d != c],
+                           f"negative clip for anchor {c}")
+            negative = batch.neg_clip_index == c
+            assert_uniform(batch.l[negative].tolist(), range(n),
+                           f"negative frame of clip {c}")

@@ -287,24 +287,23 @@ def test_exact_pins_blas_kernel_free():
 # Tolerance pins (BLAS)
 # ---------------------------------------------------------------------------
 
-ENCODER_LOSS_CURVE = {'total': [3.206110426075048, 3.059450921493677, 2.7444569356810464, 2.5760697580115828,
-           2.39634337174347, 2.2798971830860966, 2.2179828570174216, 2.071107415516234,
-           2.0520107518826345, 1.992355907238467, 1.921817661789646, 1.8220609127293588,
-           1.8437176782812588, 1.754524958844194, 1.7438038079112788,
-           1.6656202713954038, 1.6436933782370393, 1.591358591635501,
-           1.5851971906712545, 1.5815315392725466],
- 'tcn': [1.0841647132344305, 1.0750464810370635, 1.0620445620672143, 1.0769711120128962,
-         1.0654625444793446, 1.0823619940637976, 1.0887548142166494, 1.0743507227037823,
-         1.0807497204737764, 1.0919357185037004, 1.0879885724609648, 1.0908254780712163,
-         1.0974300827974897, 1.086951539829549, 1.1056551502356253, 1.0809001727931247,
-         1.090387563809993, 1.0899460008409492, 1.0970063732772442,
-         1.1001436159162283],
- 'reg': [2.1219457128406174, 1.9844044404566132, 1.6824123736138321, 1.4990986459986868,
-         1.3308808272641255, 1.1975351890222987, 1.1292280428007722, 0.9967566928124515,
-         0.9712610314088583, 0.9004201887347666, 0.8338290893286814, 0.7312354346581424,
-         0.7462875954837691, 0.667573419014645, 0.6381486576756534, 0.5847200986022791,
-         0.5533058144270463, 0.5014125907945518, 0.48819081739401043,
-         0.48138792335631825]}
+ENCODER_LOSS_CURVE = {'total': [3.303710652854937, 2.9720673721549726, 2.8557172377124216,
+           2.6205601409307318, 2.425915657400341, 2.2361487006827137, 2.178630996823512,
+           2.088107381820918, 2.041038017995218, 1.9738993819310182, 1.9220455427172793,
+           1.8603136889762173, 1.8424546697494317, 1.724338833774254,
+           1.7170490632667832, 1.692738344197776, 1.6324334098858269,
+           1.6201807361215868, 1.588195233305951, 1.5664857178466818],
+ 'tcn': [1.0735285122341345, 1.0431352740902704, 1.0825813428155648, 1.0924739295761672,
+         1.0677216085838743, 1.090938023527826, 1.0722435503363963, 1.0828648304836108,
+         1.0944500211548207, 1.079263152598907, 1.0931879911137925, 1.0951167055670912,
+         1.0936264062765928, 1.091382380310939, 1.0845121857642916, 1.1025651829185155,
+         1.0850897568673745, 1.0973397451460487, 1.0929963416311188,
+         1.0950321762581228],
+ 'reg': [2.2301821406208022, 1.9289320980647022, 1.7731358948968567, 1.5280862113545646,
+         1.3581940488164665, 1.1452106771548878, 1.1063874464871155, 1.0052425513373069,
+         0.9465879968403975, 0.8946362293321114, 0.8288575516034868, 0.7651969834091261,
+         0.7488282634728389, 0.632956453463315, 0.6325368775024915, 0.5901731612792606,
+         0.5473436530184522, 0.522840990975538, 0.4951988916748322, 0.471453541588559]}
 
 ROLLOUT_BATCH = {'obs': [-5.61839480365125, 0.8883683417155603, 58.030892949340334, -7.982950393190528,
          3.1263482819627084, -0.42844955901800374, 0.0, 27.06621216609993,

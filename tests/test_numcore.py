@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import numcheck
 from proxymanip import numcore as nc
 from proxymanip import reprlearn as rl
 
@@ -117,12 +118,12 @@ class TestBackward:
             return float(y[0] @ w)
 
         params = [p.copy() for p in net.parameters()]
-        fd = nc.finite_diff_grad(loss, params, step=1e-5)
+        fd = numcheck.finite_diff_grad(loss, params, step=1e-5)
         net.set_parameters(params)
         _, cache = nc.forward_batch(net, x)
         exact = nc.backward_batch(net, cache, w[None, :])
         for a, b in zip(exact, fd):
-            assert nc.relative_error(a, b) < 1e-6
+            assert numcheck.relative_error(a, b) < 1e-6
 
     @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
     @pytest.mark.parametrize("seed", range(3))
@@ -253,23 +254,6 @@ def adam_out_of_place(st, t, params, m, v, grads):
     params = [p - st.lr * (mi / c1) / (np.sqrt(vi / c2) + st.eps)
               for p, mi, vi in zip(params, m, v)]
     return params, m, v
-
-
-class TestFiniteDiff:
-    def test_square(self):
-        g = nc.finite_diff_grad(lambda p: float(p[0][0] ** 2),
-                                [np.array([3.0])], step=1e-5)
-        assert g[0][0] == pytest.approx(6.0, abs=1e-8)
-
-    def test_constant(self):
-        g = nc.finite_diff_grad(lambda p: 1.0, [np.zeros(4)], step=1e-5)
-        assert np.array_equal(g[0], np.zeros(4))
-
-    def test_product(self):
-        g = nc.finite_diff_grad(lambda p: float(p[0][0] * p[0][1]),
-                                [np.array([2.0, 5.0])], step=1e-5)
-        assert g[0][0] == pytest.approx(5.0, abs=1e-7)
-        assert g[0][1] == pytest.approx(2.0, abs=1e-7)
 
 
 class TestCheckpoint:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numcheck
 from proxymanip import numcore as nc
 from proxymanip import render
 from proxymanip import reprlearn as rl
@@ -43,13 +44,13 @@ def active_columns(dataset):
         axis=0))
 
 
-def stacked_batch(pre, samples):
-    """The (4B, in_dim) batch of a sample list, one row per slot: anchor,
-    positive, later and negative of each sample in turn."""
+def stacked_batch(pre, batch):
+    """The (4B, in_dim) batch of a sampled batch, one row per slot, built
+    sample by sample: anchor, positive, later and negative of each sample in
+    turn."""
     rows = []
-    for s in samples:
-        rows.extend((pre[s.clip_index][s.i], pre[s.clip_index][s.j],
-                     pre[s.clip_index][s.k], pre[s.neg_clip_index][s.l]))
+    for ci, i, j, k, ni, l in zip(*(a.tolist() for a in batch)):
+        rows.extend((pre[ci][i], pre[ci][j], pre[ci][k], pre[ni][l]))
     return np.stack(rows)
 
 
@@ -371,11 +372,11 @@ def check_fd(enc, rows, index, cfg):
         return total
 
     params = [p.copy() for p in enc.net.parameters()]
-    fd = nc.finite_diff_grad(f, params)
+    fd = numcheck.finite_diff_grad(f, params)
     enc.net.set_parameters(params)
     _, _, _, exact = rl.batch_loss_and_grads(enc, rows, index, cfg)
     for a, b in zip(exact, fd):
-        assert nc.relative_error(a, b) < 1e-4
+        assert numcheck.relative_error(a, b) < 1e-4
 
 
 class TestGradients:
@@ -391,8 +392,8 @@ class TestGradients:
                 zz[which] = params[0]
                 return tcn_loss(*zz)
 
-            fd = nc.finite_diff_grad(f, [z[which].copy()])[0]
-            assert nc.relative_error(grads[which], fd) < 1e-5
+            fd = numcheck.finite_diff_grad(f, [z[which].copy()])[0]
+            assert numcheck.relative_error(grads[which], fd) < 1e-5
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_loss_grads_match_fd(self, seed):
@@ -458,12 +459,13 @@ class TestBatchLossMatchesLoop:
         assert not np.any(z[[2, 7]])
         self._check(batch)
 
-    def test_demo_clips(self):
+    @pytest.mark.parametrize("seed", [3, 0, 1, 17, 101])
+    def test_demo_clips(self, seed):
         dataset = small_dataset()
         pre = [rl.preprocess_batch(clip.frames) for clip in dataset.clips]
-        rows, frame_rows = rl.distinct_pooled_rows(pre)
-        samples = sample_tcn_batch(dataset, 16, seed=3)
-        batch_rows, index = rl.stack_batch_inputs(rows, frame_rows, samples)
+        samples = sample_tcn_batch(dataset, 16, seed=seed)
+        batch_rows, index = rl.stack_batch_inputs(*rl.distinct_pooled_rows(pre),
+                                                  samples)
         assert index.shape == (4 * 16,)
         assert np.array_equal(batch_rows[index], stacked_batch(pre, samples))
         assert np.unique(index).size == batch_rows.shape[0] < index.size
@@ -486,10 +488,13 @@ class TestDistinctRows:
         assert not np.array_equal(clips[1].frames[3].pixels, shared)
         clips[1].frames[3] = replace(clips[1].frames[3], pixels=shared.copy())
         pre = [rl.preprocess_batch(clip.frames) for clip in clips]
-        rows, frame_rows = rl.distinct_pooled_rows(pre)
-        assert frame_rows[1][3] == frame_rows[0][5]
-        for x, clip_rows in zip(pre, frame_rows):
-            assert np.array_equal(rows[clip_rows], x)
+        rows, frame_rows, clip_start = rl.distinct_pooled_rows(pre)
+        sizes = [len(x) for x in pre]
+        assert clip_start.tolist() == np.cumsum([0] + sizes[:-1]).tolist()
+        assert frame_rows.shape == (sum(sizes),)
+        assert frame_rows[clip_start[1] + 3] == frame_rows[5]
+        for x, start in zip(pre, clip_start):
+            assert np.array_equal(rows[frame_rows[start:start + len(x)]], x)
         distinct = {row.tobytes() for x in pre for row in x}
         assert rows.shape == (len(distinct), 1024)
         assert rows.shape[0] < sum(len(x) for x in pre)

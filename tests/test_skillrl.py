@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numcheck
 from proxymanip import numcore as nc
 from proxymanip import demogen, env2d, render, reprlearn, skillrl
 from proxymanip.env2d import get_task
@@ -202,13 +203,13 @@ class TestPpoUpdate:
             return total
 
         params = [p.copy() for p in policy.parameters()]
-        fd = nc.finite_diff_grad(loss_of, params, step=1e-5)
+        fd = numcheck.finite_diff_grad(loss_of, params, step=1e-5)
         policy.set_parameters([p.copy() for p in params])
         _, exact, _ = skillrl._minibatch_loss_and_grads(
             policy, batch["obs"], batch["actions"], batch["masks"],
             batch["log_probs"], adv, batch["returns"], 0.2)
         for a, b in zip(exact, fd):
-            assert nc.normed_relative_error(a, b) < 1e-4
+            assert numcheck.normed_relative_error(a, b) < 1e-4
 
 
 @pytest.fixture(scope="module")
@@ -571,12 +572,12 @@ class TestAwr:
             return loss
 
         params = [p.copy() for p in policy.actor.parameters()]
-        fd = nc.finite_diff_grad(loss_of, params, step=1e-5)
+        fd = numcheck.finite_diff_grad(loss_of, params, step=1e-5)
         policy.actor.set_parameters([p.copy() for p in params])
         _, exact = skillrl._awr_loss_and_grads(policy, batch["obs"], acts,
                                                weights, wsum)
         for a, b in zip(exact, fd):
-            assert nc.normed_relative_error(a, b) < 1e-4
+            assert numcheck.normed_relative_error(a, b) < 1e-4
 
 
 class TestCurveLog:
