@@ -4,9 +4,10 @@ refactor which claims "same behaviour" can be checked against them.
 Two kinds of pin:
 
 * **Exact** (sha256 of the bytes): the dataset directory, ``env2d.step``
-  episodes, scripted-expert episodes, retargeted expert trajectories with
-  their replay results, and checkpoint and state-blob files written from
-  fixed weights. The world
+  episodes, scripted-expert episodes, retargeted trajectories with their
+  replay results (the expert episodes, plus inputs that flag
+  discontinuities and restart the IK solve), and checkpoint and
+  state-blob files written from fixed weights. The world
   steps on Python floats, so episodes and the dataset's states pass no float
   through a BLAS product and their bits depend only on the code. The
   retargeter's IK runs on Python floats too (closed form for grasp poses,
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 import pprint
@@ -110,7 +112,12 @@ RETARGET_DIGESTS = {'close-door': ('05f9bd83639ce0dc92db3b4272ecc51c6b77b9e8613a
  'open-door': ('3287912b6f5d599a8fac5193b443c7489e197bbcc3e0ab7cc67e4d2cd3dd1bb9',
                True),
  'open-drawer': ('9e9dbde095f57d69ff5704661c10094177150265ecbdaf8faf80665e41d23d68',
-                 True)}
+                 True),
+ 'close-drawer/low-mount/2': ('6239a709719ad7742919b3e58b141871d312fffd38bd063ca82e6feda77349ef',
+                              True),
+ 'close-drawer/low-mount/3': ('a1b508257888496334a18e58e1a0d6001d76060e032d91f293235be1248285a9',
+                              True),
+ 'circle': ('e8d9aa5a6aa40137d6b99a08c82f0698baa602ca454282692b9c9c4e73543d69', False)}
 
 EXPERT_EPISODE_DIGESTS = {'close-door/0.0': 'f018bdf5a09bef1782e3acda22b3dae288faca4edb2f5f64987f5e2623a19a28',
  'close-door/0.05': 'c38a4d040a9ae812bf4d2157e3bda7106c958773d88bf73b3506158d8c4e55cd',
@@ -231,19 +238,62 @@ def _record_expert(task, seed: int) -> dict:
     return env2d.trajectory_record(task, episode)
 
 
-def test_retargeted_expert_digests():
+def _json_leaves(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _json_leaves(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _json_leaves(v)
+    else:
+        yield value
+
+
+def _circle_record(arm, n_frames=80, radius=0.25) -> dict:
+    """Position-only frames once round a circle about the arm's base."""
+    bx, by = arm.base_position
+    frames = [{"t": i, "phase": 0, "attachment": None, "object_q": [0.0],
+               "proxy_pos": [bx + radius * math.cos(2.0 * math.pi * i / n_frames),
+                             by + radius * math.sin(2.0 * math.pi * i / n_frames)]}
+              for i in range(n_frames)]
+    return {"task": "open-drawer", "frames": frames, "events": []}
+
+
+def test_retargeted_expert_digests(monkeypatch):
+    """The six expert episodes on the default arm, plus paths they never
+    reach: close-drawer from a lower mount flags discontinuities, and a circle
+    about the base needs a restart of the damped least-squares solve."""
+    restarts = []
+    restart_guesses = retarget._restart_guesses
+
+    def counted(*args):
+        for guess in restart_guesses(*args):
+            restarts.append(guess)
+            yield guess
+    monkeypatch.setattr(retarget, "_restart_guesses", counted)
+
     arm = retarget.default_arm()
+    low_mount = retarget.ArmModel(base_position=(-0.4, 0.0))
+    drawer = get_task("close-drawer")
+    runs = [(name, task, arm, _record_expert(task, 60 + ti)) for ti, (name, task)
+            in enumerate(sorted(builtin_catalogue().items()))]
+    runs += [(f"close-drawer/low-mount/{seed}", drawer, low_mount,
+              _record_expert(drawer, seed)) for seed in (2, 3)]
+    runs.append(("circle", get_task("open-drawer"), arm, _circle_record(arm)))
     observed = {}
-    for ti, (name, task) in enumerate(sorted(builtin_catalogue().items())):
-        out = retarget.retarget_trajectory(_record_expert(task, 60 + ti), arm,
-                                           task.object)
-        replayed = retarget.replay_retargeted(out, task, arm)
+    for name, task, run_arm, record in runs:
+        out = retarget.retarget_trajectory(record, run_arm, task.object)
+        replayed = retarget.replay_retargeted(out, task, run_arm)
+        # json.dumps takes numpy scalars too, so the digest alone misses one
+        leaves = list(_json_leaves(out.frames))
+        assert {type(v) for v in leaves} <= {float, int, type(None)}, name
         digest = _sha(
             np.stack(out.joint_angles).tobytes(),
             repr([(p.tobytes(), o) for p, o in out.ee_poses]).encode(),
             json.dumps([out.phase_markers, out.frames, out.events],
                        sort_keys=True).encode())
         observed[name] = (digest, replayed)
+    assert len(restarts) == 1
     _assert_exact("RETARGET_DIGESTS", observed, RETARGET_DIGESTS)
 
 
