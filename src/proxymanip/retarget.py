@@ -3,12 +3,13 @@
 Exploration frames map the proxy position straight onto the end effector
 (orientation free); at the phase transition the end effector snaps to the
 attached grasp pose; interaction frames then follow the grasp point as the
-object moves, orientation constrained. One IK method per frame kind: a
-position-only target runs damped least squares on floats, warm-started frame
-to frame so the solution stays on one elbow branch; an orientation-constrained
-target takes the in-limit closed-form branch nearest the warm start, or
-raises ``InfeasiblePoseError`` naming the joint and how far past its limit it
-would have to go. A kinematic replay drives the object from the retargeted
+object moves, orientation constrained. One IK method per frame kind, both on
+Python floats: a position-only target runs damped least squares, warm-started
+frame to frame so the solution stays on one elbow branch; an
+orientation-constrained target takes the in-limit closed-form branch nearest
+the warm start, or raises ``InfeasiblePoseError`` naming the joint and how far
+past its limit it would have to go. A frame's joint angles stay floats up to
+its emitted row. A kinematic replay drives the object from the retargeted
 end-effector trace to confirm the arm actually reproduces task success.
 """
 
@@ -18,6 +19,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +72,16 @@ class ArmModel:
             raise ConfigurationError("arm needs at least two links")
         if len(self.joint_limits) != len(self.link_lengths):
             raise ConfigurationError("one joint limit pair per link")
+        if not all(0.0 < l < math.inf for l in self.link_lengths):
+            raise ConfigurationError(
+                f"link_lengths must be finite and positive, got {self.link_lengths}")
+        if not all(map(math.isfinite, self.base_position)):
+            raise ConfigurationError(
+                f"base_position must be finite, got {self.base_position}")
         for lo, hi in self.joint_limits:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigurationError(
+                    f"joint_limits must be finite, got {self.joint_limits}")
             if not lo < hi:
                 raise ConfigurationError("degenerate joint limits")
 
@@ -78,11 +89,11 @@ class ArmModel:
     def n_joints(self) -> int:
         return len(self.link_lengths)
 
-    @property
+    @cached_property
     def reach(self) -> float:
         return float(sum(self.link_lengths))
 
-    @property
+    @cached_property
     def inner_reach(self) -> float:
         longest = max(self.link_lengths)
         return max(0.0, 2.0 * longest - self.reach)
@@ -185,6 +196,7 @@ def closed_form_solutions(arm: ArmModel, target_position,
     if arm.n_joints != 3:
         raise ConfigurationError("closed-form solve needs a three-link arm")
     l1, l2, l3 = arm.link_lengths
+    (lo1, hi1), (lo2, hi2), (lo3, hi3) = arm.joint_limits
     x, y, phi = (float(target_position[0]), float(target_position[1]),
                  float(target_orientation))
     wx = x - arm.base_position[0] - l3 * math.cos(phi)
@@ -200,9 +212,9 @@ def closed_form_solutions(arm: ArmModel, target_position,
     for q2 in (math.acos(c2), -math.acos(c2)):
         q1 = math.atan2(wy, wx) - math.atan2(l2 * math.sin(q2),
                                              l1 + l2 * math.cos(q2))
-        solutions.append(tuple(
-            _nearest_equivalent(a, lo, hi)
-            for a, (lo, hi) in zip((q1, q2, phi - q1 - q2), arm.joint_limits)))
+        solutions.append((_nearest_equivalent(q1, lo1, hi1),
+                          _nearest_equivalent(q2, lo2, hi2),
+                          _nearest_equivalent(phi - q1 - q2, lo3, hi3)))
     return solutions
 
 
@@ -213,22 +225,22 @@ def _overshoot_text(overshoot: float) -> str:
     return text if float(text) else f"{overshoot:.1e}"
 
 
-def _feasible_solutions(arm: ArmModel, target_position,
-                        target_orientation: float) -> list[tuple[tuple, float]]:
-    """The closed-form branches with every joint within its limits, each
-    with its worst joint margin.
+def feasibility_margin(arm: ArmModel, target_position,
+                       target_orientation: float) -> float:
+    """Worst joint margin of the best closed-form solution of a three-link
+    orientation-constrained pose.
 
-    Raises ``InfeasiblePoseError`` when there is none, naming per elbow
-    branch the joint (0 is the shoulder) that lies furthest past its limit,
-    the angle it needs and the overshoot.
+    Raises ``InfeasiblePoseError`` when no branch is within the joint limits,
+    naming per elbow branch the joint (0 is the shoulder) that lies furthest
+    past its limit, the angle it needs and the overshoot.
     """
     solutions = closed_form_solutions(arm, target_position, target_orientation)
     # signed clearance of each joint to its nearer limit, negative past it
     margins = [[min(a - lo, hi - a) for a, (lo, hi) in zip(q, arm.joint_limits)]
                for q in solutions]
-    feasible = [(q, min(m)) for q, m in zip(solutions, margins) if min(m) >= 0.0]
-    if feasible:
-        return feasible
+    best = max(map(min, margins))
+    if best >= 0.0:
+        return best
     details = []
     for q, m in zip(solutions, margins):
         j = m.index(min(m))
@@ -240,15 +252,6 @@ def _feasible_solutions(arm: ArmModel, target_position,
         f"pose ({float(target_position[0]):.4f}, "
         f"{float(target_position[1]):.4f}, {float(target_orientation):.4f}) "
         f"outside the joint-limited workspace: " + "; ".join(details))
-
-
-def feasibility_margin(arm: ArmModel, target_position,
-                       target_orientation: float) -> float:
-    """Worst joint margin of the best closed-form solution of a
-    three-link orientation-constrained pose; ``InfeasiblePoseError`` if no
-    branch is within the joint limits."""
-    return max(m for _, m in _feasible_solutions(arm, target_position,
-                                                 target_orientation))
 
 
 def inverse_kinematics(arm: ArmModel, target_position,
@@ -280,10 +283,18 @@ def inverse_kinematics(arm: ArmModel, target_position,
     if len(q0) != arm.n_joints:
         raise ConfigurationError(
             f"expected {arm.n_joints} joint angles, got {len(q0)}")
+    if not all(map(math.isfinite, q0)):
+        raise ConfigurationError(f"initial guess {q0} is not finite")
     if target_orientation is not None:
-        q, _ = min(_feasible_solutions(arm, (tx, ty), target_orientation),
-                   key=lambda s: max(abs(a - g) for a, g in zip(s[0], q0)))
-        return np.array(q)
+        best = None
+        for q in closed_form_solutions(arm, (tx, ty), target_orientation):
+            jump = max(abs(a - g) for a, g in zip(q, q0))
+            if (best is None or jump < best_jump) and all(  # ties: first wins
+                    lo <= a <= hi for a, (lo, hi) in zip(q, arm.joint_limits)):
+                best, best_jump = q, jump
+        if best is None:  # no branch within the limits; this names the joints
+            feasibility_margin(arm, (tx, ty), target_orientation)
+        return np.array(best)
     best_residual = math.inf
     for guess in itertools.chain([q0], _restart_guesses(arm, tx, ty)):
         q, residual = _dls_solve(arm, tx, ty, guess)
@@ -348,7 +359,8 @@ def retarget_trajectory(traj: dict, arm: ArmModel,
     constrained orientation is inserted at the phase transition; interaction
     frames track the attached grasp point as the object moves. Joint jumps
     above the continuity limit are flagged (the intentional snap itself is
-    exempt, it is already marked).
+    exempt, it is already marked). One ``inverse_kinematics`` call per input
+    frame, warm-started from the previous frame's joints as Python floats.
     """
     frames_in = traj["frames"]
     if not frames_in:
@@ -358,48 +370,36 @@ def retarget_trajectory(traj: dict, arm: ArmModel,
     x0, y0 = (float(v) for v in frames_in[0]["proxy_pos"])
     guess = [math.atan2(y0 - arm.base_position[1], x0 - arm.base_position[0]),
              0.7] + [0.0] * (arm.n_joints - 2)
-    prev_q = None
-    prev_was_snap = False
-
-    def emit(t, q, target, orientation, snap=False):
-        nonlocal prev_q, prev_was_snap
-        pos, ori = forward_kinematics(arm, q)
-        # the snap is a marked alignment event, so the jumps into and out of
-        # it are intentional and exempt from the continuity check
-        if prev_q is not None and not prev_was_snap and not snap:
-            jump = float(np.abs(q - prev_q).max())
-            if jump >= CONTINUITY_LIMIT:
-                out.events.append(["discontinuity", len(out.joint_angles),
-                                   round(jump, 6)])
-        out.joint_angles.append(q)
-        out.ee_poses.append((pos, None if orientation is None else ori))
-        out.frames.append({
-            "t": t,
-            "proxy_pos": [float(v) for v in target],
-            "phase": 1 if orientation is not None else 0,
-            "object_q": None,
-            "joints": [float(v) for v in q],
-            "ee_pose": [float(pos[0]), float(pos[1]),
-                        float(ori) if orientation is not None else None],
-        })
-        prev_q = q
-        prev_was_snap = snap
-
     last_phase = int(Phase.EXPLORATION)
     for idx, frame in enumerate(frames_in):
         phase = frame["phase"]
         target, orientation = _frame_target(idx, frame, obj)
         try:
-            q = guess = inverse_kinematics(arm, target, orientation, guess)
+            q = inverse_kinematics(arm, target, orientation, guess)
         except (OutOfReachError, IkConvergenceError) as exc:
             raise type(exc)(f"frame {idx}: {exc}") from exc
+        joints = q.tolist()
+        x, y, ori = _chain(arm, joints)
+        ee_ori = None if orientation is None else ori
+        object_qs = [list(frame["object_q"])]
         if phase == int(Phase.INTERACTION) and last_phase == int(Phase.EXPLORATION):
-            # transition: align with the grasp pose before tracking the
-            # object; solved in closed form, the frame itself has the same q
+            # transition: a snap row aligns with the grasp pose before the
+            # object is tracked; solved in closed form, both rows have one q
             out.phase_markers.append(len(out.joint_angles))
-            emit(frame["t"], q, target, orientation, snap=True)
-        emit(frame["t"], q, target, orientation)
-        out.frames[-1]["object_q"] = list(frame["object_q"])
+            object_qs.insert(0, None)
+        elif out.joint_angles:
+            jump = max(abs(a - b) for a, b in zip(joints, guess))
+            if jump >= CONTINUITY_LIMIT:
+                out.events.append(["discontinuity", len(out.joint_angles),
+                                   round(jump, 6)])
+        for object_q in object_qs:
+            out.joint_angles.append(q)
+            out.ee_poses.append((np.array([x, y]), ee_ori))
+            out.frames.append({"t": frame["t"], "proxy_pos": list(target),
+                               "phase": 0 if orientation is None else 1,
+                               "object_q": object_q, "joints": list(joints),
+                               "ee_pose": [x, y, ee_ori]})
+        guess = joints
         last_phase = phase
     return out
 

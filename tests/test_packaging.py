@@ -79,6 +79,45 @@ def test_no_module_reads_another_modules_private_names():
     assert private_reads(PACKAGE) == []
 
 
+def unused_imports(package_dir: Path) -> list[str]:
+    """Every name a module of the package imports and never reads."""
+    bad = []
+    for path in sorted(package_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported: dict[str, int] = {}  # bound name -> line
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported.setdefault(name, node.lineno)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        bad += [f"{path.stem}:{line} imports {name}"
+                for name, line in imported.items() if name not in used]
+    return bad
+
+
+def test_no_module_imports_an_unused_name():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_unused_import_is_reported(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "user.py").write_text(
+        "from __future__ import annotations\n"
+        "import itertools\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from . import geo\n"
+        "from .geo import core as c, other\n"
+        "def f(x: np.ndarray) -> str:\n"
+        "    return c(os.path.sep, x)\n")
+    assert unused_imports(pkg) == ["user:2 imports itertools",
+                                   "user:5 imports geo",
+                                   "user:6 imports other"]
+
+
 def test_private_read_is_reported(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()

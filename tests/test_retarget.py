@@ -88,6 +88,34 @@ def no_iteration(monkeypatch):
     monkeypatch.setattr(retarget, "_dls_solve", fail)
 
 
+class TestArmModel:
+    @pytest.mark.parametrize("fields, message", [
+        ({"link_lengths": (0.4, math.nan, 0.2)},
+         r"link_lengths must be finite and positive, got \(0\.4, nan, 0\.2\)"),
+        ({"link_lengths": (0.4, -0.4, 0.2)}, "link_lengths must be finite and positive"),
+        ({"link_lengths": (0.4, 0.0, 0.2)}, "link_lengths must be finite and positive"),
+        ({"link_lengths": (math.inf, 0.4, 0.2)}, "link_lengths must be finite and positive"),
+        ({"base_position": (math.nan, 0.25)},
+         r"base_position must be finite, got \(nan, 0\.25\)"),
+        ({"base_position": (-0.4, -math.inf)}, "base_position must be finite"),
+        ({"joint_limits": ((-2.9, 2.9), (-math.inf, 2.9), (-2.9, 2.9))},
+         "joint_limits must be finite"),
+        ({"joint_limits": ((-2.9, 2.9), (-2.9, 2.9), (-2.9, math.nan))},
+         "joint_limits must be finite"),
+    ])
+    def test_rejects_bad_geometry_by_name(self, fields, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ArmModel(**fields)
+        with pytest.raises(ConfigurationError, match=message):
+            retarget.arm_from_dict({**retarget.arm_to_dict(default_arm()), **fields})
+
+    def test_reach_is_the_link_sum(self):
+        arm = ArmModel(link_lengths=(0.5, 0.3, 0.2))
+        assert (arm.reach, arm.inner_reach) == (1.0, 0.0)
+        arm = ArmModel(link_lengths=(1.0, 0.3, 0.2))
+        assert (arm.reach, arm.inner_reach) == (1.5, 0.5)
+
+
 class TestForwardKinematics:
     def test_straight_arm(self):
         pos, ori = forward_kinematics(TWO_LINK, [0.0, 0.0])
@@ -190,6 +218,19 @@ class TestInverseKinematics:
             q = inverse_kinematics(arm, pos, ori, initial_guess=guess)
             assert tuple(q.tolist()) == branch
 
+    def test_tied_branches_go_to_the_first(self, no_iteration):
+        # the inner links straight: the two elbow branches mirror each other
+        # about the guess, so both are exactly as near to it
+        arm = default_arm()
+        guess = [0.5, 0.0, -0.5]
+        pos, ori = forward_kinematics(arm, guess)
+        first, second = closed_form_solutions(arm, pos, ori)
+        assert first != second
+        assert (max(abs(a - g) for a, g in zip(first, guess))
+                == max(abs(a - g) for a, g in zip(second, guess)))
+        q = inverse_kinematics(arm, pos, ori, initial_guess=guess)
+        assert tuple(q.tolist()) == first
+
     @pytest.mark.parametrize("overshoot", [5e-5, -5e-5])
     def test_joint_limits_are_hard(self, overshoot, no_iteration):
         # the elbow-up branch puts joint 2 ``overshoot`` past its upper
@@ -217,6 +258,14 @@ class TestInverseKinematics:
                                no_iteration):
         with pytest.raises(ConfigurationError, match=f"{message} .* not finite"):
             inverse_kinematics(default_arm(), position, orientation)
+
+    @pytest.mark.parametrize("orientation", [None, 0.0])
+    @pytest.mark.parametrize("guess", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0],
+                                       np.array([0.0, 0.0, -math.inf])])
+    def test_non_finite_guess(self, guess, orientation):
+        with pytest.raises(ConfigurationError, match=r"initial guess .* is not finite"):
+            inverse_kinematics(default_arm(), (0.2, 0.1), orientation,
+                               initial_guess=guess)
 
     @pytest.mark.parametrize("orientation", [None, 0.5])
     def test_guess_of_wrong_length(self, orientation):
