@@ -11,7 +11,6 @@ state, so trajectories are bitwise reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -37,7 +36,6 @@ class Phase(IntEnum):
 @dataclass(frozen=True)
 class WorldConfig:
     dt: float = 0.02
-    gravity: tuple[float, float] = (0.0, 0.0)
     proxy_radius: float = 0.02       # collision radius of the proxy disc
     interact_radius: float = 0.10    # grasp-attachment trigger radius
     proxy_mass: float = 1.0
@@ -129,9 +127,8 @@ class TaskSpec:
     gravity: tuple[float, float] = (0.0, 0.0)
 
     def world_config(self, **overrides) -> WorldConfig:
-        base = dict(gravity=self.gravity)
-        base.update(overrides)
-        return WorldConfig(**base)
+        """World settings for this task; its gravity stays on the task."""
+        return WorldConfig(**overrides)
 
 
 @dataclass
@@ -300,16 +297,17 @@ def _clamp_action(action: ProxyAction,
             clamp(float(fx), force), clamp(float(fy), force))
 
 
-def _object_free_dynamics(obj: ObjectModel, config: WorldConfig, q: list[float],
+def _object_free_dynamics(task: TaskSpec, config: WorldConfig, q: list[float],
                           qd: list[float], gen_force: tuple[float, ...],
                           events: list) -> tuple[list[float], list[float]]:
     """Integrate the object's DOFs one step under a generalized force, then
     clamp each bounded coordinate to its limits."""
+    obj = task.object
     dt = config.dt
     damping = config.object_damping + obj.friction
     if obj.kind == FREE_BODY:
         m = obj.inertia
-        gx, gy = config.gravity
+        gx, gy = task.gravity
         # grasps are rigid and desk objects sit on a surface, so rotation only
         # ever decays; the viscous scale matches the linear one
         acc = ((gen_force[0] + m * gx - damping * qd[0]) / m,
@@ -373,7 +371,7 @@ def step(state: WorldState, action: ProxyAction, config: WorldConfig,
     if phase == Phase.INTERACTION:
         gx, gy, _ = grasp_world(obj, q, attachment)
         q, qd = _object_free_dynamics(
-            obj, config, q, qd, _generalized_force(obj, gx, gy, afx, afy), events)
+            task, config, q, qd, _generalized_force(obj, gx, gy, afx, afy), events)
         gx, gy, _ = grasp_world(obj, q, attachment)
         vx, vy = (gx - px) / dt, (gy - py) / dt
         px, py = gx, gy
@@ -398,7 +396,7 @@ def step(state: WorldState, action: ProxyAction, config: WorldConfig,
         if not config.two_phase and in_contact:
             # flat-action ablation: intended force transmits while touching
             gen_force = _generalized_force(obj, kx, ky, afx, afy)
-        q, qd = _object_free_dynamics(obj, config, q, qd, gen_force, events)
+        q, qd = _object_free_dynamics(task, config, q, qd, gen_force, events)
         if config.two_phase:
             # the nearest grasp point attaches once the proxy is within reach
             index, dist = nearest_grasp(obj, q, px, py)
@@ -568,71 +566,3 @@ def get_task(name: str) -> TaskSpec:
         raise ConfigurationError(
             f"unknown task {name!r}; available: {sorted(cat)}")
     return cat[name]
-
-
-# JSON catalogue interchange -------------------------------------------------
-
-def task_to_dict(task: TaskSpec) -> dict:
-    obj = task.object
-    return {
-        "task_name": task.name,
-        "object": {
-            "kind": obj.kind,
-            "extents": list(obj.extents),
-            "origin": list(obj.origin),
-            "axis": list(obj.axis) if obj.axis is not None else None,
-            "limits": [list(l) for l in obj.limits] if obj.kind == FREE_BODY
-                      else list(obj.limits),
-            "inertia": obj.inertia,
-            "friction": obj.friction,
-            "grasp_points": [{"pos": list(g.position), "angle": g.angle}
-                             for g in obj.grasp_points],
-        },
-        "start": {"proxy": list(task.proxy_start), "object": list(task.start_q)},
-        "target": list(task.target_q),
-        "tolerance": task.tolerance,
-        "gravity": list(task.gravity),
-    }
-
-
-def task_from_dict(doc: dict) -> TaskSpec:
-    o = doc["object"]
-    kind = o["kind"]
-    if kind == FREE_BODY:
-        limits = tuple(tuple(l) for l in o["limits"])
-    else:
-        limits = tuple(o["limits"])
-    obj = ObjectModel(
-        kind=kind,
-        extents=tuple(o["extents"]),
-        origin=tuple(o["origin"]),
-        axis=tuple(o["axis"]) if o.get("axis") is not None else None,
-        limits=limits,
-        inertia=float(o["inertia"]),
-        friction=float(o["friction"]),
-        grasp_points=tuple(GraspPoint(tuple(g["pos"]), float(g["angle"]))
-                           for g in o["grasp_points"]),
-    )
-    return TaskSpec(
-        name=doc["task_name"],
-        object=obj,
-        proxy_start=tuple(doc["start"]["proxy"]),
-        start_q=tuple(doc["start"]["object"]),
-        target_q=tuple(doc["target"]),
-        tolerance=float(doc["tolerance"]),
-        gravity=tuple(doc.get("gravity", (0.0, 0.0))),
-    )
-
-
-def save_catalogue(path, tasks: dict[str, TaskSpec]) -> None:
-    doc = {"tasks": [task_to_dict(tasks[name]) for name in sorted(tasks)]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_catalogue(path) -> dict[str, TaskSpec]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    tasks = [task_from_dict(t) for t in doc["tasks"]]
-    return {t.name: t for t in tasks}

@@ -34,7 +34,6 @@ from .render import FrameImage
 EMBED_DIM = 32
 ENCODER_LAYER_SIZES = [1024, 256, 128, EMBED_DIM]
 ENCODER_ACTIVATIONS = ["relu", "relu", "identity"]
-POOLED_SIDE = 32
 
 _NORM_EPS = 1e-12
 

@@ -16,7 +16,6 @@ end-effector trace to confirm the arm actually reproduces task success.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -75,9 +74,15 @@ class ArmModel:
         if not all(0.0 < l < math.inf for l in self.link_lengths):
             raise ConfigurationError(
                 f"link_lengths must be finite and positive, got {self.link_lengths}")
+        if len(self.base_position) != 2:
+            raise ConfigurationError(
+                f"base_position must be 2 values, got {self.base_position}")
         if not all(map(math.isfinite, self.base_position)):
             raise ConfigurationError(
                 f"base_position must be finite, got {self.base_position}")
+        if any(len(pair) != 2 for pair in self.joint_limits):
+            raise ConfigurationError(
+                f"joint_limits must be pairs of 2 values, got {self.joint_limits}")
         for lo, hi in self.joint_limits:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ConfigurationError(
@@ -314,7 +319,6 @@ def inverse_kinematics(arm: ArmModel, target_position,
 class RetargetedTrajectory:
     task_name: str
     joint_angles: list[np.ndarray]
-    ee_poses: list[tuple[np.ndarray, float | None]]
     phase_markers: list[int]          # output indices of snap frames
     frames: list[dict]                # interchange rows
     events: list = field(default_factory=list)
@@ -365,7 +369,7 @@ def retarget_trajectory(traj: dict, arm: ArmModel,
     frames_in = traj["frames"]
     if not frames_in:
         raise ConfigurationError("empty trajectory")
-    out = RetargetedTrajectory(traj.get("task", "unknown"), [], [], [], [])
+    out = RetargetedTrajectory(traj.get("task", "unknown"), [], [], [])
     # start from a ready pose facing the first target, elbow down
     x0, y0 = (float(v) for v in frames_in[0]["proxy_pos"])
     guess = [math.atan2(y0 - arm.base_position[1], x0 - arm.base_position[0]),
@@ -394,7 +398,6 @@ def retarget_trajectory(traj: dict, arm: ArmModel,
                                    round(jump, 6)])
         for object_q in object_qs:
             out.joint_angles.append(q)
-            out.ee_poses.append((np.array([x, y]), ee_ori))
             out.frames.append({"t": frame["t"], "proxy_pos": list(target),
                                "phase": 0 if orientation is None else 1,
                                "object_q": object_q, "joints": list(joints),
@@ -454,7 +457,7 @@ def replay_retargeted(retargeted: RetargetedTrajectory, task: TaskSpec,
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange
+# Arms as plain data
 # ---------------------------------------------------------------------------
 
 def arm_to_dict(arm: ArmModel) -> dict:
@@ -471,24 +474,3 @@ def arm_from_dict(doc: dict) -> ArmModel:
         link_lengths=tuple(doc["link_lengths"]),
         joint_limits=tuple(tuple(l) for l in doc["joint_limits"]),
     )
-
-
-def save_trajectory(path, traj: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(traj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_trajectory(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def retargeted_to_dict(retargeted: RetargetedTrajectory, arm: ArmModel) -> dict:
-    return {
-        "task": retargeted.task_name,
-        "arm": arm_to_dict(arm),
-        "frames": retargeted.frames,
-        "events": retargeted.events,
-        "phase_markers": retargeted.phase_markers,
-    }

@@ -40,7 +40,8 @@ CRITIC_LAYERS = [OBS_DIM, 64, 64, 1]
 HIDDEN_ACTIVATIONS = ["tanh", "tanh", "identity"]
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 1.0
 LOG_STD_INIT = (-0.7, -0.7, 1.0, 1.0)
-ACTION_SCALES = (1.0, 1.0, 20.0, 20.0)  # bounds of position, then force means
+ACTION_SCALES = np.array([1.0, 1.0, 20.0, 20.0])  # position, then force bounds
+ACTION_SCALES.flags.writeable = False
 
 ROUTING_TWO_PHASE = "two_phase"
 ROUTING_FLAT = "flat"
@@ -85,11 +86,6 @@ class RewardConfig:
                  "beta_floor", self.beta_floor, "finite and non-negative")
 
 
-@dataclass
-class GoalSpec:
-    goal_embedding: np.ndarray
-
-
 def shaped_reward_value(s_t: float, beta: float, cfg: RewardConfig) -> float:
     """Boosted-progress reward from a similarity value and the start-goal
     baseline. Zero at the baseline; gains beyond it are amplified by alpha.
@@ -102,17 +98,17 @@ def shaped_reward_value(s_t: float, beta: float, cfg: RewardConfig) -> float:
     return float(math.exp(boost * delta) - 1.0)
 
 
-def make_goal(task: TaskSpec, camera_id: str, encoder: Encoder) -> GoalSpec:
+def make_goal(task: TaskSpec, camera_id: str, encoder: Encoder) -> np.ndarray:
     """Embedding of the agent-masked render of the task's target state. The
     start-goal baseline belongs to each env slot, set at every reset."""
     spec = camera_spec(camera_id)
     frame = render.render(goal_state(task), task.object, spec, "none",
                           marker_pos=goal_marker(task))
-    return GoalSpec(embed(encoder, frame))
+    return embed(encoder, frame)
 
 
 def goal_similarities(frames: list[FrameImage], encoder: Encoder,
-                      goal: GoalSpec, by_pixels: dict[bytes, float]) -> list[float]:
+                      goal: np.ndarray, by_pixels: dict[bytes, float]) -> list[float]:
     """Goal similarity of each frame. ``by_pixels`` maps the pixel bytes of
     every frame scored so far, a key exact for any render style, to its
     similarity; the distinct frames not in it are embedded in one
@@ -122,7 +118,7 @@ def goal_similarities(frames: list[FrameImage], encoder: Encoder,
     if new:
         z = embed_batch(encoder, list(new.values()))
         for key, z_k in zip(new, z):
-            by_pixels[key] = similarity(z_k, goal.goal_embedding)
+            by_pixels[key] = similarity(z_k, goal)
     return [by_pixels[key] for key in keys]
 
 
@@ -136,8 +132,11 @@ class PolicyCheckpoint:
     critic: MlpNetwork
     log_std: np.ndarray
     routing: str = ROUTING_TWO_PHASE
-    action_scales: np.ndarray = field(
-        default_factory=lambda: np.array(ACTION_SCALES))
+
+    @property
+    def action_scales(self) -> np.ndarray:
+        """The fixed bounds every policy's tanh means are scaled by."""
+        return ACTION_SCALES
 
     def parameters(self) -> list[np.ndarray]:
         return self.actor.parameters() + self.critic.parameters() + [self.log_std]
@@ -151,8 +150,7 @@ class PolicyCheckpoint:
 
     def copy(self) -> "PolicyCheckpoint":
         return PolicyCheckpoint(self.actor.copy(), self.critic.copy(),
-                                self.log_std.copy(), self.routing,
-                                self.action_scales.copy())
+                                self.log_std.copy(), self.routing)
 
 
 def _check_routing(routing: str, where: str) -> None:
@@ -182,7 +180,7 @@ def action_means(policy: PolicyCheckpoint, obs: np.ndarray):
     """Tanh-squashed, bound-scaled action means plus the actor cache."""
     out, cache = forward_batch(policy.actor, np.atleast_2d(obs))
     squashed = np.tanh(out)
-    return squashed * policy.action_scales, squashed, cache
+    return squashed * ACTION_SCALES, squashed, cache
 
 
 def sample_actions(policy: PolicyCheckpoint, obs: np.ndarray,
@@ -235,19 +233,18 @@ def gae_advantages(rewards, values_with_bootstrap, dones, gamma: float,
                    lam: float):
     """Standard GAE recursion.
 
-    ``values_with_bootstrap`` carries one extra trailing row: the value of the
-    state after the last transition (ignored where ``dones`` is set). Accepts
-    1-D sequences or (T, n_envs) arrays; returns (advantages, returns).
+    ``rewards`` and ``dones`` are (T, n_envs) arrays; ``values_with_bootstrap``
+    carries one extra trailing row: the value of the state after the last
+    transition (ignored where ``dones`` is set). Returns (advantages, returns).
     """
     r = np.asarray(rewards, dtype=float)
     v = np.asarray(values_with_bootstrap, dtype=float)
     d = np.asarray(dones, dtype=float)
-    squeeze = r.ndim == 1
-    if squeeze:
-        r, v, d = r[:, None], v[:, None], d[:, None]
+    if r.ndim != 2 or d.shape != r.shape or v.shape != (len(r) + 1, r.shape[1]):
+        raise ConfigurationError(
+            f"gae_advantages needs (T, n_envs) rewards and dones and (T + 1, "
+            f"n_envs) values, got shapes {r.shape}, {d.shape} and {v.shape}")
     t_len = r.shape[0]
-    if v.shape[0] != t_len + 1:
-        raise ConfigurationError("values must include a bootstrap row")
     adv = np.zeros_like(r)
     carry = np.zeros(r.shape[1])
     for t in range(t_len - 1, -1, -1):
@@ -255,10 +252,7 @@ def gae_advantages(rewards, values_with_bootstrap, dones, gamma: float,
         delta = r[t] + gamma * v[t + 1] * nonterminal - v[t]
         carry = delta + gamma * lam * nonterminal * carry
         adv[t] = carry
-    returns = adv + v[:-1]
-    if squeeze:
-        return adv[:, 0], returns[:, 0]
-    return adv, returns
+    return adv, adv + v[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +324,7 @@ class _EnvSlot:
 
 
 def _masked_similarities(states: list[WorldState], task: TaskSpec, camera: str,
-                         encoder: Encoder, goal: GoalSpec) -> list[float]:
+                         encoder: Encoder, goal: np.ndarray) -> list[float]:
     """Goal similarity of the agent-masked frame of each state, rendered
     ``REWARD_CHUNK`` states at a time and scored by ``goal_similarities``
     with one memo over all chunks."""
@@ -350,7 +344,7 @@ def _reset_slot(slot: _EnvSlot) -> None:
 
 
 def make_env_slots(task: TaskSpec, options: SkillOptions, encoder: Encoder,
-                   goal: GoalSpec, n_envs: int, seed: int) -> list[_EnvSlot]:
+                   goal: np.ndarray, n_envs: int, seed: int) -> list[_EnvSlot]:
     cfg = options.world_config(task)
     slots = [_EnvSlot(task, cfg, None, 0.0, 0, e, seed)  # type: ignore[arg-type]
              for e in range(n_envs)]
@@ -364,7 +358,7 @@ def make_env_slots(task: TaskSpec, options: SkillOptions, encoder: Encoder,
 
 
 def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
-                     encoder: Encoder, goal: GoalSpec, ppo: PpoConfig,
+                     encoder: Encoder, goal: np.ndarray, ppo: PpoConfig,
                      options: SkillOptions, rng: np.random.Generator) -> dict:
     """Gather horizon x n_envs transitions.
 
@@ -497,7 +491,7 @@ def _minibatch_loss_and_grads(policy: PolicyCheckpoint, obs, actions, masks,
 
     # actor gradients
     dlogp_dmean = np.where(masks, diff / std, 0.0)
-    dmean_dout = (1.0 - squashed * squashed) * policy.action_scales
+    dmean_dout = (1.0 - squashed * squashed) * ACTION_SCALES
     actor_out_grad = dsurr_dlogp[:, None] * dlogp_dmean * dmean_dout
     actor_grads = backward_batch(policy.actor, cache, actor_out_grad)
 
@@ -655,7 +649,6 @@ def save_policy(out_dir, policy: PolicyCheckpoint, seed: int = 0,
     manifest = {
         "format_version": numcore.CHECKPOINT_FORMAT_VERSION,
         "routing": policy.routing,
-        "action_scales": [float(v) for v in policy.action_scales],
         "obs_dim": OBS_DIM,
     }
     with open(out / "policy.json", "w") as fh:
@@ -670,19 +663,16 @@ def load_policy(out_dir) -> PolicyCheckpoint:
     path = out / "policy.json"
     with open(path) as fh:
         manifest = json.load(fh)
+    unknown = sorted(set(manifest) - {"format_version", "obs_dim", "routing"})
+    if unknown:
+        raise ConfigurationError(f"{path}: unknown manifest keys {unknown}")
     for name, expected in (("format_version", numcore.CHECKPOINT_FORMAT_VERSION),
                            ("obs_dim", OBS_DIM)):
         if manifest.get(name) != expected:
             raise ConfigurationError(
                 f"{path}: {name} is {manifest.get(name)!r}, expected {expected}")
     _check_routing(manifest.get("routing"), str(path))
-    scales = np.array(manifest.get("action_scales"), dtype=float)
-    if scales.shape != (ACTION_DIM,):
-        raise ConfigurationError(
-            f"{path}: action_scales is {manifest.get('action_scales')!r}, "
-            f"expected {ACTION_DIM} values")
-    return PolicyCheckpoint(actor, critic, trailing["log_std"],
-                            manifest["routing"], scales)
+    return PolicyCheckpoint(actor, critic, trailing["log_std"], manifest["routing"])
 
 
 # ---------------------------------------------------------------------------
@@ -710,11 +700,11 @@ def _awr_loss_and_grads(policy: PolicyCheckpoint, obs, actions, weights,
     err = np.where(mask, means - actions, 0.0)
     loss = float((weights[:, None] * err * err).sum() / wsum)
     out_grad = (2.0 * weights[:, None] * err / wsum
-                * (1.0 - squashed * squashed) * policy.action_scales)
+                * (1.0 - squashed * squashed) * ACTION_SCALES)
     return loss, backward_batch(policy.actor, cache, out_grad)
 
 
-def awr_fit(demos: list[Clip], encoder: Encoder, goal: GoalSpec,
+def awr_fit(demos: list[Clip], encoder: Encoder, goal: np.ndarray,
             temperature: float, epochs: int, seed: int = 0,
             lr: float = 1e-3, minibatch_size: int = 64) -> PolicyCheckpoint:
     """Weighted regression of the actor means onto demo actions.

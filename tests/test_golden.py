@@ -134,7 +134,7 @@ EXPERT_EPISODE_DIGESTS = {'close-door/0.0': 'f018bdf5a09bef1782e3acda22b3dae288f
 
 CHECKPOINT_DIGESTS = {'policy/actor.ckpt': 'a45d51fc7683d491fc9be787968a56eaf0731faf99c070b45c8f14ad8d7d0cdd',
  'policy/critic.ckpt': 'a31f3a25f8f0c3abc458ff76ee96fc63365db699dd9c4a2ef0906eb7768cd3d1',
- 'policy/policy.json': 'bb95179f290e1ea505e1a324666c68d2b3597babc628d06e2fb2b6bab2913619',
+ 'policy/policy.json': 'edf288e9333498b0ea41148606d39f8c7d39d7c5624f2447bfb41336c8e5b83e',
  'encoder.ckpt': '04ccb7f2ae0229fa9f2ef65e8b434c60c6ca247a008f0ff9555029875a0abd93',
  'state.bin': '1ca7a596c11996cbb54f8877cc5a0160f65f2af44e0448e4819b4f157cc290f4'}
 
@@ -289,7 +289,8 @@ def test_retargeted_expert_digests(monkeypatch):
         assert {type(v) for v in leaves} <= {float, int, type(None)}, name
         digest = _sha(
             np.stack(out.joint_angles).tobytes(),
-            repr([(p.tobytes(), o) for p, o in out.ee_poses]).encode(),
+            repr([(np.array(row["ee_pose"][:2]).tobytes(), row["ee_pose"][2])
+                  for row in out.frames]).encode(),
             json.dumps([out.phase_markers, out.frames, out.events],
                        sort_keys=True).encode())
         observed[name] = (digest, replayed)

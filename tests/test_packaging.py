@@ -9,6 +9,7 @@ tomllib = pytest.importorskip("tomllib")
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = ROOT / "src" / "proxymanip"
+BENCH = ROOT / "perfbench"
 
 
 def unresolved(scripts: dict) -> list[str]:
@@ -41,37 +42,44 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def package_reads(tree: ast.Module, package: str) -> list[tuple[str, str, int, str]]:
+    """``(module, name, line, how)`` for each name a file takes from one of
+    the package's modules: ``how`` is "imports" for ``from .module import
+    name`` and "reads" for an attribute read off an imported module."""
+    modules: dict[str, str] = {}  # local name -> sibling module
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 0:
+                if source != package and not source.startswith(package + "."):
+                    continue
+                source = source[len(package) + 1:]
+            for alias in node.names:
+                if not source:  # from . import env2d
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    reads.append((source, alias.name, node.lineno, "imports"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith(package + ".") and alias.asname:
+                    modules[alias.asname] = alias.name.split(".")[-1]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            reads.append((modules[node.value.id], node.attr, node.lineno, "reads"))
+    return reads
+
+
 def private_reads(package_dir: Path) -> list[str]:
     """Every place a module of the package imports, or reads as an
     attribute, an underscore name of another of its modules."""
-    package = package_dir.name
     bad = []
     for path in sorted(package_dir.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        modules: dict[str, str] = {}  # local name -> sibling module
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                source = node.module or ""
-                if node.level == 0:
-                    if source != package and not source.startswith(package + "."):
-                        continue
-                    source = source[len(package) + 1:]
-                for alias in node.names:
-                    if not source:  # from . import env2d
-                        modules[alias.asname or alias.name] = alias.name
-                    elif _private(alias.name) and source != path.stem:
-                        bad.append(f"{path.stem}:{node.lineno} imports "
-                                   f"{source}.{alias.name}")
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.startswith(package + ".") and alias.asname:
-                        modules[alias.asname] = alias.name.split(".")[-1]
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and _private(node.attr)
-                    and isinstance(node.value, ast.Name)
-                    and modules.get(node.value.id, path.stem) != path.stem):
-                bad.append(f"{path.stem}:{node.lineno} reads "
-                           f"{modules[node.value.id]}.{node.attr}")
+        bad += [f"{path.stem}:{line} {how} {module}.{name}"
+                for module, name, line, how in package_reads(tree, package_dir.name)
+                if _private(name) and module != path.stem]
     return bad
 
 
@@ -116,6 +124,103 @@ def test_unused_import_is_reported(tmp_path):
     assert unused_imports(pkg) == ["user:2 imports itertools",
                                    "user:5 imports geo",
                                    "user:6 imports other"]
+
+
+# Public names that no pipeline stage and no benchmark file reads, each kept
+# for a stated reason; every other unread public name is deleted.
+TEST_ONLY_API = {
+    "trajectory_record": "the one trajectory-record format; the benchmark's "
+                         "record_episode still copies it",
+    "get_task": "names a catalogue task and rejects an unknown name",
+    "forward_kinematics": "the arm's pose as an array, which the IK tests "
+                          "check solutions against",
+    "arm_to_dict": "gives an arm as plain data, so further arms can be "
+                   "written down without code",
+    "arm_from_dict": "builds an arm from that data, through ArmModel's checks",
+    "load_policy": "reads back what train_skill saves",
+    "awr_fit": "the imitation path, kept for the desk check of the paper's "
+               "imitation claim",
+}
+
+
+def public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each public top-level ``def``, ``class`` and assigned name."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defs.update((name, node) for name in names if not name.startswith("_"))
+    return defs
+
+
+def unread_names(package_dir: Path, bench_dir: Path,
+                 allowed=TEST_ONLY_API) -> list[str]:
+    """Every public top-level name of the package that no other module of
+    it, no line of its own module outside its definition and no non-test
+    file of ``bench_dir`` reads, unless ``allowed`` lists it."""
+    package = package_dir.name
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package_dir.glob("*.py"))}
+    read = {(module, name) for stem, tree in trees.items()
+            for module, name, _, _ in package_reads(tree, package) if module != stem}
+    for path in sorted(bench_dir.glob("*.py")):
+        if not path.name.startswith("test_"):
+            read |= {(module, name) for module, name, _, _
+                     in package_reads(ast.parse(path.read_text()), package)}
+    bad = []
+    for stem, tree in trees.items():
+        loads = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+        for name, node in public_definitions(tree).items():
+            own = any(load.id == name
+                      and not node.lineno <= load.lineno <= node.end_lineno
+                      for load in loads)
+            if not (own or (stem, name) in read or name in allowed):
+                bad.append(f"{stem}:{node.lineno} {name}")
+    return bad
+
+
+def test_every_public_name_has_a_reader():
+    assert unread_names(PACKAGE, BENCH) == []
+
+
+def test_test_only_api_lists_only_unread_names():
+    unread = {entry.split()[-1]
+              for entry in unread_names(PACKAGE, BENCH, allowed={})}
+    assert set(TEST_ONLY_API) <= unread
+
+
+def test_unread_name_is_reported(tmp_path):
+    pkg, bench = tmp_path / "pkg", tmp_path / "bench"
+    pkg.mkdir()
+    bench.mkdir()
+    (pkg / "geo.py").write_text(
+        "LIMIT = 3\n"
+        "UNUSED: int = 4\n"
+        "def core():\n"
+        "    return LIMIT\n"
+        "def again(n):\n"
+        "    return again(n - 1)\n"
+        "class Shape:\n"
+        "    pass\n"
+        "def kept():\n"
+        "    pass\n"
+        "def _hidden():\n"
+        "    pass\n")
+    (pkg / "user.py").write_text(
+        "from . import geo\n"
+        "from .geo import Shape\n"
+        "def run():\n"
+        "    return geo.core(), Shape\n")
+    (bench / "runner.py").write_text("from pkg import user\nuser.run()\n")
+    (bench / "test_runner.py").write_text("from pkg import geo\ngeo.UNUSED\n")
+    assert unread_names(pkg, bench, allowed={"kept": "a reason"}) == [
+        "geo:2 UNUSED", "geo:5 again"]
 
 
 def test_private_read_is_reported(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -102,12 +103,23 @@ class TestArmModel:
          "joint_limits must be finite"),
         ({"joint_limits": ((-2.9, 2.9), (-2.9, 2.9), (-2.9, math.nan))},
          "joint_limits must be finite"),
+        ({"base_position": (0.0,)}, r"base_position must be 2 values, got \(0\.0,\)"),
+        ({"base_position": (0.0, 0.0, 5.0)}, "base_position must be 2 values"),
+        ({"joint_limits": ((0, 1, 2),) * 3},
+         r"joint_limits must be pairs of 2 values, got \(\(0, 1, 2\),"),
+        ({"joint_limits": ((-2.9, 2.9), (-2.9,), (-2.9, 2.9))},
+         "joint_limits must be pairs of 2 values"),
     ])
     def test_rejects_bad_geometry_by_name(self, fields, message):
         with pytest.raises(ConfigurationError, match=message):
             ArmModel(**fields)
         with pytest.raises(ConfigurationError, match=message):
             retarget.arm_from_dict({**retarget.arm_to_dict(default_arm()), **fields})
+
+    def test_arm_data_round_trip(self):
+        arm = ArmModel(base_position=(0.1, -0.2), link_lengths=(0.5, 0.3, 0.2))
+        doc = json.loads(json.dumps(retarget.arm_to_dict(arm)))
+        assert retarget.arm_from_dict(doc) == arm
 
     def test_reach_is_the_link_sum(self):
         arm = ArmModel(link_lengths=(0.5, 0.3, 0.2))
@@ -502,15 +514,3 @@ class TestRetargetTrajectory:
         assert poses
         for x, y, ang in poses:
             assert feasibility_margin(arm, (x, y), retarget.wrap_angle(ang)) >= 0.1
-
-    def test_round_trip_json(self, tmp_path):
-        task, traj = expert_trajectory("open-drawer")
-        arm = default_arm()
-        out = retarget_trajectory(traj, arm, task.object)
-        doc = retarget.retargeted_to_dict(out, arm)
-        path = tmp_path / "retargeted.json"
-        retarget.save_trajectory(path, doc)
-        loaded = retarget.load_trajectory(path)
-        assert loaded["task"] == "open-drawer"
-        assert loaded["frames"][0]["joints"] == doc["frames"][0]["joints"]
-        assert retarget.arm_from_dict(loaded["arm"]) == arm

@@ -80,22 +80,29 @@ class TestShapedReward:
         assert ra == pytest.approx(rb, rel=1e-9, abs=1e-9)
 
 
+def column(values) -> np.ndarray:
+    """A sequence as one env's (T, 1) column."""
+    return np.asarray(values, dtype=float)[:, None]
+
+
 class TestGae:
     def test_single_step(self):
-        adv, ret = gae_advantages([1.0], [0.0, 0.0], [1.0], 1.0, 1.0)
-        assert adv[0] == 1.0
-        assert ret[0] == 1.0
+        adv, ret = gae_advantages(column([1.0]), column([0.0, 0.0]),
+                                  column([1.0]), 1.0, 1.0)
+        assert adv.shape == ret.shape == (1, 1)
+        assert adv[0, 0] == 1.0
+        assert ret[0, 0] == 1.0
 
     def test_constant_value_zero_rewards(self):
-        adv, _ = gae_advantages(np.zeros(5), np.full(6, 3.0), np.zeros(5),
-                                1.0, 0.95)
+        adv, _ = gae_advantages(np.zeros((5, 1)), np.full((6, 1), 3.0),
+                                np.zeros((5, 1)), 1.0, 0.95)
         assert np.allclose(adv, 0.0)
 
     def test_two_step_hand_recursion(self):
-        adv, _ = gae_advantages([0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0],
-                                0.99, 0.95)
-        assert adv[1] == pytest.approx(1.0, abs=1e-12)
-        assert adv[0] == pytest.approx(0.99 * 0.95 * 1.0, abs=1e-12)
+        adv, _ = gae_advantages(column([0.0, 1.0]), column([0.0, 0.0, 0.0]),
+                                column([0.0, 1.0]), 0.99, 0.95)
+        assert adv[1, 0] == pytest.approx(1.0, abs=1e-12)
+        assert adv[0, 0] == pytest.approx(0.99 * 0.95 * 1.0, abs=1e-12)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -105,8 +112,9 @@ class TestGae:
         rewards = rng.normal(0, 1, t)
         dones = np.zeros(t)
         dones[-1] = 1.0
-        adv, ret = gae_advantages(rewards, np.zeros(t + 1), dones, 1.0, 1.0)
-        suffix = np.array([rewards[i:].sum() for i in range(t)])
+        adv, ret = gae_advantages(column(rewards), np.zeros((t + 1, 1)),
+                                  column(dones), 1.0, 1.0)
+        suffix = column([rewards[i:].sum() for i in range(t)])
         assert np.allclose(adv, suffix, atol=1e-9)
         assert np.allclose(ret, suffix, atol=1e-9)
 
@@ -117,9 +125,24 @@ class TestGae:
         d = (rng.random((t, e)) < 0.2).astype(float)
         adv2, ret2 = gae_advantages(r, v, d, 0.99, 0.95)
         for col in range(e):
-            a1, r1 = gae_advantages(r[:, col], v[:, col], d[:, col], 0.99, 0.95)
-            assert np.allclose(adv2[:, col], a1)
-            assert np.allclose(ret2[:, col], r1)
+            one = slice(col, col + 1)
+            a1, r1 = gae_advantages(r[:, one], v[:, one], d[:, one], 0.99, 0.95)
+            assert np.array_equal(adv2[:, one], a1)
+            assert np.array_equal(ret2[:, one], r1)
+
+    @pytest.mark.parametrize("rewards, values, dones, shapes", [
+        (np.zeros(2), np.zeros(3), np.zeros(2), "(2,), (2,) and (3,)"),
+        (np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)),
+         "(2, 3), (2, 3) and (2, 3)"),
+        (np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(2),
+         "(2, 3), (2,) and (3, 3)"),
+        (np.zeros((2, 3)), np.zeros((3, 1)), np.zeros((2, 3)),
+         "(2, 3), (2, 3) and (3, 1)"),
+    ], ids=["one_dimensional", "no_bootstrap_row", "flat_dones", "one_value_column"])
+    def test_rejects_shapes_naming_them(self, rewards, values, dones, shapes):
+        with pytest.raises(nc.ConfigurationError,
+                           match=re.escape(f"got shapes {shapes}")):
+            gae_advantages(rewards, values, dones, 0.99, 0.95)
 
 
 def synthetic_batch(policy, n, seed, adv_values=None):
@@ -249,13 +272,13 @@ class TestRollouts:
         marker = skillrl.goal_marker(task)
         z0 = reprlearn.embed(encoder, render.render(slot.state, task.object, spec,
                                                     "none", marker_pos=marker))
-        beta = reprlearn.similarity(z0, goal.goal_embedding)
+        beta = reprlearn.similarity(z0, goal)
         slot.state, _ = skillrl.env2d.step(
             slot.state, skillrl.to_proxy_action(np.array([0.3, 0.1, 0, 0])),
             slot.config, slot.task)
         z1 = reprlearn.embed(encoder, render.render(slot.state, task.object, spec,
                                                     "none", marker_pos=marker))
-        s1 = reprlearn.similarity(z1, goal.goal_embedding)
+        s1 = reprlearn.similarity(z1, goal)
         r = shaped_reward_value(s1, beta, options.reward)
         assert abs(r) < 1e-9
 
@@ -292,7 +315,7 @@ def reference_rollouts(policy, task, encoder, goal, ppo, options, seed, rng):
     def reset(e, episode):
         state = env2d.reset(cfg, task, nc.derive_seed(seed, e, episode))
         z0 = reprlearn.embed(encoder, masked_frame(state))
-        return state, reprlearn.similarity(z0, goal.goal_embedding)
+        return state, reprlearn.similarity(z0, goal)
 
     states, betas = map(list, zip(*[reset(e, 0) for e in range(n)]))
     episodes, lengths, ep_returns = [0] * n, [0] * n, [0.0] * n
@@ -316,7 +339,7 @@ def reference_rollouts(policy, task, encoder, goal, ppo, options, seed, rng):
             lengths[e] += 1
         z = reprlearn.embed_batch(encoder, [masked_frame(s) for s in states])
         for e in range(n):
-            s_t = reprlearn.similarity(z[e], goal.goal_embedding)
+            s_t = reprlearn.similarity(z[e], goal)
             reward = shaped_reward_value(s_t, betas[e], options.reward)
             success = env2d.is_success(states[e], task)
             if success:
@@ -601,6 +624,8 @@ class TestPolicyIO:
     def test_save_load_round_trip(self, tmp_path):
         policy = init_policy(seed=8)
         skillrl.save_policy(tmp_path, policy, seed=8, step_count=42)
+        manifest = json.loads((tmp_path / "policy.json").read_text())
+        assert sorted(manifest) == ["format_version", "obs_dim", "routing"]
         loaded = skillrl.load_policy(tmp_path)
         assert loaded.routing == policy.routing
         obs = np.zeros((1, 12))
@@ -616,22 +641,27 @@ class TestPolicyIO:
         assert (d1 / "actor.ckpt").read_bytes() == (d2 / "actor.ckpt").read_bytes()
         assert (d1 / "policy.json").read_bytes() == (d2 / "policy.json").read_bytes()
 
-    @pytest.mark.parametrize("name, value, expected", [
-        ("obs_dim", 7, "expected 12"),
-        ("format_version", 99, "expected 1"),
-        ("routing", "bogus", "expected one of ['flat', 'two_phase']"),
-        ("action_scales", [1.0], "expected 4 values"),
-    ], ids=["obs_dim", "format_version", "routing", "action_scales"])
+    @pytest.mark.parametrize("name, value, message", [
+        ("obs_dim", 7, "obs_dim is 7, expected 12"),
+        ("format_version", 99, "format_version is 99, expected 1"),
+        ("routing", "bogus",
+         "routing is 'bogus', expected one of ['flat', 'two_phase']"),
+        # the bounds are fixed in code; an older manifest that carries them
+        # is refused, not silently reread
+        ("action_scales", [1.0, 1.0, 20.0, 20.0],
+         "unknown manifest keys ['action_scales']"),
+        ("camera", "front", "unknown manifest keys ['camera']"),
+    ], ids=["obs_dim", "format_version", "routing", "extra_action_scales",
+            "unknown_key"])
     def test_load_rejects_bad_manifest_field(self, tmp_path, name, value,
-                                             expected):
+                                             message):
         skillrl.save_policy(tmp_path, init_policy(seed=8))
         path = tmp_path / "policy.json"
         manifest = json.loads(path.read_text())
         manifest[name] = value
         path.write_text(json.dumps(manifest))
-        message = f"{path}: {name} is {value!r}"
         with pytest.raises(nc.ConfigurationError,
-                           match=re.escape(message) + ".*" + re.escape(expected)):
+                           match=re.escape(f"{path}: {message}")):
             skillrl.load_policy(tmp_path)
 
 
