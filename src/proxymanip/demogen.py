@@ -220,6 +220,11 @@ def generate_dataset(tasks: list[TaskSpec], clips_per_task: int,
     if clips_per_task < 1:
         raise ConfigurationError("clips_per_task must be >= 1")
     _check_noise_scale(noise_scale)
+    if not cameras:
+        raise ConfigurationError(
+            f"cameras must name at least one camera, got {cameras}")
+    for camera_id in cameras:
+        camera_spec(camera_id)
     clips: list[Clip] = []
     index: dict[str, list[int]] = {}
     for ti, task in enumerate(tasks):

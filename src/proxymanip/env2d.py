@@ -25,7 +25,6 @@ FREE_BODY = "free_body"
 
 OBS_DIM = 12
 OBS_PHASE_INDEX = 10
-OBS_ATTACH_INDEX = 11
 
 
 class Phase(IntEnum):
@@ -407,7 +406,8 @@ def step(state: WorldState, action: ProxyAction, config: WorldConfig,
     if not _finite(px, py, *q):
         raise FloatingPointError(
             f"step produced non-finite state at t={state.time_step + 1}: "
-            f"proxy={[px, py]}, vel={[vx, vy]}, q={q}")
+            f"proxy={[px, py]}, vel={[vx, vy]}, q={q}, from the clamped action "
+            f"desired_pos={[apx, apy]}, force={[afx, afy]}")
     return WorldState(state.time_step + 1, np.array([px, py]), np.array([vx, vy]),
                       np.array(q), np.array(qd), phase, attachment), events
 
@@ -416,15 +416,12 @@ def observe(state: WorldState, obj: ObjectModel) -> np.ndarray:
     """Fixed 12-slot observation: proxy pos (2), proxy vel (2), object
     configuration (3, zero padded), object velocity (3, zero padded),
     phase flag, attachment flag."""
-    out = np.zeros(OBS_DIM)
-    out[0:2] = state.proxy_pos
-    out[2:4] = state.proxy_vel
-    nq = state.object_q.shape[0]
-    out[4:4 + nq] = state.object_q
-    out[7:7 + nq] = state.object_qdot
-    out[OBS_PHASE_INDEX] = 1.0 if state.phase == Phase.INTERACTION else 0.0
-    out[OBS_ATTACH_INDEX] = 0.0 if state.attachment is None else 1.0
-    return out
+    q, qd = state.object_q.tolist(), state.object_qdot.tolist()
+    pad = (0.0,) * (3 - len(q))
+    return np.array([*state.proxy_pos.tolist(), *state.proxy_vel.tolist(),
+                     *q, *pad, *qd, *pad,
+                     1.0 if state.phase == Phase.INTERACTION else 0.0,
+                     0.0 if state.attachment is None else 1.0])
 
 
 def is_success(state: WorldState, task: TaskSpec) -> bool:

@@ -189,7 +189,6 @@ def sample_actions(policy: PolicyCheckpoint, obs: np.ndarray,
 
     Returns (actions, log_probs, masks); inactive dimensions are zero.
     """
-    obs = np.atleast_2d(obs)
     means, _, _ = action_means(policy, obs)
     # log_std is kept inside [LOG_STD_MIN, LOG_STD_MAX] by projection after
     # every optimizer step, so no clamp is needed and the loss stays smooth
@@ -209,20 +208,18 @@ def gaussian_log_prob(actions, means, log_std, mask) -> np.ndarray:
     return np.where(mask, per_dim, 0.0).sum(axis=1)
 
 
-def deterministic_action(policy: PolicyCheckpoint, obs: np.ndarray) -> np.ndarray:
+def deterministic_action(policy: PolicyCheckpoint, obs: np.ndarray) -> ProxyAction:
+    """The mean action of one observation, its inactive head at 0."""
     means, _, _ = action_means(policy, obs)
-    mask = head_mask(policy, obs)
-    return np.where(mask, means, 0.0)[0]
+    active = HEAD_MASKS[policy.routing][int(obs[OBS_PHASE_INDEX] > 0.5)]
+    px, py, fx, fy = [m if on else 0.0
+                      for m, on in zip(means.tolist()[0], active.tolist())]
+    return ProxyAction((px, py), (fx, fy))
 
 
 def values(policy: PolicyCheckpoint, obs: np.ndarray) -> np.ndarray:
     v, _ = forward_batch(policy.critic, np.atleast_2d(obs))
     return v[:, 0]
-
-
-def to_proxy_action(action: np.ndarray) -> ProxyAction:
-    return ProxyAction((float(action[0]), float(action[1])),
-                       (float(action[2]), float(action[3])))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +277,8 @@ class PpoConfig:
             value = getattr(self, name)
             _require(math.isfinite(value) and value > 0, name, value,
                      "finite and positive")
-        for name in ("epochs", "minibatch_size", "rollout_envs", "horizon"):
+        for name in ("epochs", "minibatch_size", "rollout_envs", "horizon",
+                     "total_env_steps"):
             value = getattr(self, name)
             _require(value >= 1, name, value, "at least 1")
 
@@ -299,6 +297,7 @@ class SkillOptions:
     reward: RewardConfig = field(default_factory=RewardConfig)
 
     def __post_init__(self):
+        camera_spec(self.camera)
         _require(math.isfinite(self.terminal_bonus), "terminal_bonus",
                  self.terminal_bonus, "finite")
         for name in ("eval_every", "eval_episodes"):
@@ -405,8 +404,8 @@ def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
         mask_buf[t] = mask
         logp_buf[t] = logp
 
-        for e, slot in enumerate(slots):
-            slot.state, _ = env2d.step(slot.state, to_proxy_action(actions[e]),
+        for e, (slot, (px, py, fx, fy)) in enumerate(zip(slots, actions.tolist())):
+            slot.state, _ = env2d.step(slot.state, ProxyAction((px, py), (fx, fy)),
                                        slot.config, slot.task)
             frame_rows[t, e] = pose_row(slot.state)
             beta_rows[t, e] = slot_beta_rows[e]
@@ -566,8 +565,7 @@ def run_policy_episode(policy: PolicyCheckpoint, task: TaskSpec,
                        config: WorldConfig, seed: int) -> env2d.Episode:
     """One episode taking the deterministic mean action at every step."""
     def act(state: WorldState) -> ProxyAction:
-        obs = env2d.observe(state, task.object)
-        return to_proxy_action(deterministic_action(policy, obs))
+        return deterministic_action(policy, env2d.observe(state, task.object))
 
     return env2d.run_episode(task, config, seed, act)
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,20 @@ class TestGenerateDataset:
             generate_dataset(small_tasks(), 1, noise, "none", seed=0,
                              out_dir=tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("cameras, message", [
+        ((), "cameras must name at least one camera, got ()"),
+        (("front", "nope"), "unknown camera 'nope'; available: "
+                            "['front', 'left', 'right']")])
+    def test_rejects_bad_cameras_before_any_episode(self, monkeypatch, cameras,
+                                                    message):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an expert episode ran")
+
+        monkeypatch.setattr(demogen, "run_expert_episode", no_episode)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            generate_dataset(small_tasks(), 1, 0.0, "none", seed=0,
+                             cameras=cameras)
 
     def test_meta_layout(self, tmp_path):
         generate_dataset([get_task("open-drawer")], 2, 0.0, "none",

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -125,6 +127,14 @@ class TestStep:
                 drawer.object.extents)
             assert d >= config.proxy_radius - 1e-12
 
+    def test_nonfinite_step_names_the_clamped_action(self, drawer, config):
+        s = reset(config, drawer, seed=0)
+        with pytest.raises(FloatingPointError, match=re.escape(
+                "step produced non-finite state at t=1: proxy=[nan, ") + ".*"
+                + re.escape("from the clamped action desired_pos=[nan, 0.0], "
+                            "force=[20.0, -3.0]")):
+            step(s, ProxyAction((math.nan, 0.0), (50.0, -3.0)), config, drawer)
+
     def test_nonfinite_state_raises(self, drawer, config):
         s = reset(config, drawer, seed=0)
         s.proxy_pos = np.array([np.nan, 0.0])
@@ -240,6 +250,38 @@ class TestObserve:
         sd.object_q = np.array([0.25])
         od = observe(sd, drawer.object)
         assert od[4] == 0.25 and od[5] == 0.0 and od[6] == 0.0
+
+
+def zero_fill_observe(state):
+    """The observation as a zeroed 12-slot row filled by slice writes, the
+    reference ``observe`` must match bit for bit."""
+    out = np.zeros(env2d.OBS_DIM)
+    out[0:2] = state.proxy_pos
+    out[2:4] = state.proxy_vel
+    nq = state.object_q.shape[0]
+    out[4:4 + nq] = state.object_q
+    out[7:7 + nq] = state.object_qdot
+    out[10] = 1.0 if state.phase == Phase.INTERACTION else 0.0
+    out[11] = 0.0 if state.attachment is None else 1.0
+    return out
+
+
+class TestObserveReference:
+    @pytest.mark.parametrize("name", sorted(builtin_catalogue()))
+    def test_matches_zero_fill_bit_for_bit(self, name):
+        task = get_task(name)
+        cfg = task.world_config(start_jitter=0.1, episode_horizon=300)
+        states = demogen.run_expert_episode(task, cfg, 1, noise_scale=0.05).states
+        # signed zeros too: negated velocities turn each rest value into -0.0
+        picked = states[::7] + [replace(s, proxy_vel=-s.proxy_vel,
+                                        object_qdot=-s.object_qdot)
+                                for s in states[::29]]
+        for state in picked:
+            for phase, attachment in itertools.product(Phase, (None, 0)):
+                s = replace(state, phase=phase, attachment=attachment)
+                obs = observe(s, task.object)
+                assert obs.dtype == np.float64 and obs.shape == (env2d.OBS_DIM,)
+                assert obs.tobytes() == zero_fill_observe(s).tobytes()
 
 
 class TestSuccess:

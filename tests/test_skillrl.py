@@ -274,7 +274,7 @@ class TestRollouts:
                                                     "none", marker_pos=marker))
         beta = reprlearn.similarity(z0, goal)
         slot.state, _ = skillrl.env2d.step(
-            slot.state, skillrl.to_proxy_action(np.array([0.3, 0.1, 0, 0])),
+            slot.state, env2d.ProxyAction((0.3, 0.1), (0.0, 0.0)),
             slot.config, slot.task)
         z1 = reprlearn.embed(encoder, render.render(slot.state, task.object, spec,
                                                     "none", marker_pos=marker))
@@ -333,8 +333,9 @@ def reference_rollouts(policy, task, encoder, goal, ppo, options, seed, rng):
         mask_rows.append(mask)
         logp_rows.append(logp)
         for e in range(n):
+            px, py, fx, fy = actions[e].tolist()
             states[e], _ = env2d.step(states[e],
-                                      skillrl.to_proxy_action(actions[e]),
+                                      env2d.ProxyAction((px, py), (fx, fy)),
                                       cfg, task)
             lengths[e] += 1
         z = reprlearn.embed_batch(encoder, [masked_frame(s) for s in states])
@@ -513,6 +514,32 @@ class TestEpisodes:
             assert (ep.steps == config.episode_horizon) == (not ep.success)
 
 
+class TestDeterministicAction:
+    @pytest.mark.parametrize("routing", [skillrl.ROUTING_TWO_PHASE,
+                                         skillrl.ROUTING_FLAT])
+    @pytest.mark.parametrize("name", sorted(env2d.builtin_catalogue()))
+    def test_equals_masked_means_bit_for_bit(self, name, routing):
+        task = get_task(name)
+        cfg = task.world_config(start_jitter=0.1, episode_horizon=300)
+        states = demogen.run_expert_episode(task, cfg, 2, noise_scale=0.05).states
+        rows = [env2d.observe(s, task.object) for s in states[::3]]
+        assert {row[env2d.OBS_PHASE_INDEX] for row in rows} == {0.0, 1.0}
+        # the phase flag alone routes: set it apart from the attachment flag,
+        # on and off the 0.5 threshold
+        for flag in (0.0, 0.5, math.nextafter(0.5, 1.0), 1.0, math.nan):
+            rows += [np.where(np.arange(skillrl.OBS_DIM) == env2d.OBS_PHASE_INDEX,
+                              flag, row) for row in rows[::4]]
+        for seed in range(4):
+            policy = init_policy(seed, routing=routing)
+            for obs in rows:
+                action = skillrl.deterministic_action(policy, obs)
+                expected = np.where(skillrl.head_mask(policy, obs),
+                                    skillrl.action_means(policy, obs)[0], 0.0)[0]
+                got = [*action.desired_pos, *action.force]
+                assert all(type(v) is float for v in got)
+                assert np.array(got).tobytes() == expected.tobytes()
+
+
 class TestAwr:
     def test_no_progress_unit_weight(self):
         w = progress_weights(np.array([-3.0]), np.array([-3.0]), 0.5)
@@ -667,7 +694,7 @@ class TestPolicyIO:
 
 class TestConfig:
     @pytest.mark.parametrize("field", ["rollout_envs", "horizon", "epochs",
-                                       "minibatch_size"])
+                                       "minibatch_size", "total_env_steps"])
     def test_ppo_rejects_below_one_naming_field(self, field):
         with pytest.raises(nc.ConfigurationError, match=field):
             PpoConfig(**{field: 0})
@@ -677,7 +704,8 @@ class TestConfig:
         ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
         ("clip_ratio", math.nan), ("clip_ratio", math.inf),
         ("gae_lambda", 1.5), ("gae_lambda", -0.1), ("gae_lambda", math.nan),
-        ("gamma", math.nan), ("gamma", 0.0)])
+        ("gamma", math.nan), ("gamma", 0.0),
+        ("total_env_steps", 0), ("total_env_steps", -5)])
     def test_ppo_rejects_bad_hyperparameter_naming_it(self, field, value):
         with pytest.raises(nc.ConfigurationError,
                            match=re.escape(f"{field} must be") + ".*"
@@ -696,6 +724,13 @@ class TestConfig:
                            match=re.escape(f"{field} must be") + ".*"
                            + re.escape(f"got {value}")):
             config(**{field: value})
+
+    @pytest.mark.parametrize("camera", ["nope", "Front", ""])
+    def test_skill_options_reject_unknown_camera_naming_it(self, camera):
+        with pytest.raises(nc.ConfigurationError,
+                           match=re.escape(f"unknown camera {camera!r}; available: "
+                                           "['front', 'left', 'right']")):
+            SkillOptions(camera=camera)
 
     def test_skill_config_accepts_least_values(self):
         RewardConfig(beta_floor=0.0)
