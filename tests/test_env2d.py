@@ -225,6 +225,20 @@ class TestNearestGrasp:
         assert finals[0].attachment == 0
 
 
+def zero_fill_observe(state):
+    """The observation as a zeroed 12-slot row filled by slice writes, the
+    reference ``observe`` must match bit for bit."""
+    out = np.zeros(env2d.OBS_DIM)
+    out[0:2] = state.proxy_pos
+    out[2:4] = state.proxy_vel
+    nq = state.object_q.shape[0]
+    out[4:4 + nq] = state.object_q
+    out[7:7 + nq] = state.object_qdot
+    out[10] = 1.0 if state.phase == Phase.INTERACTION else 0.0
+    out[11] = 0.0 if state.attachment is None else 1.0
+    return out
+
+
 class TestObserve:
     def test_exploration_flags(self, drawer, config):
         s = reset(config, drawer, seed=0)
@@ -251,22 +265,6 @@ class TestObserve:
         od = observe(sd, drawer.object)
         assert od[4] == 0.25 and od[5] == 0.0 and od[6] == 0.0
 
-
-def zero_fill_observe(state):
-    """The observation as a zeroed 12-slot row filled by slice writes, the
-    reference ``observe`` must match bit for bit."""
-    out = np.zeros(env2d.OBS_DIM)
-    out[0:2] = state.proxy_pos
-    out[2:4] = state.proxy_vel
-    nq = state.object_q.shape[0]
-    out[4:4 + nq] = state.object_q
-    out[7:7 + nq] = state.object_qdot
-    out[10] = 1.0 if state.phase == Phase.INTERACTION else 0.0
-    out[11] = 0.0 if state.attachment is None else 1.0
-    return out
-
-
-class TestObserveReference:
     @pytest.mark.parametrize("name", sorted(builtin_catalogue()))
     def test_matches_zero_fill_bit_for_bit(self, name):
         task = get_task(name)
