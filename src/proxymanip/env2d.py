@@ -49,25 +49,19 @@ class WorldConfig:
     two_phase: bool = True           # False: flat action space, contact forces only
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigurationError(f"dt must be finite and positive, got {self.dt}")
-        for name in ("pd_kp", "pd_kd", "proxy_damping", "object_damping"):
+        for name in ("dt", "proxy_mass", "arena_half", "interact_radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value}")
+        for name in ("pd_kp", "pd_kd", "proxy_damping", "object_damping",
+                     "force_max", "start_jitter"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigurationError(
                     f"{name} must be finite and non-negative, got {value}")
         if not (self.interact_radius > self.proxy_radius > 0):
             raise ConfigurationError("need interact_radius > proxy_radius > 0")
-        for name in ("proxy_mass", "arena_half"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(
-                    f"{name} must be positive, got {getattr(self, name)}")
-        if not self.force_max >= 0:
-            raise ConfigurationError(
-                f"force_max must be non-negative, got {self.force_max}")
-        if not (math.isfinite(self.start_jitter) and self.start_jitter >= 0.0):
-            raise ConfigurationError(
-                f"start_jitter must be finite and non-negative, got {self.start_jitter}")
         if self.episode_horizon < 1:
             raise ConfigurationError(
                 f"episode_horizon must be at least 1, got {self.episode_horizon}")
@@ -150,10 +144,6 @@ class WorldState:
 class ProxyAction:
     desired_pos: tuple[float, float]   # a_p, used in exploration
     force: tuple[float, float]         # a_f, used in interaction
-
-    @staticmethod
-    def zero() -> "ProxyAction":
-        return ProxyAction((0.0, 0.0), (0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

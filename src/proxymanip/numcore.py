@@ -1,9 +1,9 @@
 """Dense numerics for the whole pipeline.
 
 Small feed-forward networks with hand-written exact gradients, a bias-corrected
-adaptive-moment optimizer, the one binary file envelope behind checkpoints and
-training state blobs, with a reader that rejects truncated, padded or foreign
-files (see "Binary files" below), and the one CSV writer of run logs.
+adaptive-moment optimizer, the one binary file format, the checkpoint, with a
+reader that rejects truncated, padded or foreign files (see "Binary files"
+below), and the one CSV writer of run logs.
 Everything is float64 so the tests' finite-difference gradient checks stay
 tight.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -99,20 +98,6 @@ class MlpNetwork:
             out.append(w)
             out.append(b)
         return out
-
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        n = len(self.weights)
-        if len(params) != 2 * n:
-            raise ConfigurationError("parameter list length mismatch")
-        for l in range(n):
-            w, b = params[2 * l], params[2 * l + 1]
-            if w.shape != self.weights[l].shape or b.shape != self.biases[l].shape:
-                raise ConfigurationError(f"parameter {l} shape mismatch")
-            self.weights[l] = w
-            self.biases[l] = b
-
-    def num_params(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     def copy(self) -> "MlpNetwork":
         return MlpNetwork(
@@ -287,38 +272,42 @@ def clip_by_global_norm(arrays: list[np.ndarray], max_norm: float) -> list[np.nd
 # Binary files (shared repo-wide)
 # ---------------------------------------------------------------------------
 #
-# Every binary file is one envelope: a 4-byte little-endian unsigned header
-# length, a canonical JSON header carrying "format_version", then a payload of
-# little-endian floats whose size the header determines. Two layouts use it:
+# Every binary file is a checkpoint: a 4-byte little-endian unsigned header
+# length, a canonical JSON header {format_version, layer_sizes, activations,
+# rng_seed, step_count}, then a float32 little-endian payload of all
+# parameters in declaration order. Named trailing arrays (e.g. a policy's
+# log-std vector) follow the network parameters and are listed in an optional
+# "trailing" header entry.
 #
-# * checkpoints: header {format_version, layer_sizes, activations, rng_seed,
-#   step_count}, float32 payload of all parameters in declaration order. Named
-#   trailing arrays (e.g. a policy's log-std vector) follow the network
-#   parameters and are listed in an optional "trailing" header entry.
-# * state blobs: a full-precision sidecar for exact training resume, not part
-#   of the checkpoint contract. Header {format_version, meta, arrays}, float64
-#   payload of the named arrays in order.
-#
-# The one reader raises ConfigurationError, naming the file, on a short length
+# The reader raises ConfigurationError, naming the file, on a short length
 # prefix, a short or non-JSON header, a foreign format_version, a missing
-# header key, and a payload that is short, has extra bytes or is not a whole
-# number of elements. So a checkpoint read as a state blob, or the reverse, is
-# rejected too.
+# header key, a payload that is short, has extra bytes or is not a whole
+# number of elements, and a header that describes no valid network.
 
-def _write_envelope(path, header: dict, dtype: str, arrays) -> None:
-    head = json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION, **header},
-                      sort_keys=True, separators=(",", ":")).encode("utf-8")
+def save_checkpoint(path, net: MlpNetwork, rng_seed: int, step_count: int,
+                    trailing: list[tuple[str, np.ndarray]] | None = None) -> None:
+    header = {
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "layer_sizes": list(net.layer_sizes),
+        "activations": list(net.activations),
+        "rng_seed": int(rng_seed),
+        "step_count": int(step_count),
+    }
+    arrays = net.parameters()
+    if trailing:
+        header["trailing"] = [[name, int(arr.size)] for name, arr in trailing]
+        arrays = arrays + [arr for _, arr in trailing]
+    head = json.dumps(header, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
         for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
+            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
 
 
-def _read_envelope(path, keys: tuple[str, ...], dtype: str,
-                   payload_size) -> tuple[dict, np.ndarray]:
-    """Header and payload of an envelope file; ``payload_size(header)`` is
-    the number of payload elements the header describes."""
+def load_checkpoint(path) -> tuple[MlpNetwork, dict, dict[str, np.ndarray]]:
+    """Read a checkpoint back; parameters are upcast to float64."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 4:
@@ -337,50 +326,23 @@ def _read_envelope(path, keys: tuple[str, ...], dtype: str,
     if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ConfigurationError(
             f"{path}: unsupported format_version {header.get('format_version')!r}")
-    missing = [k for k in keys if k not in header]
+    missing = [k for k in ("layer_sizes", "activations", "rng_seed",
+                           "step_count") if k not in header]
     if missing:
         raise ConfigurationError(f"{path}: header lacks {missing}")
     try:
-        count = payload_size(header)
+        sizes = header["layer_sizes"]
+        count = sum(n_in * n_out + n_out for n_in, n_out in zip(sizes, sizes[1:]))
+        count += sum(size for _, size in header.get("trailing", []))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: malformed header ({exc})") from exc
     payload = raw[4 + hlen:]
-    itemsize = np.dtype(dtype).itemsize
-    if len(payload) != count * itemsize:
+    if len(payload) != count * 4:
         raise ConfigurationError(
             f"{path}: payload has {len(payload)} bytes, the header describes "
-            f"{count} values of {itemsize} bytes")
-    return header, np.frombuffer(payload, dtype=dtype)
-
-
-def _checkpoint_size(header: dict) -> int:
-    sizes = header["layer_sizes"]
-    params = sum(n_in * n_out + n_out for n_in, n_out in zip(sizes, sizes[1:]))
-    return params + sum(size for _, size in header.get("trailing", []))
-
-
-def save_checkpoint(path, net: MlpNetwork, rng_seed: int, step_count: int,
-                    trailing: list[tuple[str, np.ndarray]] | None = None) -> None:
-    header = {
-        "layer_sizes": list(net.layer_sizes),
-        "activations": list(net.activations),
-        "rng_seed": int(rng_seed),
-        "step_count": int(step_count),
-    }
-    arrays = net.parameters()
-    if trailing:
-        header["trailing"] = [[name, int(arr.size)] for name, arr in trailing]
-        arrays = arrays + [arr for _, arr in trailing]
-    _write_envelope(path, header, "<f4", arrays)
-
-
-def load_checkpoint(path) -> tuple[MlpNetwork, dict, dict[str, np.ndarray]]:
-    """Read a checkpoint back; parameters are upcast to float64."""
-    header, values = _read_envelope(
-        path, ("layer_sizes", "activations", "rng_seed", "step_count"), "<f4",
-        _checkpoint_size)
-    values = values.astype(np.float64)
-    layer_sizes = list(header["layer_sizes"])
+            f"{count} values of 4 bytes")
+    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    layer_sizes = list(sizes)
     weights, biases = [], []
     pos = 0
     for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):
@@ -399,23 +361,14 @@ def load_checkpoint(path) -> tuple[MlpNetwork, dict, dict[str, np.ndarray]]:
     return net, header, trailing
 
 
-def save_state_blob(path, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
-    header = {"meta": meta,
-              "arrays": [[name, list(a.shape)] for name, a in arrays]}
-    _write_envelope(path, header, "<f8", [a for _, a in arrays])
-
-
-def load_state_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
-    header, values = _read_envelope(
-        path, ("meta", "arrays"), "<f8",
-        lambda h: sum(math.prod(shape) for _, shape in h["arrays"]))
-    arrays: dict[str, np.ndarray] = {}
-    pos = 0
-    for name, shape in header["arrays"]:
-        size = math.prod(shape)
-        arrays[name] = values[pos:pos + size].reshape(shape).copy()
-        pos += size
-    return header["meta"], arrays
+def require_layers(path, net: MlpNetwork, layer_sizes: list[int],
+                   activations: list[str]) -> None:
+    """Reject a loaded network that is not the one expected, such as another
+    checkpoint copied over it: ``<path>: <field> is <got>, expected <want>``."""
+    for name, want in (("layer_sizes", layer_sizes), ("activations", activations)):
+        if getattr(net, name) != want:
+            raise ConfigurationError(
+                f"{path}: {name} is {getattr(net, name)}, expected {want}")
 
 
 # ---------------------------------------------------------------------------

@@ -232,64 +232,24 @@ def train_step(encoder: Encoder, rows: np.ndarray, index: np.ndarray,
     return {"total": total, "tcn": tcn_mean, "reg": reg_mean}, encoder
 
 
-def _save_train_sidecar(path, encoder: Encoder, adam: AdamState,
-                        cols: np.ndarray, step: int) -> None:
-    """Full-width resume state. ``adam`` covers the compact encoder of
-    :func:`train_encoder`, whose layer 0 holds the rows ``cols``; the moments
-    of every other row are zero."""
-    n_in = encoder.net.in_dim
-    arrays = [(f"p{i}", p) for i, p in enumerate(encoder.net.parameters())]
-    for name, moments in (("m", adam.m), ("v", adam.v)):
-        full = np.zeros((n_in,) + moments[0].shape[1:])
-        full[cols] = moments[0]
-        arrays += [(f"{name}{i}", a) for i, a in enumerate([full] + moments[1:])]
-    numcore.save_state_blob(path, {"step": step, "adam_step": adam.step}, arrays)
-
-
-def load_train_sidecar(path, encoder: Encoder, adam: AdamState) -> int:
-    """Load a sidecar into ``encoder`` and ``adam``; returns the step to
-    resume from. A missing or misshapen array, or a meta lacking ``step`` or
-    ``adam_step``, raises ConfigurationError naming the file."""
-    meta, arrays = numcore.load_state_blob(path)
-    missing = [k for k in ("step", "adam_step")
-               if not isinstance(meta, dict) or k not in meta]
-    if missing:
-        raise ConfigurationError(f"{path}: meta lacks {missing}")
-    shapes = [p.shape for p in encoder.net.parameters()]
-    for prefix in "pmv":
-        for i, shape in enumerate(shapes):
-            name = f"{prefix}{i}"
-            if name not in arrays:
-                raise ConfigurationError(f"{path}: no array {name!r}")
-            if arrays[name].shape != shape:
-                raise ConfigurationError(
-                    f"{path}: array {name!r} has shape {arrays[name].shape}, "
-                    f"the encoder needs {shape}")
-    n = len(shapes)
-    encoder.net.set_parameters([arrays[f"p{i}"] for i in range(n)])
-    adam.m = [arrays[f"m{i}"] for i in range(n)]
-    adam.v = [arrays[f"v{i}"] for i in range(n)]
-    adam.step = int(meta["adam_step"])
-    return int(meta["step"])
-
-
 def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
-                  out_dir: str | Path | None = None,
-                  resume_from: str | Path | None = None):
+                  out_dir: str | Path | None = None):
     """Full pre-training run; returns (encoder, training log rows).
 
-    Batches are seeded per step from the config seed, so a run (or a resumed
-    run restarted from a sidecar) reproduces the same loss curve.
+    Batches are seeded per step from the config seed, so rerunning the same
+    config reproduces the same loss curve bit for bit; a run is never
+    resumed, only rerun. With ``out_dir``, ``encoder.ckpt`` is written every
+    ``checkpoint_every`` steps and at the end, and ``train_log.csv`` at the
+    end.
 
     Only the active input columns are trained: those non-zero in at least
-    one pooled frame of the dataset and, on resume, also every ``W0`` row
-    whose Adam moments are non-zero. Any other row gets an exactly zero
-    gradient at every step, and with zero moments Adam leaves it bitwise
-    unchanged. So the steps run on a compact encoder whose layer 0 holds
-    only the active rows of ``W0``; its other layers and biases are the full
-    encoder's own arrays. The result differs from full-width training only
-    in BLAS summation order. The rows are scattered back into the full
-    encoder before every checkpoint and sidecar write and at the end.
+    one pooled frame of the dataset. Any other row of ``W0`` gets an exactly
+    zero gradient at every step, and with zero moments Adam leaves it
+    bitwise unchanged. So the steps run on a compact encoder whose layer 0
+    holds only the active rows of ``W0``; its other layers and biases are the
+    full encoder's own arrays. The result differs from full-width training
+    only in BLAS summation order. The rows are scattered back into the full
+    encoder before every checkpoint write and at the end.
 
     The dataset's pooled frames, on those columns, are reduced once to their
     distinct rows and a flat frame-row table (:func:`distinct_pooled_rows`).
@@ -311,28 +271,17 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
     active = np.zeros(net.in_dim, dtype=bool)
     for x in pre:
         active |= x.any(axis=0)
-    start_step = 0
-    if resume_from is not None:
-        loaded = AdamState(lr=config.lr)
-        start_step = load_train_sidecar(resume_from, encoder, loaded)
-        active |= loaded.m[0].any(axis=1) | loaded.v[0].any(axis=1)
     cols = np.flatnonzero(active)
     rows, frame_rows, clip_start = distinct_pooled_rows(
         [x[:, cols] for x in pre])
     del pre
     compact = _active_columns(encoder, cols)
-    if resume_from is None:
-        adam = adam_init(compact.net.parameters(), lr=config.lr)
-    else:
-        adam = AdamState(lr=config.lr, step=loaded.step,
-                         m=[loaded.m[0][cols]] + loaded.m[1:],
-                         v=[loaded.v[0][cols]] + loaded.v[1:])
-        del loaded  # frees the full-width layer-0 moments before training
+    adam = adam_init(compact.net.parameters(), lr=config.lr)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     log: list[dict] = []
-    for step in range(start_step, config.total_steps):
+    for step in range(config.total_steps):
         batch = sample_tcn_batch(dataset, config.batch_size,
                                  derive_seed(config.seed, 101, step))
         batch_rows, index = stack_batch_inputs(rows, frame_rows, clip_start,
@@ -345,8 +294,6 @@ def train_encoder(dataset: DemoDataset, config: ReprTrainConfig,
             net.weights[0][cols] = compact.net.weights[0]
             numcore.save_checkpoint(out / "encoder.ckpt", net,
                                     rng_seed=config.seed, step_count=done)
-            _save_train_sidecar(out / "train_state.bin", encoder, adam, cols,
-                                done)
     net.weights[0][cols] = compact.net.weights[0]
     if out is not None:
         numcore.write_run_log(out / "train_log.csv",
@@ -361,4 +308,5 @@ def save_encoder(path, encoder: Encoder, seed: int = 0, step_count: int = 0) -> 
 
 def load_encoder(path) -> Encoder:
     net, _, _ = numcore.load_checkpoint(path)
+    numcore.require_layers(path, net, ENCODER_LAYER_SIZES, ENCODER_ACTIVATIONS)
     return Encoder(net)

@@ -141,13 +141,6 @@ class PolicyCheckpoint:
     def parameters(self) -> list[np.ndarray]:
         return self.actor.parameters() + self.critic.parameters() + [self.log_std]
 
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        na = len(self.actor.parameters())
-        nb = len(self.critic.parameters())
-        self.actor.set_parameters(params[:na])
-        self.critic.set_parameters(params[na:na + nb])
-        self.log_std = params[na + nb]
-
     def copy(self) -> "PolicyCheckpoint":
         return PolicyCheckpoint(self.actor.copy(), self.critic.copy(),
                                 self.log_std.copy(), self.routing)
@@ -656,8 +649,16 @@ def save_policy(out_dir, policy: PolicyCheckpoint, seed: int = 0,
 
 def load_policy(out_dir) -> PolicyCheckpoint:
     out = Path(out_dir)
-    actor, _, trailing = numcore.load_checkpoint(out / "actor.ckpt")
-    critic, _, _ = numcore.load_checkpoint(out / "critic.ckpt")
+    actor_path, critic_path = out / "actor.ckpt", out / "critic.ckpt"
+    actor, _, trailing = numcore.load_checkpoint(actor_path)
+    numcore.require_layers(actor_path, actor, ACTOR_LAYERS, HIDDEN_ACTIVATIONS)
+    log_std = trailing.get("log_std")
+    if log_std is None or log_std.size != ACTION_DIM:
+        got = "missing" if log_std is None else f"{log_std.size} values"
+        raise ConfigurationError(
+            f"{actor_path}: log_std is {got}, expected {ACTION_DIM} values")
+    critic, _, _ = numcore.load_checkpoint(critic_path)
+    numcore.require_layers(critic_path, critic, CRITIC_LAYERS, HIDDEN_ACTIVATIONS)
     path = out / "policy.json"
     with open(path) as fh:
         manifest = json.load(fh)
@@ -670,7 +671,7 @@ def load_policy(out_dir) -> PolicyCheckpoint:
             raise ConfigurationError(
                 f"{path}: {name} is {manifest.get(name)!r}, expected {expected}")
     _check_routing(manifest.get("routing"), str(path))
-    return PolicyCheckpoint(actor, critic, trailing["log_std"], manifest["routing"])
+    return PolicyCheckpoint(actor, critic, log_std, manifest["routing"])
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +716,7 @@ def awr_fit(demos: list[Clip], encoder: Encoder, goal: np.ndarray,
         raise ConfigurationError("awr_fit needs at least one demo clip")
     _require(epochs >= 0, "epochs", epochs, "at least 0")
     _require(minibatch_size >= 1, "minibatch_size", minibatch_size, "at least 1")
-    _require(math.isfinite(lr), "lr", lr, "finite")
+    _require(math.isfinite(lr) and lr > 0, "lr", lr, "finite and positive")
     by_pixels: dict[bytes, float] = {}
     obs_rows, act_rows, w_rows = [], [], []
     for clip in demos:

@@ -1,5 +1,6 @@
 """Numerical oracles for the gradient tests: a central finite-difference
-gradient and two relative-error measures to compare it with an exact one."""
+gradient, two relative-error measures to compare it with an exact one, and
+an in-place parameter write for the functions it differentiates."""
 
 import numpy as np
 
@@ -37,3 +38,10 @@ def normed_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     whole gradient blocks where single entries sit at roundoff level."""
     den = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-12)
     return float(np.linalg.norm(a - b) / den)
+
+
+def assign(arrays: list[np.ndarray], values: list[np.ndarray]) -> None:
+    """Overwrite each array in place with its value, so the network or policy
+    that holds the arrays computes with the values."""
+    for a, v in zip(arrays, values, strict=True):
+        a[...] = v

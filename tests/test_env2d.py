@@ -139,7 +139,7 @@ class TestStep:
         s = reset(config, drawer, seed=0)
         s.proxy_pos = np.array([np.nan, 0.0])
         with pytest.raises(FloatingPointError):
-            step(s, ProxyAction.zero(), config, drawer)
+            step(s, ProxyAction((0.0, 0.0), (0.0, 0.0)), config, drawer)
 
 
 def step_in_place(task, pos, cfg):
@@ -379,6 +379,15 @@ class TestConfig:
     def test_rejects_naming_field(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             WorldConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["proxy_mass", "arena_half",
+                                       "interact_radius", "force_max"])
+    def test_rejects_infinite_naming_field(self, field):
+        qualifier = "non-negative" if field == "force_max" else "positive"
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be finite and {qualifier}, "
+                                 "got inf"):
+            WorldConfig(**{field: math.inf})
 
     @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
     def test_rejects_bad_start_jitter(self, value):

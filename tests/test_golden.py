@@ -135,8 +135,7 @@ EXPERT_EPISODE_DIGESTS = {'close-door/0.0': 'f018bdf5a09bef1782e3acda22b3dae288f
 CHECKPOINT_DIGESTS = {'policy/actor.ckpt': 'a45d51fc7683d491fc9be787968a56eaf0731faf99c070b45c8f14ad8d7d0cdd',
  'policy/critic.ckpt': 'a31f3a25f8f0c3abc458ff76ee96fc63365db699dd9c4a2ef0906eb7768cd3d1',
  'policy/policy.json': 'edf288e9333498b0ea41148606d39f8c7d39d7c5624f2447bfb41336c8e5b83e',
- 'encoder.ckpt': '04ccb7f2ae0229fa9f2ef65e8b434c60c6ca247a008f0ff9555029875a0abd93',
- 'state.bin': '1ca7a596c11996cbb54f8877cc5a0160f65f2af44e0448e4819b4f157cc290f4'}
+ 'encoder.ckpt': '04ccb7f2ae0229fa9f2ef65e8b434c60c6ca247a008f0ff9555029875a0abd93'}
 
 
 @pytest.fixture(scope="module")
@@ -304,12 +303,8 @@ def test_checkpoint_file_digests(tmp_path):
     skillrl.save_policy(tmp_path / "policy", policy, seed=3, step_count=11)
     reprlearn.save_encoder(tmp_path / "encoder.ckpt", reprlearn.init_encoder(4),
                            seed=4, step_count=9)
-    rng = np.random.Generator(np.random.PCG64(8))
-    numcore.save_state_blob(tmp_path / "state.bin", {"step": 2, "adam_step": 2},
-                            [("p0", rng.normal(size=(3, 5))),
-                             ("m0", rng.normal(size=7)), ("s", np.array(2.5))])
     files = ["policy/actor.ckpt", "policy/critic.ckpt", "policy/policy.json",
-             "encoder.ckpt", "state.bin"]
+             "encoder.ckpt"]
     observed = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                 for f in files}
     _assert_exact("CHECKPOINT_DIGESTS", observed, CHECKPOINT_DIGESTS)

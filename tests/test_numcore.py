@@ -7,6 +7,7 @@ import pytest
 
 import numcheck
 from proxymanip import numcore as nc
+from proxymanip import render, skillrl
 from proxymanip import reprlearn as rl
 
 
@@ -108,18 +109,19 @@ class TestBackward:
     def test_matches_finite_differences(self, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         net = make_net([3, 4, 2], ["tanh", "identity"], seed=seed)
-        assert net.num_params() == 26  # (3*4 + 4) + (4*2 + 2): small, fast oracle
+        # (3*4 + 4) + (4*2 + 2): small, fast oracle
+        assert sum(p.size for p in net.parameters()) == 26
         x = rng.uniform(-1, 1, 3)[None, :]
         w = rng.uniform(-1, 1, 2)  # fixed linear readout makes the loss scalar
 
         def loss(params):
-            net.set_parameters(params)
+            numcheck.assign(net.parameters(), params)
             y, _ = nc.forward_batch(net, x)
             return float(y[0] @ w)
 
         params = [p.copy() for p in net.parameters()]
         fd = numcheck.finite_diff_grad(loss, params, step=1e-5)
-        net.set_parameters(params)
+        numcheck.assign(net.parameters(), params)
         _, cache = nc.forward_batch(net, x)
         exact = nc.backward_batch(net, cache, w[None, :])
         for a, b in zip(exact, fd):
@@ -284,34 +286,29 @@ class TestCheckpoint:
         nc.save_checkpoint(p2, net, 2, 7)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_state_blob_round_trip(self, tmp_path):
-        arrays = [("a", np.arange(6, dtype=float).reshape(2, 3)),
-                  ("b", np.array([1.5]))]
-        path = tmp_path / "state.bin"
-        nc.save_state_blob(path, {"step": 4}, arrays)
-        meta, loaded = nc.load_state_blob(path)
-        assert meta == {"step": 4}
-        assert np.array_equal(loaded["a"], arrays[0][1])
-        assert np.array_equal(loaded["b"], arrays[1][1])
-
 
 def _write_checkpoint(path):
     nc.save_checkpoint(path, make_net([3, 2], ["identity"], seed=1), 1, 0,
                        trailing=[("log_std", np.array([-0.5, 0.5]))])
 
 
-def _write_state_blob(path):
-    nc.save_state_blob(path, {"step": 1},
-                       [("a", np.ones((2, 3))), ("b", np.array([1.5]))])
+def _write_pgm(path):
+    render.write_pgm(path, np.full((64, 64), 7, dtype=np.uint8))
 
 
-# format -> (writer, loader, a header key it requires, the other writer)
+def _write_policy_json(path):
+    skillrl.save_policy(path.parent / "policy", skillrl.init_policy(0))
+    path.write_bytes((path.parent / "policy" / "policy.json").read_bytes())
+
+
+# format -> (writer, loader, a header key it requires); the checkpoint is the
+# one binary format
 ENVELOPE_FORMATS = {
-    "checkpoint": (_write_checkpoint, nc.load_checkpoint, "layer_sizes",
-                   _write_state_blob),
-    "state_blob": (_write_state_blob, nc.load_state_blob, "arrays",
-                   _write_checkpoint),
+    "checkpoint": (_write_checkpoint, nc.load_checkpoint, "layer_sizes"),
 }
+
+# writers of the other files the pipeline leaves, none of them a checkpoint
+FOREIGN_FILES = {"pgm": _write_pgm, "policy_json": _write_policy_json}
 
 
 def _split(raw):
@@ -347,7 +344,7 @@ class TestEnvelopeLoaders:
     @pytest.mark.parametrize("case", sorted(BAD_ENVELOPES))
     @pytest.mark.parametrize("fmt", sorted(ENVELOPE_FORMATS))
     def test_bad_file_names_the_path(self, tmp_path, fmt, case):
-        write, load, key, _ = ENVELOPE_FORMATS[fmt]
+        write, load, key = ENVELOPE_FORMATS[fmt]
         path = tmp_path / "file.bin"
         write(path)
         load(path)  # the unedited file loads
@@ -366,11 +363,13 @@ class TestEnvelopeLoaders:
 
     @pytest.mark.parametrize("fmt", sorted(ENVELOPE_FORMATS))
     def test_other_format_names_the_path(self, tmp_path, fmt):
-        _, load, _, write_other = ENVELOPE_FORMATS[fmt]
-        path = tmp_path / "file.bin"
-        write_other(path)
-        with pytest.raises(nc.ConfigurationError, match=re.escape(str(path))):
-            load(path)
+        _, load, _ = ENVELOPE_FORMATS[fmt]
+        for name, write in FOREIGN_FILES.items():
+            path = tmp_path / f"{name}.bin"
+            write(path)
+            with pytest.raises(nc.ConfigurationError,
+                               match=re.escape(str(path))):
+                load(path)
 
 
 def test_derive_seed_stable_and_distinct():

@@ -140,6 +140,8 @@ TEST_ONLY_API = {
     "load_policy": "reads back what train_skill saves",
     "awr_fit": "the imitation path, kept for the desk check of the paper's "
                "imitation claim",
+    "ObjectModel.rot_inertia": "the rotational inertia in the energy invariant "
+                               "of a turning free body",
 }
 
 
@@ -162,16 +164,22 @@ def unread_names(package_dir: Path, bench_dir: Path,
                  allowed=TEST_ONLY_API) -> list[str]:
     """Every public top-level name of the package that no other module of
     it, no line of its own module outside its definition and no non-test
-    file of ``bench_dir`` reads, unless ``allowed`` lists it."""
+    file of ``bench_dir`` reads, and every public method and property of a
+    public class whose name no such line reads as an attribute, unless
+    ``allowed`` lists it (a member as ``Class.member``)."""
     package = package_dir.name
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(package_dir.glob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in sorted(bench_dir.glob("*.py"))
+             if not path.name.startswith("test_")]
     read = {(module, name) for stem, tree in trees.items()
             for module, name, _, _ in package_reads(tree, package) if module != stem}
-    for path in sorted(bench_dir.glob("*.py")):
-        if not path.name.startswith("test_"):
-            read |= {(module, name) for module, name, _, _
-                     in package_reads(ast.parse(path.read_text()), package)}
+    for tree in bench:
+        read |= {(module, name) for module, name, _, _
+                 in package_reads(tree, package)}
+    sources = [*trees.items(), *((None, tree) for tree in bench)]
+    attrs = [(where, node) for where, tree in sources
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
     bad = []
     for stem, tree in trees.items():
         loads = [node for node in ast.walk(tree)
@@ -182,6 +190,19 @@ def unread_names(package_dir: Path, bench_dir: Path,
                       for load in loads)
             if not (own or (stem, name) in read or name in allowed):
                 bad.append(f"{stem}:{node.lineno} {name}")
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for member in members:
+                if (not isinstance(member, ast.FunctionDef)
+                        or member.name.startswith("_")):
+                    continue
+                read_as_attr = any(
+                    attr.attr == member.name and not (
+                        where == stem
+                        and member.lineno <= attr.lineno <= member.end_lineno)
+                    for where, attr in attrs)
+                qualified = f"{name}.{member.name}"
+                if not (read_as_attr or qualified in allowed):
+                    bad.append(f"{stem}:{member.lineno} {qualified}")
     return bad
 
 
@@ -207,7 +228,19 @@ def test_unread_name_is_reported(tmp_path):
         "def again(n):\n"
         "    return again(n - 1)\n"
         "class Shape:\n"
-        "    pass\n"
+        "    @property\n"
+        "    def side(self):\n"
+        "        return 1\n"
+        "    def area(self):\n"
+        "        return self.area()\n"
+        "    def grow(self):\n"
+        "        pass\n"
+        "    def shrink(self):\n"
+        "        pass\n"
+        "    def held(self):\n"
+        "        pass\n"
+        "    def _hidden(self):\n"
+        "        pass\n"
         "def kept():\n"
         "    pass\n"
         "def _hidden():\n"
@@ -216,11 +249,14 @@ def test_unread_name_is_reported(tmp_path):
         "from . import geo\n"
         "from .geo import Shape\n"
         "def run():\n"
-        "    return geo.core(), Shape\n")
-    (bench / "runner.py").write_text("from pkg import user\nuser.run()\n")
-    (bench / "test_runner.py").write_text("from pkg import geo\ngeo.UNUSED\n")
-    assert unread_names(pkg, bench, allowed={"kept": "a reason"}) == [
-        "geo:2 UNUSED", "geo:5 again"]
+        "    return geo.core(), Shape().side\n")
+    (bench / "runner.py").write_text(
+        "from pkg import geo, user\nuser.run()\ngeo.Shape().grow()\n")
+    (bench / "test_runner.py").write_text(
+        "from pkg import geo\ngeo.UNUSED\ngeo.Shape().shrink()\n")
+    assert unread_names(pkg, bench, allowed={"kept": "a reason",
+                                             "Shape.held": "a reason"}) == [
+        "geo:2 UNUSED", "geo:5 again", "geo:11 Shape.area", "geo:15 Shape.shrink"]
 
 
 def test_private_read_is_reported(tmp_path):

@@ -54,33 +54,21 @@ def stacked_batch(pre, batch):
     return np.stack(rows)
 
 
-def full_width_train_encoder(dataset, config, out_dir=None, resume_from=None):
+def full_width_train_encoder(dataset, config):
     """rl.train_encoder as a loop over all input columns and every slot of
     the stacked batch: every step updates the full (1024, 256) W0 and its
-    moments. Writes the resume sidecar with the same names and layout."""
+    moments."""
     encoder = rl.init_encoder(config.seed)
     adam = nc.adam_init(encoder.net.parameters(), lr=config.lr)
-    start_step = 0
-    if resume_from is not None:
-        start_step = rl.load_train_sidecar(resume_from, encoder, adam)
     pre = [rl.preprocess_batch(clip.frames) for clip in dataset.clips]
     log = []
-    for step in range(start_step, config.total_steps):
+    for step in range(config.total_steps):
         samples = sample_tcn_batch(dataset, config.batch_size,
                                    nc.derive_seed(config.seed, 101, step))
         batch = stacked_batch(pre, samples)
         losses, _ = rl.train_step(encoder, batch, np.arange(len(batch)),
                                   config, adam)
         log.append({"step": step, **losses})
-        done = step + 1
-        if out_dir is not None and (done % config.checkpoint_every == 0
-                                    or done == config.total_steps):
-            out_dir.mkdir(parents=True, exist_ok=True)
-            arrays = [(f"p{i}", p) for i, p in enumerate(encoder.net.parameters())]
-            arrays += [(f"m{i}", m) for i, m in enumerate(adam.m)]
-            arrays += [(f"v{i}", v) for i, v in enumerate(adam.v)]
-            nc.save_state_blob(out_dir / "train_state.bin",
-                               {"step": done, "adam_step": adam.step}, arrays)
     return encoder, log
 
 
@@ -367,13 +355,13 @@ def check_fd(enc, rows, index, cfg):
     """rl.batch_loss_and_grads's gradients against finite differences of its
     total loss."""
     def f(params):
-        enc.net.set_parameters(params)
+        numcheck.assign(enc.net.parameters(), params)
         total, _, _, _ = rl.batch_loss_and_grads(enc, rows, index, cfg)
         return total
 
     params = [p.copy() for p in enc.net.parameters()]
     fd = numcheck.finite_diff_grad(f, params)
-    enc.net.set_parameters(params)
+    numcheck.assign(enc.net.parameters(), params)
     _, _, _, exact = rl.batch_loss_and_grads(enc, rows, index, cfg)
     for a, b in zip(exact, fd):
         assert numcheck.relative_error(a, b) < 1e-4
@@ -564,62 +552,6 @@ class TestTrainingLog:
             "".join(line + "\r\n" for line in lines).encode()
 
 
-class TestTrainSidecar:
-    @pytest.fixture
-    def sidecar(self, tmp_path):
-        cfg = rl.ReprTrainConfig(total_steps=2, batch_size=4)
-        rl.train_encoder(small_dataset(), cfg, out_dir=tmp_path / "run")
-        return nc.load_state_blob(tmp_path / "run" / "train_state.bin")
-
-    def _load(self, path):
-        enc = rl.init_encoder(0)
-        return rl.load_train_sidecar(path, enc, nc.adam_init(
-            enc.net.parameters(), lr=1e-4))
-
-    def test_round_trip(self, sidecar, tmp_path):
-        meta, arrays = sidecar
-        path = tmp_path / "state.bin"
-        nc.save_state_blob(path, meta, list(arrays.items()))
-        assert self._load(path) == 2
-
-    @pytest.mark.parametrize("drop", ["p1", "m0", "v5"])
-    def test_missing_array(self, sidecar, tmp_path, drop):
-        meta, arrays = sidecar
-        path = tmp_path / "state.bin"
-        nc.save_state_blob(path, meta,
-                           [(k, a) for k, a in arrays.items() if k != drop])
-        with pytest.raises(nc.ConfigurationError,
-                           match=re.escape(str(path)) + f".*{drop}"):
-            self._load(path)
-
-    @pytest.mark.parametrize("name", ["p0", "m0", "v2"])
-    def test_wrong_shape(self, sidecar, tmp_path, name):
-        meta, arrays = sidecar
-        arrays[name] = arrays[name][:-1]
-        path = tmp_path / "state.bin"
-        nc.save_state_blob(path, meta, list(arrays.items()))
-        with pytest.raises(nc.ConfigurationError,
-                           match=re.escape(str(path)) + f".*{name}.*shape"):
-            self._load(path)
-
-    @pytest.mark.parametrize("key", ["step", "adam_step"])
-    def test_meta_lacks_key(self, sidecar, tmp_path, key):
-        meta, arrays = sidecar
-        del meta[key]
-        path = tmp_path / "state.bin"
-        nc.save_state_blob(path, meta, list(arrays.items()))
-        with pytest.raises(nc.ConfigurationError, match=re.escape(str(path))):
-            self._load(path)
-
-    def test_foreign_blob(self, tmp_path):
-        path = tmp_path / "state.bin"
-        nc.save_state_blob(path, {"step": 1, "adam_step": 1},
-                           [("p0", np.zeros((1024, 256)))])
-        with pytest.raises(nc.ConfigurationError,
-                           match=re.escape(str(path)) + ".*p1"):
-            self._load(path)
-
-
 class TestActiveColumns:
     """train_encoder trains only the dataset's active input columns; the
     loop over all columns is the oracle."""
@@ -637,37 +569,6 @@ class TestActiveColumns:
             init_w0[inactive].tobytes()
         assert not np.allclose(enc.net.weights[0][cols], init_w0[cols])
 
-    def test_resume_on_other_dataset(self, six_task_dataset, tmp_path):
-        # A's moments reach rows that are inactive in B; they keep moving
-        dataset_b = task_dataset(("open-drawer", "close-drawer"), seed=7)
-        only_a = np.setdiff1d(active_columns(six_task_dataset),
-                              active_columns(dataset_b))
-        assert only_a.size > 0
-        first = rl.ReprTrainConfig(batch_size=16, total_steps=20,
-                                   checkpoint_every=10, seed=4)
-        then = rl.ReprTrainConfig(batch_size=16, total_steps=40,
-                                  checkpoint_every=10, seed=4)
-        rl.train_encoder(six_task_dataset, first, out_dir=tmp_path / "a")
-        full_width_train_encoder(six_task_dataset, first,
-                                 out_dir=tmp_path / "oracle_a")
-        _, written = nc.load_state_blob(tmp_path / "a" / "train_state.bin")
-        _, expected = nc.load_state_blob(tmp_path / "oracle_a" / "train_state.bin")
-        assert np.any(expected["m0"][only_a])
-        assert written.keys() == expected.keys()
-        for name in expected:
-            assert np.allclose(written[name], expected[name], rtol=0,
-                               atol=1e-12), name
-        enc, log = rl.train_encoder(
-            dataset_b, then, out_dir=tmp_path / "b",
-            resume_from=tmp_path / "a" / "train_state.bin")
-        oracle, oracle_log = full_width_train_encoder(
-            dataset_b, then, resume_from=tmp_path / "oracle_a" / "train_state.bin")
-        assert [r["step"] for r in log] == list(range(20, 40))
-        assert_matches_full_width(log, enc, oracle_log, oracle)
-        ckpt = rl.load_encoder(tmp_path / "b" / "encoder.ckpt")
-        for p, q in zip(ckpt.net.parameters(), enc.net.parameters()):
-            assert np.array_equal(p, q.astype(np.float32).astype(np.float64))
-
     def test_all_zero_frames(self, tmp_path):
         ds = small_dataset()
         ds.clips = [replace(c, frames=[replace(f, pixels=np.zeros_like(f.pixels))
@@ -680,13 +581,6 @@ class TestActiveColumns:
         assert_matches_full_width(log, enc, oracle_log, oracle)
         assert enc.net.weights[0].tobytes() == \
             rl.init_encoder(cfg.seed).net.weights[0].tobytes()
-        resumed, _ = rl.train_encoder(ds, rl.ReprTrainConfig(
-            batch_size=8, total_steps=14, seed=2),
-            resume_from=tmp_path / "train_state.bin")
-        oracle, _ = full_width_train_encoder(ds, rl.ReprTrainConfig(
-            batch_size=8, total_steps=14, seed=2))
-        for p, q in zip(resumed.net.parameters(), oracle.net.parameters()):
-            assert np.allclose(p, q, rtol=0, atol=1e-12)
 
 
 class TestTrainEncoder:
@@ -707,21 +601,35 @@ class TestTrainEncoder:
         last = np.mean([r["total"] for r in log[-10:]])
         assert last < first
 
-    def test_resume_reproduces_curve(self, tmp_path):
-        ds = small_dataset()
-        cfg = rl.ReprTrainConfig(total_steps=30, batch_size=8,
-                                 checkpoint_every=10, seed=5)
-        _, full_log = rl.train_encoder(ds, cfg, out_dir=tmp_path / "full")
+    @pytest.mark.parametrize("total_steps", [10, 12])
+    def test_checkpoint_is_the_returned_encoder(self, tmp_path, total_steps):
+        # 10 ends on a checkpoint_every multiple, 12 writes a last one at 12
+        cfg = rl.ReprTrainConfig(total_steps=total_steps, batch_size=8,
+                                 checkpoint_every=5, seed=5)
+        enc, _ = rl.train_encoder(small_dataset(), cfg, out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "encoder.ckpt", "train_log.csv"]
+        net, header, trailing = nc.load_checkpoint(tmp_path / "encoder.ckpt")
+        assert header["step_count"] == total_steps
+        assert trailing == {}
+        assert net.layer_sizes == enc.net.layer_sizes
+        for p, q in zip(net.parameters(), enc.net.parameters()):
+            assert p.tobytes() == q.astype(np.float32).astype(np.float64).tobytes()
 
-        short = rl.ReprTrainConfig(total_steps=10, batch_size=8,
-                                   checkpoint_every=10, seed=5)
-        rl.train_encoder(ds, short, out_dir=tmp_path / "part")
-        _, resumed_log = rl.train_encoder(
-            ds, cfg, out_dir=tmp_path / "resumed",
-            resume_from=tmp_path / "part" / "train_state.bin")
-        assert [r["step"] for r in resumed_log] == list(range(10, 30))
-        for a, b in zip(full_log[10:], resumed_log):
-            assert a["total"] == b["total"]
+    @pytest.mark.parametrize("sizes, activations, message", [
+        ([12, 64, 64, 1], ["tanh", "tanh", "identity"],
+         "layer_sizes is [12, 64, 64, 1], expected [1024, 256, 128, 32]"),
+        (rl.ENCODER_LAYER_SIZES, ["tanh", "tanh", "identity"],
+         "activations is ['tanh', 'tanh', 'identity'], "
+         "expected ['relu', 'relu', 'identity']"),
+    ], ids=["critic", "activations"])
+    def test_load_rejects_foreign_network_naming_it(self, tmp_path, sizes,
+                                                    activations, message):
+        path = tmp_path / "encoder.ckpt"
+        nc.save_checkpoint(path, nc.init_mlp(sizes, activations, 0), 0, 0)
+        with pytest.raises(nc.ConfigurationError,
+                           match=re.escape(f"{path}: {message}")):
+            rl.load_encoder(path)
 
     def test_checkpoint_round_trip(self, tmp_path):
         ds = small_dataset()

@@ -219,7 +219,7 @@ class TestPpoUpdate:
         adv = skillrl.normalize_advantages(batch["advantages"])
 
         def loss_of(params):
-            policy.set_parameters([p.copy() for p in params])
+            numcheck.assign(policy.parameters(), params)
             total, _, _ = skillrl._minibatch_loss_and_grads(
                 policy, batch["obs"], batch["actions"], batch["masks"],
                 batch["log_probs"], adv, batch["returns"], 0.2)
@@ -227,7 +227,7 @@ class TestPpoUpdate:
 
         params = [p.copy() for p in policy.parameters()]
         fd = numcheck.finite_diff_grad(loss_of, params, step=1e-5)
-        policy.set_parameters([p.copy() for p in params])
+        numcheck.assign(policy.parameters(), params)
         _, exact, _ = skillrl._minibatch_loss_and_grads(
             policy, batch["obs"], batch["actions"], batch["masks"],
             batch["log_probs"], adv, batch["returns"], 0.2)
@@ -572,7 +572,7 @@ class TestAwr:
 
     @pytest.mark.parametrize("field, value", [
         ("minibatch_size", 0), ("epochs", -1), ("lr", math.nan),
-        ("lr", math.inf)])
+        ("lr", math.inf), ("lr", -1e-3), ("lr", 0.0)])
     def test_fit_rejects_bad_setting_naming_it(self, encoder, expert_clips,
                                                field, value):
         goal = make_goal(get_task("move-box"), "front", encoder)
@@ -616,14 +616,14 @@ class TestAwr:
         wsum = float(weights.sum()) + 1.5
 
         def loss_of(params):
-            policy.actor.set_parameters([p.copy() for p in params])
+            numcheck.assign(policy.actor.parameters(), params)
             loss, _ = skillrl._awr_loss_and_grads(policy, batch["obs"], acts,
                                                   weights, wsum)
             return loss
 
         params = [p.copy() for p in policy.actor.parameters()]
         fd = numcheck.finite_diff_grad(loss_of, params, step=1e-5)
-        policy.actor.set_parameters([p.copy() for p in params])
+        numcheck.assign(policy.actor.parameters(), params)
         _, exact = skillrl._awr_loss_and_grads(policy, batch["obs"], acts,
                                                weights, wsum)
         for a, b in zip(exact, fd):
@@ -645,6 +645,39 @@ class TestCurveLog:
         assert len(curve) == 2
         assert (tmp_path / "curve.csv").read_bytes() == \
             "".join(line + "\r\n" for line in lines).encode()
+
+
+def _copy(out, source, target):
+    (out / target).write_bytes((out / source).read_bytes())
+
+
+# case -> (edit of a saved policy directory, file named, message after it)
+FOREIGN_POLICY_FILES = {
+    "critic_as_actor": (
+        lambda out, p: _copy(out, "critic.ckpt", "actor.ckpt"), "actor.ckpt",
+        "layer_sizes is [12, 64, 64, 1], expected [12, 64, 64, 4]"),
+    "encoder_as_actor": (
+        lambda out, p: reprlearn.save_encoder(out / "actor.ckpt",
+                                              reprlearn.init_encoder(0)),
+        "actor.ckpt",
+        "layer_sizes is [1024, 256, 128, 32], expected [12, 64, 64, 4]"),
+    "no_log_std": (
+        lambda out, p: nc.save_checkpoint(out / "actor.ckpt", p.actor, 0, 0),
+        "actor.ckpt", "log_std is missing, expected 4 values"),
+    "short_log_std": (
+        lambda out, p: nc.save_checkpoint(
+            out / "actor.ckpt", p.actor, 0, 0,
+            trailing=[("log_std", p.log_std[:3])]),
+        "actor.ckpt", "log_std is 3 values, expected 4 values"),
+    "actor_as_critic": (
+        lambda out, p: _copy(out, "actor.ckpt", "critic.ckpt"), "critic.ckpt",
+        "layer_sizes is [12, 64, 64, 4], expected [12, 64, 64, 1]"),
+    "relu_critic": (
+        lambda out, p: nc.save_checkpoint(out / "critic.ckpt", nc.init_mlp(
+            skillrl.CRITIC_LAYERS, ["relu", "relu", "identity"], 0), 0, 0),
+        "critic.ckpt", "activations is ['relu', 'relu', 'identity'], "
+                       "expected ['tanh', 'tanh', 'identity']"),
+}
 
 
 class TestPolicyIO:
@@ -689,6 +722,17 @@ class TestPolicyIO:
         path.write_text(json.dumps(manifest))
         with pytest.raises(nc.ConfigurationError,
                            match=re.escape(f"{path}: {message}")):
+            skillrl.load_policy(tmp_path)
+
+
+    @pytest.mark.parametrize("case", sorted(FOREIGN_POLICY_FILES))
+    def test_load_rejects_foreign_network_naming_it(self, tmp_path, case):
+        policy = init_policy(seed=8)
+        skillrl.save_policy(tmp_path, policy)
+        edit, name, message = FOREIGN_POLICY_FILES[case]
+        edit(tmp_path, policy)
+        with pytest.raises(nc.ConfigurationError,
+                           match=re.escape(f"{tmp_path / name}: {message}")):
             skillrl.load_policy(tmp_path)
 
 
