@@ -24,7 +24,7 @@ import numpy as np
 from . import env2d, render
 from .env2d import (PRISMATIC, REVOLUTE, Episode, Phase, ProxyAction,
                     TaskSpec, WorldConfig, WorldState, clamp)
-from .numcore import ConfigurationError, derive_seed
+from .numcore import ConfigurationError, derive_seed, require
 from .render import AGENT_STYLES, FrameImage, camera_spec
 
 FRAME_SUBSAMPLE = 4
@@ -100,9 +100,8 @@ def scripted_expert(task: TaskSpec):
 
 
 def _check_noise_scale(noise_scale: float) -> None:
-    if not (math.isfinite(noise_scale) and noise_scale >= 0.0):
-        raise ConfigurationError(
-            f"noise_scale must be finite and non-negative, got {noise_scale}")
+    require(math.isfinite(noise_scale) and noise_scale >= 0.0, "noise_scale",
+            noise_scale, "finite and non-negative")
 
 
 def run_expert_episode(task: TaskSpec, config: WorldConfig, seed: int,
@@ -183,11 +182,10 @@ def _action_row(state: WorldState, action: ProxyAction) -> list[float]:
 
 
 def episode_to_clip(task: TaskSpec, record: Episode, clip_id: str,
-                    camera_id: str, style: str,
-                    subsample: int = FRAME_SUBSAMPLE) -> Clip:
-    """Render an episode into a clip, keeping every ``subsample``-th frame and
-    always the final (success) frame."""
-    keep = list(range(0, len(record.states), subsample))
+                    camera_id: str, style: str) -> Clip:
+    """Render an episode into a clip, keeping every ``FRAME_SUBSAMPLE``-th
+    frame and always the final (success) frame."""
+    keep = list(range(0, len(record.states), FRAME_SUBSAMPLE))
     if keep[-1] != len(record.states) - 1:
         keep.append(len(record.states) - 1)
     if len(keep) < MIN_CLIP_FRAMES:
@@ -217,8 +215,7 @@ def generate_dataset(tasks: list[TaskSpec], clips_per_task: int,
     start poses. Deterministic for a fixed seed; optionally persisted."""
     if style not in AGENT_STYLES:
         raise ConfigurationError(f"unknown agent style {style!r}")
-    if clips_per_task < 1:
-        raise ConfigurationError("clips_per_task must be >= 1")
+    require(clips_per_task >= 1, "clips_per_task", clips_per_task, "at least 1")
     _check_noise_scale(noise_scale)
     if not cameras:
         raise ConfigurationError(
@@ -273,16 +270,33 @@ def save_dataset(dataset: DemoDataset, root: str | Path) -> None:
             render.write_pgm(cdir / render.frame_filename(i), frame.pixels)
 
 
-def load_dataset(root: str | Path) -> DemoDataset:
-    root = Path(root)
-    with open(root / "meta.json") as fh:
+def _read_meta(path: Path, keys: tuple[str, ...]) -> dict:
+    with open(path) as fh:
         meta = json.load(fh)
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise ConfigurationError(f"{path}: lacks keys {missing}")
+    return meta
+
+
+def load_dataset(root: str | Path) -> DemoDataset:
+    """Read back what ``save_dataset`` wrote. A meta file that lacks a key,
+    or a clip whose states or actions do not number its ``n_c`` frames,
+    raises ``ConfigurationError`` naming the file."""
+    root = Path(root)
+    meta = _read_meta(root / "meta.json", ("style", "seed", "clip_ids"))
     clips: list[Clip] = []
     index: dict[str, list[int]] = {}
     for clip_id in meta["clip_ids"]:
         cdir = root / f"clip_{clip_id}"
-        with open(cdir / "meta.json") as fh:
-            cmeta = json.load(fh)
+        path = cdir / "meta.json"
+        cmeta = _read_meta(path, ("task", "camera", "n_c", "success", "states",
+                                  "actions"))
+        for key in ("states", "actions"):
+            if len(cmeta[key]) != cmeta["n_c"]:
+                raise ConfigurationError(
+                    f"{path}: {key} has {len(cmeta[key])} rows, expected "
+                    f"n_c = {cmeta['n_c']}")
         spec = camera_spec(cmeta["camera"])
         frames = [FrameImage(spec, render.read_pgm(cdir / render.frame_filename(i)))
                   for i in range(cmeta["n_c"])]
@@ -326,9 +340,7 @@ def sample_tcn_batch(dataset: DemoDataset, batch_size: int,
     ``ni`` uniform over ``N - 1`` values, which is uniform over the clips
     other than the anchor ``ci``; its frame is uniform over that clip.
     """
-    if batch_size < 1:
-        raise ConfigurationError(
-            f"batch_size must be at least 1, got {batch_size}")
+    require(batch_size >= 1, "batch_size", batch_size, "at least 1")
     if dataset.N < 2:
         raise ConfigurationError("need at least two clips for negatives")
     n_c = np.array([c.n_c for c in dataset.clips])

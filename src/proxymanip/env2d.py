@@ -17,7 +17,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .numcore import ConfigurationError
+from .numcore import ConfigurationError, require
 
 PRISMATIC = "prismatic"
 REVOLUTE = "revolute"
@@ -32,16 +32,19 @@ class Phase(IntEnum):
     INTERACTION = 1
 
 
+# The proxy's dynamics are the same in every world: a unit point mass driven
+# by a PD law toward the desired position, with no damping beyond the PD
+# law's velocity term, and a contact disc. An object's only damping is its
+# own ``ObjectModel.friction``.
+DT = 0.02
+PROXY_RADIUS = 0.02              # collision radius of the proxy disc
+PD_KP = 100.0
+PD_KD = 20.0
+
+
 @dataclass(frozen=True)
 class WorldConfig:
-    dt: float = 0.02
-    proxy_radius: float = 0.02       # collision radius of the proxy disc
     interact_radius: float = 0.10    # grasp-attachment trigger radius
-    proxy_mass: float = 1.0
-    pd_kp: float = 100.0
-    pd_kd: float = 20.0
-    proxy_damping: float = 0.0
-    object_damping: float = 0.0      # added on top of the object's friction
     episode_horizon: int = 400
     force_max: float = 20.0          # per-axis bound on intended force
     arena_half: float = 1.0          # desired positions live in [-arena, arena]^2
@@ -49,22 +52,18 @@ class WorldConfig:
     two_phase: bool = True           # False: flat action space, contact forces only
 
     def __post_init__(self):
-        for name in ("dt", "proxy_mass", "arena_half", "interact_radius"):
+        for name in ("arena_half", "interact_radius"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(
-                    f"{name} must be finite and positive, got {value}")
-        for name in ("pd_kp", "pd_kd", "proxy_damping", "object_damping",
-                     "force_max", "start_jitter"):
+            require(math.isfinite(value) and value > 0, name, value,
+                    "finite and positive")
+        for name in ("force_max", "start_jitter"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(
-                    f"{name} must be finite and non-negative, got {value}")
-        if not (self.interact_radius > self.proxy_radius > 0):
-            raise ConfigurationError("need interact_radius > proxy_radius > 0")
-        if self.episode_horizon < 1:
-            raise ConfigurationError(
-                f"episode_horizon must be at least 1, got {self.episode_horizon}")
+            require(math.isfinite(value) and value >= 0, name, value,
+                    "finite and non-negative")
+        require(self.interact_radius > PROXY_RADIUS, "interact_radius",
+                self.interact_radius, f"above the proxy radius {PROXY_RADIUS}")
+        require(self.episode_horizon >= 1, "episode_horizon",
+                self.episode_horizon, "at least 1")
 
 
 @dataclass(frozen=True)
@@ -286,14 +285,13 @@ def _clamp_action(action: ProxyAction,
             clamp(float(fx), force), clamp(float(fy), force))
 
 
-def _object_free_dynamics(task: TaskSpec, config: WorldConfig, q: list[float],
-                          qd: list[float], gen_force: tuple[float, ...],
+def _object_free_dynamics(task: TaskSpec, q: list[float], qd: list[float],
+                          gen_force: tuple[float, ...],
                           events: list) -> tuple[list[float], list[float]]:
     """Integrate the object's DOFs one step under a generalized force, then
     clamp each bounded coordinate to its limits."""
     obj = task.object
-    dt = config.dt
-    damping = config.object_damping + obj.friction
+    damping = obj.friction
     if obj.kind == FREE_BODY:
         m = obj.inertia
         gx, gy = task.gravity
@@ -307,8 +305,8 @@ def _object_free_dynamics(task: TaskSpec, config: WorldConfig, q: list[float],
         # articulated: scalar joint
         acc = ((gen_force[0] - damping * qd[0]) / obj.inertia,)
         bounds = (obj.limits,)
-    qd_new = [v + dt * a for v, a in zip(qd, acc)]
-    q_new = [v + dt * w for v, w in zip(q, qd_new)]
+    qd_new = [v + DT * a for v, a in zip(qd, acc)]
+    q_new = [v + DT * w for v, w in zip(q, qd_new)]
     for axis, (lo, hi) in enumerate(bounds):
         if q_new[axis] < lo:
             q_new[axis] = lo
@@ -342,7 +340,7 @@ def _generalized_force(obj: ObjectModel, px: float, py: float, fx: float,
 
 def step(state: WorldState, action: ProxyAction, config: WorldConfig,
          task: TaskSpec) -> tuple[WorldState, list]:
-    """Advance the world by one dt. Returns (next_state, events); events list
+    """Advance the world by one ``DT``. Returns (next_state, events); events list
     phase transitions, joint-limit hits, and proxy-object contacts."""
     obj = task.object
     px, py = state.proxy_pos.tolist()
@@ -354,28 +352,27 @@ def step(state: WorldState, action: ProxyAction, config: WorldConfig,
             f"proxy={state.proxy_pos}, q={state.object_q}")
     apx, apy, afx, afy = _clamp_action(action, config)
     events: list = []
-    dt = config.dt
     phase, attachment = state.phase, state.attachment
 
     if phase == Phase.INTERACTION:
         gx, gy, _ = grasp_world(obj, q, attachment)
         q, qd = _object_free_dynamics(
-            task, config, q, qd, _generalized_force(obj, gx, gy, afx, afy), events)
+            task, q, qd, _generalized_force(obj, gx, gy, afx, afy), events)
         gx, gy, _ = grasp_world(obj, q, attachment)
-        vx, vy = (gx - px) / dt, (gy - py) / dt
+        vx, vy = (gx - px) / DT, (gy - py) / DT
         px, py = gx, gy
     else:
         # PD toward the desired position, then contact against the rectangle
-        fx = config.pd_kp * (apx - px) - config.pd_kd * vx - config.proxy_damping * vx
-        fy = config.pd_kp * (apy - py) - config.pd_kd * vy - config.proxy_damping * vy
-        vx, vy = vx + dt * fx / config.proxy_mass, vy + dt * fy / config.proxy_mass
-        px, py = px + dt * vx, py + dt * vy
+        fx = PD_KP * (apx - px) - PD_KD * vx
+        fy = PD_KP * (apy - py) - PD_KD * vy
+        vx, vy = vx + DT * fx, vy + DT * fy
+        px, py = px + DT * vx, py + DT * vy
 
         cx, cy, theta = rect_center(obj, q)
         kx, ky, nx, ny, dist = closest_on_rect(px, py, cx, cy, theta, obj.extents)
-        in_contact = dist < config.proxy_radius
+        in_contact = dist < PROXY_RADIUS
         if in_contact:
-            px, py = kx + nx * config.proxy_radius, ky + ny * config.proxy_radius
+            px, py = kx + nx * PROXY_RADIUS, ky + ny * PROXY_RADIUS
             vn = vx * nx + vy * ny
             if vn < 0.0:
                 vx, vy = vx - vn * nx, vy - vn * ny
@@ -385,7 +382,7 @@ def step(state: WorldState, action: ProxyAction, config: WorldConfig,
         if not config.two_phase and in_contact:
             # flat-action ablation: intended force transmits while touching
             gen_force = _generalized_force(obj, kx, ky, afx, afy)
-        q, qd = _object_free_dynamics(task, config, q, qd, gen_force, events)
+        q, qd = _object_free_dynamics(task, q, qd, gen_force, events)
         if config.two_phase:
             # the nearest grasp point attaches once the proxy is within reach
             index, dist = nearest_grasp(obj, q, px, py)

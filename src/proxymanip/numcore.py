@@ -32,6 +32,12 @@ class ConfigurationError(ValueError):
     """Raised on shape or wiring mismatches that indicate a build bug."""
 
 
+def require(ok: bool, name: str, value, what: str) -> None:
+    """Reject a setting by name: ``<name> must be <what>, got <value>``."""
+    if not ok:
+        raise ConfigurationError(f"{name} must be {what}, got {value}")
+
+
 def splitmix64(seed: int, index: int = 0) -> int:
     """Stateless child-seed derivation; same (seed, index) always maps to the
     same 64-bit value."""
@@ -185,14 +191,16 @@ def backward_batch(net: MlpNetwork, cache: list,
 # Adam
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected adaptive-moment optimizer state over a parameter list."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -200,10 +208,9 @@ class AdamState:
     work: list[np.ndarray] = field(default_factory=list)
 
 
-def adam_init(params: list[np.ndarray], lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(params: list[np.ndarray], lr: float) -> AdamState:
     return AdamState(
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
+        lr=lr, step=0,
         m=[np.zeros_like(p) for p in params],
         v=[np.zeros_like(p) for p in params],
     )
@@ -213,7 +220,8 @@ def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray]) -> None:
     """One optimizer step; updates the parameters and the moments in place.
 
-    The arithmetic is that of ``m = b1 * m + (1 - b1) * g``,
+    With ``b1``, ``b2`` and ``eps`` the ``ADAM_`` constants, the arithmetic
+    is that of ``m = b1 * m + (1 - b1) * g``,
     ``v = b2 * v + (1 - b2) * (g * g)`` and
     ``p - lr * (m / c1) / (sqrt(v / c2) + eps)``, operation for operation, so
     the result is bitwise the same; the intermediates go to ``state.work``.
@@ -233,22 +241,22 @@ def adam_step(state: AdamState, params: list[np.ndarray],
         state.work = [np.empty((2,) + p.shape) for p in params]
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for p, g, m, v, (num, den) in zip(params, grads, state.m, state.v,
                                       state.work):
-        np.multiply(m, state.beta1, out=m)
-        np.multiply(g, 1.0 - state.beta1, out=num)
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=num)
         np.add(m, num, out=m)
         np.multiply(g, g, out=num)
-        np.multiply(num, 1.0 - state.beta2, out=num)
-        np.multiply(v, state.beta2, out=v)
+        np.multiply(num, 1.0 - ADAM_BETA2, out=num)
+        np.multiply(v, ADAM_BETA2, out=v)
         np.add(v, num, out=v)
         np.divide(m, c1, out=num)
         np.multiply(num, state.lr, out=num)
         np.divide(v, c2, out=den)
         np.sqrt(den, out=den)
-        np.add(den, state.eps, out=den)
+        np.add(den, ADAM_EPS, out=den)
         np.divide(num, den, out=num)
         np.subtract(p, num, out=p)
 

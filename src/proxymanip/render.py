@@ -1,10 +1,12 @@
 """Deterministic grayscale rasterizer for the desk world.
 
-Frames are 64x64 single-channel images of a configurable world window. The
-agent glyph is optional: omitting it re-renders the exact scene without the
-actor, which is the desk-scale ground truth for segment-and-inpaint. Two
-distinct glyphs (a disc for the learner, a square for the demonstrator)
-deliberately reproduce the demonstrator/learner appearance gap.
+Frames are ``FRAME_SIDE`` x ``FRAME_SIDE`` (64 x 64) single-channel images
+of a configurable world window. The agent glyph is optional: omitting it
+re-renders the exact scene without the actor, which is the desk-scale ground
+truth for segment-and-inpaint. Two distinct glyphs (a disc for the learner,
+a square for the demonstrator) deliberately reproduce the
+demonstrator/learner appearance gap. Both are sized by the proxy's contact
+radius, ``env2d.PROXY_RADIUS``, unless a caller gives another.
 
 Rasterization is batched: :func:`render_batch` draws n frames of one object
 and camera in one set of array operations, testing for each shape only a
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env2d import ObjectModel, WorldState, rect_center
+from .env2d import PROXY_RADIUS, ObjectModel, WorldState, rect_center
 from .numcore import ConfigurationError
 
 STYLE_NONE = "none"
@@ -36,11 +38,11 @@ INTENSITY_AGENT = 255
 
 MARKER_HALF_SIZE = 0.025
 
+FRAME_SIDE = 64                  # pixels per frame side
+
 
 @dataclass(frozen=True)
 class ImageSpec:
-    height: int = 64
-    width: int = 64
     # world window as (xmin, ymin, xmax, ymax), meters
     window: tuple[float, float, float, float] = (-0.55, -0.55, 0.55, 0.55)
     camera_id: str = "front"
@@ -81,11 +83,11 @@ def world_to_pixel(spec: ImageSpec, point) -> tuple[int, int, bool]:
     xmin, ymin, xmax, ymax = spec.window
     fx = (x - xmin) / (xmax - xmin)
     fy = (ymax - y) / (ymax - ymin)
-    col = int(math.floor(fx * spec.width))
-    row = int(math.floor(fy * spec.height))
-    inside = 0 <= col < spec.width and 0 <= row < spec.height
-    col = min(max(col, 0), spec.width - 1)
-    row = min(max(row, 0), spec.height - 1)
+    col = int(math.floor(fx * FRAME_SIDE))
+    row = int(math.floor(fy * FRAME_SIDE))
+    inside = 0 <= col < FRAME_SIDE and 0 <= row < FRAME_SIDE
+    col = min(max(col, 0), FRAME_SIDE - 1)
+    row = min(max(row, 0), FRAME_SIDE - 1)
     return row, col, inside
 
 
@@ -104,21 +106,21 @@ def _window_geometry(spec: ImageSpec, reach: float):
     there.
     """
     xmin, ymin, xmax, ymax = spec.window
-    sx = spec.width / (xmax - xmin)
-    sy = spec.height / (ymax - ymin)
+    sx = FRAME_SIDE / (xmax - xmin)
+    sy = FRAME_SIDE / (ymax - ymin)
     kc = math.ceil(2.0 * reach * sx) + 5
     kr = math.ceil(2.0 * reach * sy) + 5
     pad = max(kc, kr)
     nan = np.full(pad, np.nan)
-    xs = xmin + (np.arange(spec.width) + 0.5) * (xmax - xmin) / spec.width
-    ys = ymax - (np.arange(spec.height) + 0.5) * (ymax - ymin) / spec.height
+    xs = xmin + (np.arange(FRAME_SIDE) + 0.5) * (xmax - xmin) / FRAME_SIDE
+    ys = ymax - (np.arange(FRAME_SIDE) + 0.5) * (ymax - ymin) / FRAME_SIDE
     xs = np.concatenate([nan, xs, nan])
     ys = np.concatenate([nan, ys, nan])
     # pixel k has its center at k + 0.5 in pixel units, y pointing down
     scale = np.array([sx, -sy])
     offset = np.array([pad - 1.5 - (xmin + reach) * sx,
                        pad - 1.5 + (ymax - reach) * sy])
-    last = np.array([spec.width + pad, spec.height + pad], dtype=float)
+    last = np.array([FRAME_SIDE + pad, FRAME_SIDE + pad], dtype=float)
     return xs, ys, scale, offset, last, np.arange(kc), np.arange(kr), pad
 
 
@@ -146,10 +148,9 @@ def _windows(spec: ImageSpec, centers: np.ndarray, reach: float,
     rows = start[:, 1:] + row_range
     dx = xs[cols] - centers[:, :1]
     dy = ys[rows] - centers[:, 1:]
-    width = spec.width
-    frame_base = (np.arange(len(centers)) * (spec.height * width)
-                  - pad * (width + 1))
-    flat = (rows * width + frame_base[:, None])[:, :, None] + cols[:, None, :]
+    frame_base = (np.arange(len(centers)) * FRAME_SIDE ** 2
+                  - pad * (FRAME_SIDE + 1))
+    flat = (rows * FRAME_SIDE + frame_base[:, None])[:, :, None] + cols[:, None, :]
     return dx, dy, flat
 
 
@@ -177,7 +178,7 @@ def _fill_discs(imgs: np.ndarray, spec: ImageSpec, centers: np.ndarray,
 def _marker_layer(spec: ImageSpec, x: float, y: float) -> np.ndarray:
     """A read-only (1, H, W) frame holding only the target marker at (x, y).
     Cached: every frame of a task shows its marker in the same place."""
-    layer = np.zeros((1, spec.height, spec.width), dtype=np.uint8)
+    layer = np.zeros((1, FRAME_SIDE, FRAME_SIDE), dtype=np.uint8)
     _fill_rects(layer, spec, np.array([[x, y]]), 1.0, 0.0,
                 (2 * MARKER_HALF_SIZE, 2 * MARKER_HALF_SIZE), INTENSITY_MARKER,
                 "marker")
@@ -186,7 +187,8 @@ def _marker_layer(spec: ImageSpec, x: float, y: float) -> np.ndarray:
 
 
 def render_batch(states, obj: ObjectModel | None, spec: ImageSpec, style: str,
-                 marker_pos=None, proxy_radius: float = 0.02) -> list[FrameImage]:
+                 marker_pos=None,
+                 proxy_radius: float = PROXY_RADIUS) -> list[FrameImage]:
     """Rasterize one frame per state, all of one object and camera.
 
     Painter's order: background (0), target marker (90), object (180), agent
@@ -200,7 +202,7 @@ def render_batch(states, obj: ObjectModel | None, spec: ImageSpec, style: str,
     if n == 0:
         return []
     if marker_pos is None:
-        imgs = np.zeros((n, spec.height, spec.width), dtype=np.uint8)
+        imgs = np.zeros((n, FRAME_SIDE, FRAME_SIDE), dtype=np.uint8)
     else:
         imgs = _marker_layer(spec, float(marker_pos[0]),
                              float(marker_pos[1])).repeat(n, axis=0)
@@ -234,7 +236,8 @@ def render_batch(states, obj: ObjectModel | None, spec: ImageSpec, style: str,
 
 
 def render(state: WorldState, obj: ObjectModel | None, spec: ImageSpec,
-           style: str, marker_pos=None, proxy_radius: float = 0.02) -> FrameImage:
+           style: str, marker_pos=None,
+           proxy_radius: float = PROXY_RADIUS) -> FrameImage:
     """Rasterize one frame: the n = 1 case of :func:`render_batch`."""
     return render_batch([state], obj, spec, style, marker_pos, proxy_radius)[0]
 

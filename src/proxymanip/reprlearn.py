@@ -28,12 +28,16 @@ from . import numcore
 from .demogen import DemoDataset, TcnBatch, sample_tcn_batch
 from .numcore import (AdamState, ConfigurationError, MlpNetwork, NumericsError,
                       adam_init, adam_step, derive_seed, forward_batch,
-                      backward_batch, init_mlp)
-from .render import FrameImage
+                      backward_batch, init_mlp, require)
+from .render import FRAME_SIDE, FrameImage
 
 EMBED_DIM = 32
-ENCODER_LAYER_SIZES = [1024, 256, 128, EMBED_DIM]
+# layer 0 reads the 2x2-pooled frame
+ENCODER_LAYER_SIZES = [(FRAME_SIDE // 2) ** 2, 256, 128, EMBED_DIM]
 ENCODER_ACTIVATIONS = ["relu", "relu", "identity"]
+# the weight of the contrastive term; only its ratio to ``lambda2``, the
+# compactness weight, matters, so this one stays 1
+LAMBDA1 = 1.0
 
 _NORM_EPS = 1e-12
 
@@ -109,7 +113,6 @@ def similarity(z_a: np.ndarray, z_b: np.ndarray) -> float:
 
 @dataclass
 class ReprTrainConfig:
-    lambda1: float = 1.0
     lambda2: float = 1.0
     batch_size: int = 64
     total_steps: int = 5000
@@ -119,19 +122,14 @@ class ReprTrainConfig:
     agent_aware: bool = False
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(
-                    f"{name} must be finite and non-negative, got {value}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigurationError(
-                f"lr must be finite and positive, got {self.lr}")
+        require(math.isfinite(self.lambda2) and self.lambda2 >= 0, "lambda2",
+                self.lambda2, "finite and non-negative")
+        require(math.isfinite(self.lr) and self.lr > 0, "lr", self.lr,
+                "finite and positive")
         for name, least in (("batch_size", 1), ("total_steps", 0),
                             ("checkpoint_every", 1)):
-            if getattr(self, name) < least:
-                raise ConfigurationError(
-                    f"{name} must be at least {least}, not {getattr(self, name)}")
+            value = getattr(self, name)
+            require(value >= least, name, value, f"at least {least}")
 
 
 def batch_loss_and_grads(encoder: Encoder, rows: np.ndarray,
@@ -176,11 +174,11 @@ def batch_loss_and_grads(encoder: Encoder, rows: np.ndarray,
     norm = np.sqrt(np.einsum("rd,rd->r", z, z))
     reg = np.abs(z).sum(axis=1) + norm
     reg_grad = np.sign(z) + z / np.where(norm < _NORM_EPS, np.inf, norm)[:, None]
-    out_grad = (config.lambda1 / b * tcn_grad
+    out_grad = (LAMBDA1 / b * tcn_grad
                 + config.lambda2 / n_rows * reg_grad)
     tcn_mean = float(tcn.sum()) / b
     reg_mean = float(reg.sum()) / n_rows
-    total = config.lambda1 * tcn_mean + config.lambda2 * reg_mean
+    total = LAMBDA1 * tcn_mean + config.lambda2 * reg_mean
     row_grad = np.zeros_like(y)
     np.add.at(row_grad, index, out_grad)
     param_grads = backward_batch(encoder.net, cache, row_grad)

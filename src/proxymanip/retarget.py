@@ -24,7 +24,7 @@ import numpy as np
 
 from . import env2d
 from .env2d import PRISMATIC, REVOLUTE, ObjectModel, Phase, TaskSpec, WorldState
-from .numcore import ConfigurationError
+from .numcore import ConfigurationError, require
 
 IK_POS_TOL = 1e-6
 IK_ORI_TOL = 1e-4  # orientation tolerance of a retargeted frame
@@ -71,22 +71,17 @@ class ArmModel:
             raise ConfigurationError("arm needs at least two links")
         if len(self.joint_limits) != len(self.link_lengths):
             raise ConfigurationError("one joint limit pair per link")
-        if not all(0.0 < l < math.inf for l in self.link_lengths):
-            raise ConfigurationError(
-                f"link_lengths must be finite and positive, got {self.link_lengths}")
-        if len(self.base_position) != 2:
-            raise ConfigurationError(
-                f"base_position must be 2 values, got {self.base_position}")
-        if not all(map(math.isfinite, self.base_position)):
-            raise ConfigurationError(
-                f"base_position must be finite, got {self.base_position}")
-        if any(len(pair) != 2 for pair in self.joint_limits):
-            raise ConfigurationError(
-                f"joint_limits must be pairs of 2 values, got {self.joint_limits}")
+        require(all(0.0 < l < math.inf for l in self.link_lengths),
+                "link_lengths", self.link_lengths, "finite and positive")
+        require(len(self.base_position) == 2, "base_position",
+                self.base_position, "2 values")
+        require(all(map(math.isfinite, self.base_position)), "base_position",
+                self.base_position, "finite")
+        require(all(len(pair) == 2 for pair in self.joint_limits),
+                "joint_limits", self.joint_limits, "pairs of 2 values")
         for lo, hi in self.joint_limits:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ConfigurationError(
-                    f"joint_limits must be finite, got {self.joint_limits}")
+            require(math.isfinite(lo) and math.isfinite(hi), "joint_limits",
+                    self.joint_limits, "finite")
             if not lo < hi:
                 raise ConfigurationError("degenerate joint limits")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .env2d import (OBS_PHASE_INDEX, ProxyAction, TaskSpec, WorldConfig,
                     WorldState)
 from .numcore import (AdamState, ConfigurationError, MlpNetwork, adam_init,
                       adam_step, backward_batch, clip_by_global_norm,
-                      derive_seed, forward_batch, init_mlp)
+                      derive_seed, forward_batch, init_mlp, require)
 from .render import FrameImage, camera_spec
 from .reprlearn import Encoder, embed, embed_batch, similarity
 
@@ -53,9 +53,21 @@ HEAD_MASKS = {
     ROUTING_FLAT: np.ones((2, ACTION_DIM), dtype=bool),
 }
 
+GAMMA = 0.99
+GAE_LAMBDA = 0.95
+CLIP_RATIO = 0.2
+PPO_LR = 3e-4
 VALUE_LOSS_COEF = 0.5
 ENTROPY_COEF = 0.01
 GRAD_CLIP_NORM = 0.5
+AWR_LR = 1e-3
+
+# shaped_reward_value amplifies gains beyond the start-goal baseline by
+# REWARD_ALPHA and pays nothing on a baseline below BETA_FLOOR in magnitude;
+# a step that succeeds adds TERMINAL_BONUS
+REWARD_ALPHA = 3.0
+BETA_FLOOR = 1e-6
+TERMINAL_BONUS = 10.0
 
 # poses per render_batch call in the reward pass: large enough to spread the
 # renderer's fixed cost per call, small enough to keep few frames alive
@@ -64,37 +76,20 @@ REWARD_CHUNK = 64
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _require(ok: bool, name: str, value, what: str) -> None:
-    """Reject a setting by name: ``<name> must be <what>, got <value>``."""
-    if not ok:
-        raise ConfigurationError(f"{name} must be {what}, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # Reward
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RewardConfig:
-    alpha: float = 3.0
-    beta_floor: float = 1e-6
-
-    def __post_init__(self):
-        _require(math.isfinite(self.alpha) and self.alpha > 0, "alpha",
-                 self.alpha, "finite and positive")
-        _require(math.isfinite(self.beta_floor) and self.beta_floor >= 0,
-                 "beta_floor", self.beta_floor, "finite and non-negative")
-
-
-def shaped_reward_value(s_t: float, beta: float, cfg: RewardConfig) -> float:
+def shaped_reward_value(s_t: float, beta: float) -> float:
     """Boosted-progress reward from a similarity value and the start-goal
-    baseline. Zero at the baseline; gains beyond it are amplified by alpha.
-    The progress is scaled by |beta|: similarities are negative, and dividing
-    by beta itself, as the published form reads, would reward regressions."""
-    if abs(beta) < cfg.beta_floor:
+    baseline. Zero at the baseline; gains beyond it are amplified by
+    ``REWARD_ALPHA``. The progress is scaled by |beta|: similarities are
+    negative, and dividing by beta itself, as the published form reads,
+    would reward regressions."""
+    if abs(beta) < BETA_FLOOR:
         return 0.0
     delta = (s_t - beta) / abs(beta)
-    boost = 1.0 + (cfg.alpha if delta > 0 else 0.0)
+    boost = 1.0 + (REWARD_ALPHA if delta > 0 else 0.0)
     return float(math.exp(boost * delta) - 1.0)
 
 
@@ -251,51 +246,36 @@ def gae_advantages(rewards, values_with_bootstrap, dones, gamma: float,
 
 @dataclass
 class PpoConfig:
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    clip_ratio: float = 0.2
     epochs: int = 4
     minibatch_size: int = 256
     rollout_envs: int = 16
     horizon: int = 128
-    lr: float = 3e-4
     total_env_steps: int = 600_000
     seed: int = 0
 
     def __post_init__(self):
-        _require(0.0 < self.gamma <= 1.0, "gamma", self.gamma, "in (0, 1]")
-        _require(0.0 <= self.gae_lambda <= 1.0, "gae_lambda", self.gae_lambda,
-                 "in [0, 1]")
-        for name in ("clip_ratio", "lr"):
-            value = getattr(self, name)
-            _require(math.isfinite(value) and value > 0, name, value,
-                     "finite and positive")
         for name in ("epochs", "minibatch_size", "rollout_envs", "horizon",
                      "total_env_steps"):
             value = getattr(self, name)
-            _require(value >= 1, name, value, "at least 1")
+            require(value >= 1, name, value, "at least 1")
 
 
 @dataclass
 class SkillOptions:
     """Run-level switches around the core PPO loop."""
     camera: str = "front"
-    terminal_bonus: float = 10.0
     two_phase: bool = True               # False: flat-action ablation
     start_jitter: float = 0.05
     episode_horizon: int = 400
     eval_every: int = 32768              # env steps between eval rounds
     eval_episodes: int = 20
     early_stop: bool = True
-    reward: RewardConfig = field(default_factory=RewardConfig)
 
     def __post_init__(self):
         camera_spec(self.camera)
-        _require(math.isfinite(self.terminal_bonus), "terminal_bonus",
-                 self.terminal_bonus, "finite")
         for name in ("eval_every", "eval_episodes"):
             value = getattr(self, name)
-            _require(value >= 1, name, value, "at least 1")
+            require(value >= 1, name, value, "at least 1")
 
     def world_config(self, task: TaskSpec) -> WorldConfig:
         return task.world_config(start_jitter=self.start_jitter,
@@ -419,10 +399,9 @@ def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
             frame_rows.tolist(), beta_rows.tolist(), success_buf.tolist(),
             done_buf.tolist())):
         for e, slot in enumerate(slots):
-            reward = shaped_reward_value(sims[rows[e]], sims[betas[e]],
-                                         options.reward)
+            reward = shaped_reward_value(sims[rows[e]], sims[betas[e]])
             if successes[e]:
-                reward += options.terminal_bonus
+                reward += TERMINAL_BONUS
             rew_buf[t, e] = reward
             slot.episode_return += reward
             if dones[e]:
@@ -434,8 +413,7 @@ def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
 
     last_obs = np.stack([env2d.observe(s.state, s.task.object) for s in slots])
     val_buf[ppo.horizon] = values(policy, last_obs)
-    adv, ret = gae_advantages(rew_buf, val_buf, done_buf,
-                              ppo.gamma, ppo.gae_lambda)
+    adv, ret = gae_advantages(rew_buf, val_buf, done_buf, GAMMA, GAE_LAMBDA)
     flat = n_envs * ppo.horizon
     return {
         "obs": obs_buf.reshape(flat, OBS_DIM),
@@ -454,7 +432,7 @@ def collect_rollouts(policy: PolicyCheckpoint, slots: list[_EnvSlot],
 # ---------------------------------------------------------------------------
 
 def _minibatch_loss_and_grads(policy: PolicyCheckpoint, obs, actions, masks,
-                              logp_old, adv, ret, clip_ratio: float):
+                              logp_old, adv, ret):
     n = obs.shape[0]
     means, squashed, cache = action_means(policy, obs)
     logstd = policy.log_std
@@ -464,7 +442,7 @@ def _minibatch_loss_and_grads(policy: PolicyCheckpoint, obs, actions, masks,
     ratio = np.exp(logp - logp_old)
 
     unclipped = ratio * adv
-    clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio) * adv
+    clipped = np.clip(ratio, 1.0 - CLIP_RATIO, 1.0 + CLIP_RATIO) * adv
     surrogate = -np.minimum(unclipped, clipped).mean()
     active = unclipped <= clipped  # gradient flows through the unclipped branch
     dsurr_dlogp = np.where(active, -adv * ratio, 0.0) / n
@@ -534,7 +512,7 @@ def ppo_update(policy: PolicyCheckpoint, batch: dict, ppo: PpoConfig,
             total, grads, stats = _minibatch_loss_and_grads(
                 policy, batch["obs"][idx], batch["actions"][idx],
                 batch["masks"][idx], batch["log_probs"][idx], adv[idx],
-                batch["returns"][idx], ppo.clip_ratio)
+                batch["returns"][idx])
             if not np.isfinite(total):
                 skipped += 1
                 continue
@@ -565,7 +543,7 @@ def run_policy_episode(policy: PolicyCheckpoint, task: TaskSpec,
 
 def evaluate_policy(policy: PolicyCheckpoint, task: TaskSpec,
                     config: WorldConfig, seed: int, episodes: int) -> float:
-    _require(episodes >= 1, "episodes", episodes, "at least 1")
+    require(episodes >= 1, "episodes", episodes, "at least 1")
     wins = 0
     for ep in range(episodes):
         res = run_policy_episode(policy, task, config,
@@ -585,7 +563,7 @@ def train_skill(task: TaskSpec, encoder: Encoder, ppo: PpoConfig,
     goal = make_goal(task, options.camera, encoder)
     routing = ROUTING_TWO_PHASE if options.two_phase else ROUTING_FLAT
     policy = init_policy(ppo.seed, routing=routing)
-    adam = adam_init(policy.parameters(), lr=ppo.lr)
+    adam = adam_init(policy.parameters(), lr=PPO_LR)
     rng = np.random.Generator(np.random.PCG64(derive_seed(ppo.seed, 31)))
     slots = make_env_slots(task, options, encoder, goal,
                            ppo.rollout_envs, ppo.seed)
@@ -657,6 +635,11 @@ def load_policy(out_dir) -> PolicyCheckpoint:
         got = "missing" if log_std is None else f"{log_std.size} values"
         raise ConfigurationError(
             f"{actor_path}: log_std is {got}, expected {ACTION_DIM} values")
+    # a NaN fails both comparisons
+    if not np.all((log_std >= LOG_STD_MIN) & (log_std <= LOG_STD_MAX)):
+        raise ConfigurationError(
+            f"{actor_path}: log_std is {log_std.tolist()}, expected values in "
+            f"[{LOG_STD_MIN}, {LOG_STD_MAX}]")
     critic, _, _ = numcore.load_checkpoint(critic_path)
     numcore.require_layers(critic_path, critic, CRITIC_LAYERS, HIDDEN_ACTIVATIONS)
     path = out / "policy.json"
@@ -681,7 +664,7 @@ def load_policy(out_dir) -> PolicyCheckpoint:
 def progress_weights(sims_now: np.ndarray, sims_next: np.ndarray,
                      temperature: float) -> np.ndarray:
     """Exponentiated goal-similarity improvement, clipped to [0, 20]."""
-    _require(temperature > 0, "temperature", temperature, "positive or inf")
+    require(temperature > 0, "temperature", temperature, "positive or inf")
     if math.isinf(temperature):
         return np.ones_like(np.asarray(sims_now, dtype=float))
     delta = (np.asarray(sims_next, dtype=float)
@@ -705,7 +688,7 @@ def _awr_loss_and_grads(policy: PolicyCheckpoint, obs, actions, weights,
 
 def awr_fit(demos: list[Clip], encoder: Encoder, goal: np.ndarray,
             temperature: float, epochs: int, seed: int = 0,
-            lr: float = 1e-3, minibatch_size: int = 64) -> PolicyCheckpoint:
+            minibatch_size: int = 64) -> PolicyCheckpoint:
     """Weighted regression of the actor means onto demo actions.
 
     Transition t of a clip is weighted by the goal progress from its frame
@@ -714,9 +697,8 @@ def awr_fit(demos: list[Clip], encoder: Encoder, goal: np.ndarray,
     """
     if not demos:
         raise ConfigurationError("awr_fit needs at least one demo clip")
-    _require(epochs >= 0, "epochs", epochs, "at least 0")
-    _require(minibatch_size >= 1, "minibatch_size", minibatch_size, "at least 1")
-    _require(math.isfinite(lr) and lr > 0, "lr", lr, "finite and positive")
+    require(epochs >= 0, "epochs", epochs, "at least 0")
+    require(minibatch_size >= 1, "minibatch_size", minibatch_size, "at least 1")
     by_pixels: dict[bytes, float] = {}
     obs_rows, act_rows, w_rows = [], [], []
     for clip in demos:
@@ -732,7 +714,7 @@ def awr_fit(demos: list[Clip], encoder: Encoder, goal: np.ndarray,
         raise ConfigurationError("all regression weights vanished")
 
     policy = init_policy(seed, routing=ROUTING_TWO_PHASE)
-    adam = adam_init(policy.actor.parameters(), lr=lr)
+    adam = adam_init(policy.actor.parameters(), lr=AWR_LR)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 77)))
     n = obs.shape[0]
     for _ in range(epochs):

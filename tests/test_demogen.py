@@ -174,6 +174,40 @@ class TestGenerateDataset:
             generate_dataset(small_tasks(), 1, 0.0, "none", seed=0,
                              cameras=cameras)
 
+    @pytest.mark.parametrize("clips_per_task", [0, -2])
+    def test_rejects_clips_per_task_below_one(self, clips_per_task):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"clips_per_task must be at least 1, got {clips_per_task}")):
+            generate_dataset(small_tasks(), clips_per_task, 0.0, "none", seed=0)
+
+    # case -> (meta file edited: the dataset's or its first clip's, edit,
+    # message after the file's path; {n} is the clip's frame count)
+    BAD_META = {
+        "no_clip_ids": ("dataset", lambda m: m.pop("clip_ids"),
+                        "lacks keys ['clip_ids']"),
+        "no_states": ("clip", lambda m: m.pop("states"),
+                      "lacks keys ['states']"),
+        "short_states": ("clip", lambda m: m.update(states=m["states"][:3]),
+                         "states has 3 rows, expected n_c = {n}"),
+        "short_actions": ("clip", lambda m: m.update(actions=m["actions"][:2]),
+                          "actions has 2 rows, expected n_c = {n}"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_META))
+    def test_load_rejects_bad_meta_naming_the_file(self, tmp_path, case):
+        ds = generate_dataset([get_task("open-drawer")], 1, 0.0, "none",
+                              seed=9, out_dir=tmp_path)
+        which, edit, message = self.BAD_META[case]
+        path = tmp_path / "meta.json"
+        if which == "clip":
+            path = tmp_path / f"clip_{ds.clips[0].clip_id}" / "meta.json"
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"{path}: {message.format(n=ds.clips[0].n_c)}")):
+            load_dataset(tmp_path)
+
     def test_meta_layout(self, tmp_path):
         generate_dataset([get_task("open-drawer")], 2, 0.0, "none",
                          seed=9, out_dir=tmp_path / "ds")

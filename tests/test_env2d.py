@@ -14,9 +14,10 @@ from proxymanip.env2d import (
 from proxymanip.numcore import ConfigurationError
 
 
-def kinetic_energy(state, obj, config) -> float:
-    """Kinetic energy of the proxy and the object, for the energy invariants."""
-    ke = 0.5 * config.proxy_mass * float(np.dot(state.proxy_vel, state.proxy_vel))
+def kinetic_energy(state, obj) -> float:
+    """Kinetic energy of the unit-mass proxy and the object, for the energy
+    invariants."""
+    ke = 0.5 * float(np.dot(state.proxy_vel, state.proxy_vel))
     if obj.kind == env2d.FREE_BODY:
         ke += 0.5 * obj.inertia * float(np.dot(state.object_qdot[:2], state.object_qdot[:2]))
         ke += 0.5 * obj.rot_inertia * float(state.object_qdot[2] ** 2)
@@ -67,13 +68,12 @@ class TestStep:
         assert np.array_equal(nxt.proxy_vel, s.proxy_vel)
         assert np.array_equal(nxt.object_q, s.object_q)
 
-    def test_pd_force_formula(self, drawer):
-        cfg = drawer.world_config(pd_kp=100.0, pd_kd=10.0)
-        s = reset(cfg, drawer, seed=0)
+    def test_pd_force_formula(self, drawer, config):
+        s = reset(config, drawer, seed=0)
         # proxy rests at (-0.3, 0) in free space; command 0.1 m to its right
-        nxt, _ = step(s, ProxyAction((-0.2, 0.0), (0.0, 0.0)), cfg, drawer)
-        force = nxt.proxy_vel * cfg.proxy_mass / cfg.dt
-        assert force[0] == pytest.approx(10.0, abs=1e-12)
+        nxt, _ = step(s, ProxyAction((-0.2, 0.0), (0.0, 0.0)), config, drawer)
+        force = nxt.proxy_vel / env2d.DT
+        assert force[0] == pytest.approx(env2d.PD_KP * 0.1, abs=1e-12)
         assert force[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_interaction_semi_implicit_euler(self):
@@ -125,7 +125,7 @@ class TestStep:
                 *s.proxy_pos.tolist(),
                 *env2d.rect_center(drawer.object, s.object_q.tolist()),
                 drawer.object.extents)
-            assert d >= config.proxy_radius - 1e-12
+            assert d >= env2d.PROXY_RADIUS - 1e-12
 
     def test_nonfinite_step_names_the_clamped_action(self, drawer, config):
         s = reset(config, drawer, seed=0)
@@ -326,15 +326,15 @@ class TestInvariants:
 
     def test_energy_nonincreasing_without_drive(self):
         task = get_task("open-drawer")
-        cfg = task.world_config(object_damping=1.0, proxy_damping=0.5)
+        cfg = task.world_config()
         s = reset(cfg, task, seed=0)
         s.proxy_vel = np.array([0.8, -0.4])
         s.object_qdot = np.array([0.5])
-        prev = kinetic_energy(s, task.object, cfg)
+        prev = kinetic_energy(s, task.object)
         for _ in range(200):
             act = ProxyAction(tuple(s.proxy_pos), (0.0, 0.0))
             s, _ = step(s, act, cfg, task)
-            ke = kinetic_energy(s, task.object, cfg)
+            ke = kinetic_energy(s, task.object)
             assert ke <= prev + 1e-12
             prev = ke
 
@@ -349,7 +349,7 @@ class TestInvariants:
         prev = None
         for _ in range(200):
             s, _ = step(s, ProxyAction((0.0, 0.0), (0.0, 0.0)), cfg, task)
-            ke = kinetic_energy(s, task.object, cfg)
+            ke = kinetic_energy(s, task.object)
             if prev is not None:
                 assert ke <= prev + 1e-12
             prev = ke
@@ -373,15 +373,15 @@ class TestInvariants:
 
 class TestConfig:
     @pytest.mark.parametrize("field, value", [
-        ("proxy_mass", 0.0), ("proxy_mass", -1.0), ("arena_half", 0.0),
-        ("arena_half", -0.5), ("force_max", -1.0), ("episode_horizon", 0),
+        ("arena_half", 0.0), ("arena_half", -0.5), ("force_max", -1.0),
+        ("episode_horizon", 0),
     ])
     def test_rejects_naming_field(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             WorldConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["proxy_mass", "arena_half",
-                                       "interact_radius", "force_max"])
+    @pytest.mark.parametrize("field", ["arena_half", "interact_radius",
+                                       "force_max"])
     def test_rejects_infinite_naming_field(self, field):
         qualifier = "non-negative" if field == "force_max" else "positive"
         with pytest.raises(ConfigurationError,
@@ -395,23 +395,17 @@ class TestConfig:
                            match="start_jitter must be finite and non-negative"):
             WorldConfig(start_jitter=value)
 
-    @pytest.mark.parametrize("field, value", [
-        ("dt", 0.0), ("dt", -0.02), ("dt", math.nan), ("dt", math.inf),
-        ("pd_kp", -1.0), ("pd_kp", math.nan), ("pd_kd", -50.0),
-        ("pd_kd", math.inf), ("proxy_damping", -0.5),
-        ("proxy_damping", math.nan), ("object_damping", math.nan),
-        ("object_damping", -1.0)])
-    def test_rejects_bad_step_constant(self, field, value):
-        qualifier = "positive" if field == "dt" else "non-negative"
-        with pytest.raises(ConfigurationError,
-                           match=f"{field} must be finite and {qualifier}, "
-                                 f"got {value}"):
-            WorldConfig(**{field: value})
+    @pytest.mark.parametrize("value", [0.01, env2d.PROXY_RADIUS])
+    def test_rejects_interact_radius_inside_the_proxy(self, value):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "interact_radius must be above the proxy radius "
+                f"{env2d.PROXY_RADIUS}, got {value}")):
+            WorldConfig(interact_radius=value)
 
     def test_least_valid_values_accepted(self, drawer):
-        cfg = WorldConfig(force_max=0.0, episode_horizon=1, proxy_mass=1e-3,
-                          arena_half=1e-3, pd_kp=0.0, pd_kd=0.0,
-                          proxy_damping=0.0, object_damping=0.0)
+        cfg = WorldConfig(force_max=0.0, episode_horizon=1, arena_half=1e-3,
+                          interact_radius=math.nextafter(env2d.PROXY_RADIUS,
+                                                         math.inf))
         s, _ = step(reset(cfg, drawer, seed=0),
                     ProxyAction((1.0, 1.0), (5.0, 5.0)), cfg, drawer)
         assert s.time_step == 1
@@ -494,10 +488,10 @@ def _np_nearest_grasp(obj, q, point):
     return best, best_d
 
 
-def _np_object_free_dynamics(state, task, config, gen_force, events):
+def _np_object_free_dynamics(state, task, gen_force, events):
     obj = task.object
-    dt = config.dt
-    damping = config.object_damping + obj.friction
+    dt = env2d.DT
+    damping = obj.friction
     q = state.object_q
     qd = state.object_qdot
     if obj.kind == env2d.FREE_BODY:
@@ -547,27 +541,26 @@ def numpy_step(state, action, config, task):
     a_f = np.clip(np.asarray(action.force, dtype=float),
                   -config.force_max, config.force_max)
     events = []
-    dt = config.dt
+    dt = env2d.DT
     nxt = state.copy()
     if state.phase == Phase.INTERACTION:
         gp_old, _ = _np_grasp_point_world(obj, state.object_q, state.attachment)
         gen_force = _np_generalized_force(obj, gp_old, a_f)
         nxt.object_q, nxt.object_qdot = _np_object_free_dynamics(
-            state, task, config, gen_force, events)
+            state, task, gen_force, events)
         gp_new, _ = _np_grasp_point_world(obj, nxt.object_q, state.attachment)
         nxt.proxy_pos = gp_new
         nxt.proxy_vel = (gp_new - state.proxy_pos) / dt
     else:
-        force = (config.pd_kp * (a_p - state.proxy_pos)
-                 - config.pd_kd * state.proxy_vel
-                 - config.proxy_damping * state.proxy_vel)
-        vel = state.proxy_vel + dt * force / config.proxy_mass
+        force = (env2d.PD_KP * (a_p - state.proxy_pos)
+                 - env2d.PD_KD * state.proxy_vel)
+        vel = state.proxy_vel + dt * force
         pos = state.proxy_pos + dt * vel
         center, theta = _np_rect_center(obj, state.object_q)
         closest, normal, dist = _np_closest_point_on_rect(pos, center, theta, obj.extents)
-        in_contact = dist < config.proxy_radius
+        in_contact = dist < env2d.PROXY_RADIUS
         if in_contact:
-            pos = closest + normal * config.proxy_radius
+            pos = closest + normal * env2d.PROXY_RADIUS
             vn = float(np.dot(vel, normal))
             if vn < 0.0:
                 vel = vel - vn * normal
@@ -578,7 +571,7 @@ def numpy_step(state, action, config, task):
         if not config.two_phase and in_contact:
             gen_force = _np_generalized_force(obj, closest, a_f)
         nxt.object_q, nxt.object_qdot = _np_object_free_dynamics(
-            state, task, config, gen_force, events)
+            state, task, gen_force, events)
     nxt.time_step = state.time_step + 1
     if nxt.phase == Phase.EXPLORATION and config.two_phase:
         index, dist = _np_nearest_grasp(obj, nxt.object_q, nxt.proxy_pos)
@@ -635,10 +628,8 @@ class TestNumpyOracle:
                 for two_phase in (True, False)}
         worst = 0.0
         for two_phase in (True, False):
+            cfg = task.world_config(two_phase=two_phase)
             for episode in range(16):
-                damping = 0.5 * (episode % 2)
-                cfg = task.world_config(two_phase=two_phase, proxy_damping=damping,
-                                        object_damping=damping)
                 s = _random_start(rng, task, cfg, episode)
                 for _ in range(120):
                     act = _random_action(rng, task, s)

@@ -631,7 +631,7 @@ def test_ppo_update_then_rollout():
     rollout's log-probs then depend on how the Gaussian log-prob is formed."""
     _, encoder, options, ppo, goal, slots, rng = _rollout_setup()
     policy = skillrl.init_policy(ppo.seed)
-    adam = numcore.adam_init(policy.parameters(), lr=ppo.lr)
+    adam = numcore.adam_init(policy.parameters(), lr=skillrl.PPO_LR)
     batch = skillrl.collect_rollouts(policy, slots, encoder, goal, ppo, options,
                                      rng)
     stats = skillrl.ppo_update(policy, batch, ppo, adam, rng)
@@ -664,7 +664,7 @@ def test_awr_fit_from_expert_clips(dataset_dir):
     encoder = reprlearn.init_encoder(5)
     goal = skillrl.make_goal(task, "front", encoder)
     policy = skillrl.awr_fit(clips, encoder, goal, temperature=0.05, epochs=3,
-                             seed=4, lr=1e-3, minibatch_size=32)
+                             seed=4, minibatch_size=32)
     obs = np.stack([np.array(s["obs"]) for clip in clips for s in clip.states])
     means, _, _ = skillrl.action_means(policy, obs)
     observed = {

@@ -194,7 +194,7 @@ class TestAdam:
         params = [np.array([2.0])]
         st = nc.adam_init(params, lr=lr)
         nc.adam_step(st, params, [np.array([g])])
-        expected = 2.0 - lr * g / (abs(g) + st.eps)
+        expected = 2.0 - lr * g / (abs(g) + nc.ADAM_EPS)
         assert params[0][0] == pytest.approx(expected, abs=1e-15)
         assert st.step == 1
 
@@ -249,11 +249,12 @@ class TestAdam:
 
 def adam_out_of_place(st, t, params, m, v, grads):
     """The Adam update as fresh arrays: the formula adam_step follows."""
-    c1 = 1.0 - st.beta1 ** t
-    c2 = 1.0 - st.beta2 ** t
-    m = [st.beta1 * mi + (1.0 - st.beta1) * g for mi, g in zip(m, grads)]
-    v = [st.beta2 * vi + (1.0 - st.beta2) * (g * g) for vi, g in zip(v, grads)]
-    params = [p - st.lr * (mi / c1) / (np.sqrt(vi / c2) + st.eps)
+    b1, b2 = nc.ADAM_BETA1, nc.ADAM_BETA2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    m = [b1 * mi + (1.0 - b1) * g for mi, g in zip(m, grads)]
+    v = [b2 * vi + (1.0 - b2) * (g * g) for vi, g in zip(v, grads)]
+    params = [p - st.lr * (mi / c1) / (np.sqrt(vi / c2) + nc.ADAM_EPS)
               for p, mi, vi in zip(params, m, v)]
     return params, m, v
 

@@ -259,6 +259,131 @@ def test_unread_name_is_reported(tmp_path):
         "geo:2 UNUSED", "geo:5 again", "geo:11 Shape.area", "geo:15 Shape.shrink"]
 
 
+# Config fields that no non-test file of the package or the benchmark passes,
+# each kept for a stated reason; any other setting that one value serves is a
+# module constant.
+TEST_ONLY_SETTINGS = {
+    "WorldConfig.interact_radius": "the golden tie episode, the proxy reaching "
+                                   "two grasp points at equal distance, needs 0.15",
+    "WorldConfig.force_max": "ROADMAP items 4 and 12 read the force bound "
+                             "through the world",
+    "WorldConfig.arena_half": "ROADMAP items 4 and 12 read the position bound "
+                              "through the world",
+    "PpoConfig.epochs": "the golden rollout and PPO-update pins",
+    "PpoConfig.minibatch_size": "the golden rollout and PPO-update pins",
+    "PpoConfig.rollout_envs": "the golden rollout and PPO-update pins",
+    "PpoConfig.horizon": "the golden rollout and PPO-update pins",
+    "SkillOptions.camera": "ROADMAP items 1 and 2 score every task x camera",
+    "SkillOptions.two_phase": "the flat-action ablation of ROADMAP item 2(c)",
+    "SkillOptions.start_jitter": "rollout tests start every slot at the "
+                                 "task's own proxy start",
+    "ReprTrainConfig.lambda2": "ROADMAP item 1 chooses it",
+    "ReprTrainConfig.lr": "the golden loss-curve pin trains at 3e-4",
+    "ReprTrainConfig.checkpoint_every": "perfbench/test_perfbench.py passes it",
+    "ReprTrainConfig.agent_aware": "the agent-aware encoder of ROADMAP item 2(b)",
+    "ArmModel.base_position": "further arms, ROADMAP item 14",
+    "ArmModel.link_lengths": "further arms, ROADMAP item 14",
+    "ArmModel.joint_limits": "further arms, ROADMAP item 14",
+}
+
+CENSUS_CLASSES = ("WorldConfig", "PpoConfig", "SkillOptions", "ReprTrainConfig",
+                  "ImageSpec", "ArmModel")
+# a callee that passes its keywords on to a class
+FORWARDERS = {"world_config": "WorldConfig"}
+
+
+def keyword_passes(tree: ast.Module, skip) -> set[tuple[str, str]]:
+    """``(callee, keyword)`` for each keyword argument of each call in
+    ``tree``, the callee being the called name or attribute; calls inside a
+    top-level function that ``skip`` names do not count."""
+    skipped = {id(node) for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name in skip
+               for node in ast.walk(fn)}
+    passes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in skipped:
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            passes |= {(callee, kw.arg) for kw in node.keywords if kw.arg}
+    return passes
+
+
+def unpassed_settings(package_dir: Path, bench_dir: Path,
+                      classes=CENSUS_CLASSES, allowed=TEST_ONLY_SETTINGS,
+                      skip=TEST_ONLY_API) -> list[str]:
+    """Every field of the package's ``classes`` that no call in a module of
+    the package or a non-test file of ``bench_dir`` passes by keyword, to the
+    class or to a callee that forwards to it, unless ``allowed`` lists it as
+    ``Class.field``. The functions that ``skip`` names, kept only for the
+    tests, are no callers."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package_dir.glob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in sorted(bench_dir.glob("*.py"))
+             if not path.name.startswith("test_")]
+    passes = set()
+    for tree in [*trees.values(), *bench]:
+        passes |= keyword_passes(tree, skip)
+    passed = {(FORWARDERS.get(callee, callee), kw) for callee, kw in passes}
+    bad = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and node.name in classes):
+                continue
+            for field in node.body:
+                if not isinstance(field, ast.AnnAssign):
+                    continue
+                qualified = f"{node.name}.{field.target.id}"
+                if ((node.name, field.target.id) not in passed
+                        and qualified not in allowed):
+                    bad.append(f"{stem}:{field.lineno} {qualified}")
+    return bad
+
+
+def test_every_setting_has_a_caller():
+    assert unpassed_settings(PACKAGE, BENCH) == []
+
+
+def test_test_only_settings_lists_only_unpassed_settings():
+    unpassed = {entry.split()[-1]
+                for entry in unpassed_settings(PACKAGE, BENCH, allowed={})}
+    assert set(TEST_ONLY_SETTINGS) <= unpassed
+
+
+def test_unpassed_setting_is_reported(tmp_path):
+    pkg, bench = tmp_path / "pkg", tmp_path / "bench"
+    pkg.mkdir()
+    bench.mkdir()
+    (pkg / "geo.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class WorldConfig:\n"
+        "    to_class: int = 1\n"
+        "    forwarded: int = 2\n"
+        "    by_a_test: int = 3\n"
+        "    by_test_only_code: int = 4\n"
+        "    allowed: int = 5\n"
+        "    to_another_callee: int = 6\n"
+        "    in_the_bench: int = 7\n"
+        "    LIMIT = 3\n"
+        "class Other:\n"
+        "    not_counted: int = 0\n"
+        "def helper():\n"
+        "    return WorldConfig(by_test_only_code=0)\n")
+    (pkg / "user.py").write_text(
+        "from .geo import WorldConfig\n"
+        "def run(task):\n"
+        "    return WorldConfig(to_class=0), task.world_config(forwarded=0), "
+        "print(to_another_callee=0)\n")
+    (bench / "runner.py").write_text(
+        "from pkg import geo\ngeo.WorldConfig(in_the_bench=0)\n")
+    (bench / "test_runner.py").write_text(
+        "from pkg import geo\ngeo.WorldConfig(by_a_test=0)\n")
+    assert unpassed_settings(pkg, bench, classes=("WorldConfig",),
+                             allowed={"WorldConfig.allowed": "a reason"},
+                             skip={"helper"}) == [
+        "geo:6 WorldConfig.by_a_test", "geo:7 WorldConfig.by_test_only_code",
+        "geo:9 WorldConfig.to_another_callee"]
+
+
 def test_private_read_is_reported(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()

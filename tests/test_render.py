@@ -98,6 +98,15 @@ class TestRender:
         square = draw(state, task.object, spec, "hand_square").pixels
         assert (square == 255).sum() > (disc == 255).sum()
 
+    @pytest.mark.parametrize("style", ["gripper_disc", "hand_square"])
+    def test_glyph_is_sized_by_the_contact_radius(self, drawer_state, style):
+        state, task = drawer_state
+        spec = camera_spec("front")
+        assert np.array_equal(
+            draw(state, task.object, spec, style).pixels,
+            oracle_render(state, task.object, spec, style,
+                          proxy_radius=env2d.PROXY_RADIUS))
+
     def test_styles_render_on_all_cameras(self, drawer_state):
         state, task = drawer_state
         for cam in CAMERAS:
@@ -113,8 +122,9 @@ class TestRender:
 def _pixel_centers(spec):
     """World coordinates of every pixel center, as two (H, W) grids."""
     xmin, ymin, xmax, ymax = spec.window
-    xs = xmin + (np.arange(spec.width) + 0.5) * (xmax - xmin) / spec.width
-    ys = ymax - (np.arange(spec.height) + 0.5) * (ymax - ymin) / spec.height
+    side = render.FRAME_SIDE
+    xs = xmin + (np.arange(side) + 0.5) * (xmax - xmin) / side
+    ys = ymax - (np.arange(side) + 0.5) * (ymax - ymin) / side
     return np.meshgrid(xs, ys)
 
 
@@ -138,8 +148,9 @@ def _full_fill_disc(img, spec, center, radius, value):
         img[row, col] = value
 
 
-def oracle_render(state, obj, spec, style, marker_pos=None, proxy_radius=0.02):
-    img = np.zeros((spec.height, spec.width), dtype=np.uint8)
+def oracle_render(state, obj, spec, style, marker_pos=None,
+                  proxy_radius=env2d.PROXY_RADIUS):
+    img = np.zeros((render.FRAME_SIDE, render.FRAME_SIDE), dtype=np.uint8)
     if marker_pos is not None:
         half = render.MARKER_HALF_SIZE
         _full_fill_rect(img, spec, marker_pos, 0.0, (2 * half, 2 * half),
@@ -161,7 +172,8 @@ def oracle_render(state, obj, spec, style, marker_pos=None, proxy_radius=0.02):
     return img
 
 
-def _assert_matches_oracle(state, obj, marker_pos=None, proxy_radius=0.02):
+def _assert_matches_oracle(state, obj, marker_pos=None,
+                           proxy_radius=env2d.PROXY_RADIUS):
     for cam in CAMERAS:
         spec = camera_spec(cam)
         for style in AGENT_STYLES:
@@ -243,7 +255,7 @@ class TestWindowedFill:
 
 
 def _assert_batch_matches_oracle(states, obj, marker_pos=None,
-                                 proxy_radius=0.02):
+                                 proxy_radius=env2d.PROXY_RADIUS):
     for cam in CAMERAS:
         spec = camera_spec(cam)
         for style in AGENT_STYLES:
@@ -335,7 +347,7 @@ class TestRenderBatch:
                                      marker_pos=marker)
         for frame in frames:
             px = frame.pixels
-            assert px.shape == (spec.height, spec.width)
+            assert px.shape == (render.FRAME_SIDE, render.FRAME_SIDE)
             assert px.dtype == np.uint8 and px.flags.c_contiguous
             assert px.base is None or px.base.nbytes == px.nbytes * len(states)
         assert not np.shares_memory(frames[0].pixels, frames[1].pixels)

@@ -151,14 +151,14 @@ def loop_batch_loss_and_grads(encoder, batch_inputs, config):
         loss, grads = tcn_loss_with_grads(*z[4 * s:4 * s + 4])
         tcn_total += loss
         for r, g in enumerate(grads):
-            out_grad[4 * s + r] += config.lambda1 / b * g
+            out_grad[4 * s + r] += rl.LAMBDA1 / b * g
     for r in range(n_rows):
         loss, g = reg_loss_with_grad(z[r])
         reg_total += loss
         out_grad[r] += config.lambda2 / n_rows * g
     tcn_mean = tcn_total / b
     reg_mean = reg_total / n_rows
-    total = config.lambda1 * tcn_mean + config.lambda2 * reg_mean
+    total = rl.LAMBDA1 * tcn_mean + config.lambda2 * reg_mean
     return (total, tcn_mean, reg_mean,
             nc.backward_batch(encoder.net, cache, out_grad))
 
@@ -418,7 +418,7 @@ class TestBatchLossMatchesLoop:
 
     def _check_rows(self, rows, index, seed=7):
         enc = rl.init_encoder(seed)
-        cfg = rl.ReprTrainConfig(lambda1=1.0, lambda2=0.5)
+        cfg = rl.ReprTrainConfig(lambda2=0.5)
         batch = rows[index]
         loop = loop_batch_loss_and_grads(enc, batch, cfg)
         for ours in (rl.batch_loss_and_grads(enc, batch, np.arange(len(batch)), cfg),
@@ -521,12 +521,13 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("total_steps", -1), ("checkpoint_every", 0)])
     def test_rejects_out_of_range(self, field, value):
-        with pytest.raises(nc.ConfigurationError, match=field):
+        least = 0 if field == "total_steps" else 1
+        with pytest.raises(nc.ConfigurationError,
+                           match=f"{field} must be at least {least}, got {value}"):
             rl.ReprTrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("lr", 0.0), ("lr", -1e-4), ("lr", math.nan), ("lr", math.inf),
-        ("lambda1", -1.0), ("lambda1", math.nan), ("lambda1", math.inf),
         ("lambda2", -1.0), ("lambda2", math.nan), ("lambda2", math.inf)])
     def test_rejects_bad_hyperparameter_naming_it(self, field, value):
         qualifier = "positive" if field == "lr" else "non-negative"
@@ -537,7 +538,7 @@ class TestConfig:
 
     def test_accepts_least_values(self):
         rl.ReprTrainConfig(batch_size=1, total_steps=0, checkpoint_every=1,
-                           lambda1=0.0, lambda2=0.0)
+                           lambda2=0.0)
 
 
 class TestTrainingLog:

@@ -13,7 +13,7 @@ from proxymanip import numcore as nc
 from proxymanip import demogen, env2d, render, reprlearn, skillrl
 from proxymanip.env2d import get_task
 from proxymanip.skillrl import (
-    PolicyCheckpoint, PpoConfig, RewardConfig, SkillOptions,
+    PolicyCheckpoint, PpoConfig, SkillOptions,
     collect_rollouts, gae_advantages, init_policy, make_env_slots, make_goal,
     ppo_update, progress_weights, run_policy_episode, shaped_reward_value,
 )
@@ -21,48 +21,41 @@ from proxymanip.skillrl import (
 
 class TestShapedReward:
     def test_baseline_gives_zero(self):
-        cfg = RewardConfig()
-        assert shaped_reward_value(-10.0, -10.0, cfg) == 0.0
+        assert shaped_reward_value(-10.0, -10.0) == 0.0
 
     def test_halfway_progress(self):
-        cfg = RewardConfig(alpha=3.0)
-        r = shaped_reward_value(-5.0, -10.0, cfg)
+        r = shaped_reward_value(-5.0, -10.0)
         assert r == pytest.approx(math.exp(2.0) - 1.0, abs=1e-9)
         assert r == pytest.approx(6.3890561, abs=1e-6)
 
     def test_regression_penalized_gently(self):
-        cfg = RewardConfig(alpha=3.0)
-        r = shaped_reward_value(-15.0, -10.0, cfg)
+        r = shaped_reward_value(-15.0, -10.0)
         assert r == pytest.approx(math.exp(-0.5) - 1.0, abs=1e-9)
         assert r == pytest.approx(-0.3934693, abs=1e-6)
 
     def test_at_goal(self):
-        cfg = RewardConfig(alpha=3.0)
-        r = shaped_reward_value(0.0, -10.0, cfg)
+        r = shaped_reward_value(0.0, -10.0)
         assert r == pytest.approx(math.exp(4.0) - 1.0, abs=1e-9)
         assert r == pytest.approx(53.5981500, abs=1e-6)
 
     def test_degenerate_start_at_goal(self):
-        cfg = RewardConfig()
-        assert shaped_reward_value(-0.5, 0.0, cfg) == 0.0
+        assert shaped_reward_value(-0.5, 0.0) == 0.0
 
     def test_strictly_increasing_and_continuous(self):
-        cfg = RewardConfig(alpha=3.0)
         beta = -7.0
         sims = np.linspace(-20.0, 0.0, 400)
-        vals = [shaped_reward_value(s, beta, cfg) for s in sims]
+        vals = [shaped_reward_value(s, beta) for s in sims]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         eps = 1e-9
-        assert abs(shaped_reward_value(beta + eps, beta, cfg)) < 1e-6
-        assert abs(shaped_reward_value(beta - eps, beta, cfg)) < 1e-6
+        assert abs(shaped_reward_value(beta + eps, beta)) < 1e-6
+        assert abs(shaped_reward_value(beta - eps, beta)) < 1e-6
 
     def test_slope_ratio_at_baseline(self):
-        cfg = RewardConfig(alpha=3.0)
         beta = -4.0
         h = 1e-7
-        right = shaped_reward_value(beta + h, beta, cfg) / h
-        left = -shaped_reward_value(beta - h, beta, cfg) / h
-        assert right / left == pytest.approx(1.0 + cfg.alpha, rel=1e-5)
+        right = shaped_reward_value(beta + h, beta) / h
+        left = -shaped_reward_value(beta - h, beta) / h
+        assert right / left == pytest.approx(1.0 + skillrl.REWARD_ALPHA, rel=1e-5)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -73,10 +66,9 @@ class TestShapedReward:
         z_0 = rng.normal(0, 1, 8)
         # random orthogonal rotation preserves all pairwise similarities
         q, _ = np.linalg.qr(rng.normal(0, 1, (8, 8)))
-        cfg = RewardConfig()
         sim = reprlearn.similarity
-        ra = shaped_reward_value(sim(z_t, z_g), sim(z_0, z_g), cfg)
-        rb = shaped_reward_value(sim(q @ z_t, q @ z_g), sim(q @ z_0, q @ z_g), cfg)
+        ra = shaped_reward_value(sim(z_t, z_g), sim(z_0, z_g))
+        rb = shaped_reward_value(sim(q @ z_t, q @ z_g), sim(q @ z_0, q @ z_g))
         assert ra == pytest.approx(rb, rel=1e-9, abs=1e-9)
 
 
@@ -164,7 +156,7 @@ class TestPpoUpdate:
         batch = synthetic_batch(policy, 64, seed=1, adv_values=np.zeros(64))
         before = [p.copy() for p in policy.actor.parameters()]
         ppo = PpoConfig(epochs=2, minibatch_size=32)
-        adam = nc.adam_init(policy.parameters(), lr=ppo.lr)
+        adam = nc.adam_init(policy.parameters(), lr=skillrl.PPO_LR)
         ppo_update(policy, batch, ppo, adam,
                    np.random.Generator(np.random.PCG64(0)))
         for a, b in zip(policy.actor.parameters(), before):
@@ -182,7 +174,7 @@ class TestPpoUpdate:
         def surrogate_for(ratio):
             lp_old = logp - math.log(ratio)
             _, _, stats = skillrl._minibatch_loss_and_grads(
-                policy, obs, actions, masks, lp_old, adv, ret, 0.2)
+                policy, obs, actions, masks, lp_old, adv, ret)
             return stats["surrogate"]
 
         assert surrogate_for(1.5) == pytest.approx(surrogate_for(1.2), abs=1e-12)
@@ -222,7 +214,7 @@ class TestPpoUpdate:
             numcheck.assign(policy.parameters(), params)
             total, _, _ = skillrl._minibatch_loss_and_grads(
                 policy, batch["obs"], batch["actions"], batch["masks"],
-                batch["log_probs"], adv, batch["returns"], 0.2)
+                batch["log_probs"], adv, batch["returns"])
             return total
 
         params = [p.copy() for p in policy.parameters()]
@@ -230,7 +222,7 @@ class TestPpoUpdate:
         numcheck.assign(policy.parameters(), params)
         _, exact, _ = skillrl._minibatch_loss_and_grads(
             policy, batch["obs"], batch["actions"], batch["masks"],
-            batch["log_probs"], adv, batch["returns"], 0.2)
+            batch["log_probs"], adv, batch["returns"])
         for a, b in zip(exact, fd):
             assert numcheck.normed_relative_error(a, b) < 1e-4
 
@@ -279,7 +271,7 @@ class TestRollouts:
         z1 = reprlearn.embed(encoder, render.render(slot.state, task.object, spec,
                                                     "none", marker_pos=marker))
         s1 = reprlearn.similarity(z1, goal)
-        r = shaped_reward_value(s1, beta, options.reward)
+        r = shaped_reward_value(s1, beta)
         assert abs(r) < 1e-9
 
     def test_rollout_determinism(self, encoder):
@@ -341,10 +333,10 @@ def reference_rollouts(policy, task, encoder, goal, ppo, options, seed, rng):
         z = reprlearn.embed_batch(encoder, [masked_frame(s) for s in states])
         for e in range(n):
             s_t = reprlearn.similarity(z[e], goal)
-            reward = shaped_reward_value(s_t, betas[e], options.reward)
+            reward = shaped_reward_value(s_t, betas[e])
             success = env2d.is_success(states[e], task)
             if success:
-                reward += options.terminal_bonus
+                reward += skillrl.TERMINAL_BONUS
             rewards[t, e] = reward
             ep_returns[e] += reward
             if success or lengths[e] >= cfg.episode_horizon:
@@ -356,7 +348,8 @@ def reference_rollouts(policy, task, encoder, goal, ppo, options, seed, rng):
                 lengths[e], ep_returns[e] = 0, 0.0
     vals[ppo.horizon] = skillrl.values(
         policy, np.stack([env2d.observe(s, task.object) for s in states]))
-    adv, ret = gae_advantages(rewards, vals, dones, ppo.gamma, ppo.gae_lambda)
+    adv, ret = gae_advantages(rewards, vals, dones, skillrl.GAMMA,
+                              skillrl.GAE_LAMBDA)
     return {
         "obs": np.concatenate(obs_rows), "actions": np.concatenate(act_rows),
         "masks": np.concatenate(mask_rows), "log_probs": np.concatenate(logp_rows),
@@ -571,8 +564,7 @@ class TestAwr:
             progress_weights(np.array([-3.0]), np.array([-2.0]), value)
 
     @pytest.mark.parametrize("field, value", [
-        ("minibatch_size", 0), ("epochs", -1), ("lr", math.nan),
-        ("lr", math.inf), ("lr", -1e-3), ("lr", 0.0)])
+        ("minibatch_size", 0), ("epochs", -1)])
     def test_fit_rejects_bad_setting_naming_it(self, encoder, expert_clips,
                                                field, value):
         goal = make_goal(get_task("move-box"), "front", encoder)
@@ -735,6 +727,31 @@ class TestPolicyIO:
                            match=re.escape(f"{tmp_path / name}: {message}")):
             skillrl.load_policy(tmp_path)
 
+    @pytest.mark.parametrize("log_std", [
+        [math.nan, 5.0, -50.0, 0.0], [0.0, 0.0, math.inf, 0.0],
+        # the float32 neighbours of the bounds, which a checkpoint keeps
+        [-0.7, -0.7, 1.0, float(np.nextafter(np.float32(1.0), np.float32(2.0)))],
+        [float(np.nextafter(np.float32(-5.0), np.float32(-6.0))), 0.0, 0.0, 0.0]],
+        ids=["nan_and_outside", "inf", "above_max", "below_min"])
+    def test_load_rejects_log_std_outside_bounds_naming_it(self, tmp_path,
+                                                           log_std):
+        policy = init_policy(seed=8)
+        policy.log_std = np.array(log_std)
+        skillrl.save_policy(tmp_path, policy)
+        saved = np.array(log_std, dtype=np.float32).astype(float).tolist()
+        with pytest.raises(nc.ConfigurationError, match=re.escape(
+                f"{tmp_path / 'actor.ckpt'}: log_std is {saved}, expected "
+                f"values in [{skillrl.LOG_STD_MIN}, {skillrl.LOG_STD_MAX}]")):
+            skillrl.load_policy(tmp_path)
+
+    def test_load_accepts_log_std_at_bounds(self, tmp_path):
+        # both bounds are exact in float32, so a projected log_std survives
+        policy = init_policy(seed=8)
+        bounds = [skillrl.LOG_STD_MIN, skillrl.LOG_STD_MAX]
+        policy.log_std = np.array(bounds * 2)
+        skillrl.save_policy(tmp_path, policy)
+        assert skillrl.load_policy(tmp_path).log_std.tolist() == bounds * 2
+
 
 class TestConfig:
     @pytest.mark.parametrize("field", ["rollout_envs", "horizon", "epochs",
@@ -745,10 +762,6 @@ class TestConfig:
         PpoConfig(**{field: 1})
 
     @pytest.mark.parametrize("field, value", [
-        ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
-        ("clip_ratio", math.nan), ("clip_ratio", math.inf),
-        ("gae_lambda", 1.5), ("gae_lambda", -0.1), ("gae_lambda", math.nan),
-        ("gamma", math.nan), ("gamma", 0.0),
         ("total_env_steps", 0), ("total_env_steps", -5)])
     def test_ppo_rejects_bad_hyperparameter_naming_it(self, field, value):
         with pytest.raises(nc.ConfigurationError,
@@ -757,9 +770,6 @@ class TestConfig:
             PpoConfig(**{field: value})
 
     @pytest.mark.parametrize("config, field, value", [
-        (RewardConfig, "alpha", math.nan),
-        (RewardConfig, "beta_floor", math.nan),
-        (SkillOptions, "terminal_bonus", math.nan),
         (SkillOptions, "eval_every", -5),
         (SkillOptions, "eval_episodes", 0)])
     def test_skill_config_rejects_bad_field_naming_it(self, config, field,
@@ -777,12 +787,7 @@ class TestConfig:
             SkillOptions(camera=camera)
 
     def test_skill_config_accepts_least_values(self):
-        RewardConfig(beta_floor=0.0)
-        SkillOptions(terminal_bonus=0.0, eval_every=1, eval_episodes=1)
-
-    def test_ppo_accepts_gae_lambda_bounds(self):
-        PpoConfig(gae_lambda=0.0)
-        PpoConfig(gae_lambda=1.0)
+        SkillOptions(eval_every=1, eval_episodes=1)
 
     def test_evaluate_policy_rejects_zero_episodes(self):
         task = get_task("open-drawer")
