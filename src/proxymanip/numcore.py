@@ -210,7 +210,7 @@ class AdamState:
 
 def adam_init(params: list[np.ndarray], lr: float) -> AdamState:
     return AdamState(
-        lr=lr, step=0,
+        lr=lr,
         m=[np.zeros_like(p) for p in params],
         v=[np.zeros_like(p) for p in params],
     )

@@ -38,7 +38,7 @@ INTENSITY_AGENT = 255
 
 MARKER_HALF_SIZE = 0.025
 
-FRAME_SIDE = 64                  # pixels per frame side
+FRAME_SIDE = 64
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def _window_geometry(spec: ImageSpec, reach: float):
     scale = np.array([sx, -sy])
     offset = np.array([pad - 1.5 - (xmin + reach) * sx,
                        pad - 1.5 + (ymax - reach) * sy])
-    last = np.array([FRAME_SIDE + pad, FRAME_SIDE + pad], dtype=float)
+    last = float(FRAME_SIDE + pad)
     return xs, ys, scale, offset, last, np.arange(kc), np.arange(kr), pad
 
 
